@@ -22,6 +22,7 @@ module Probing = Concilium_tomography.Probing
 module Observation = Concilium_tomography.Observation
 module Prng = Concilium_util.Prng
 module Pool = Concilium_util.Pool
+module Json = Concilium_util.Json
 module Graph = Concilium_topology.Graph
 module Routes = Concilium_topology.Routes
 module Tree = Concilium_tomography.Tree
@@ -416,15 +417,15 @@ let json_of_results results =
   let add fmt = Printf.bprintf buf fmt in
   let rows = rows_of_results results in
   add "{\n";
-  add "  \"host\": { \"cores\": %d, \"ocaml\": %S },\n"
-    (Pool.default_domains ()) Sys.ocaml_version;
+  add "  \"host\": { \"cores\": %d, \"ocaml\": %s },\n"
+    (Pool.default_domains ()) (Json.quote Sys.ocaml_version);
   add "  \"unit\": \"ns/run\",\n";
   add "  \"results\": [\n";
   List.iteri
     (fun i (name, ns, r2) ->
-      add "    { \"name\": %S, \"ns_per_run\": %.1f, \"r_square\": %.4f, \
+      add "    { \"name\": %s, \"ns_per_run\": %.1f, \"r_square\": %.4f, \
            \"low_confidence\": %b }%s\n"
-        name ns r2 (low_confidence r2)
+        (Json.quote name) ns r2 (low_confidence r2)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   add "  ],\n";
@@ -432,7 +433,7 @@ let json_of_results results =
   add "  \"profile\": [\n";
   List.iteri
     (fun i (name, start, duration) ->
-      add "    { \"stage\": %S, \"start_s\": %.3f, \"duration_s\": %.3f }%s\n" name start
+      add "    { \"stage\": %s, \"start_s\": %.3f, \"duration_s\": %.3f }%s\n" (Json.quote name) start
         duration
         (if i = List.length spans - 1 then "" else ","))
     spans;
@@ -559,7 +560,8 @@ let multicore ~out ~assert_speedup =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.bprintf buf fmt in
   add "{\n";
-  add "  \"host\": { \"cores\": %d, \"ocaml\": %S },\n" (Pool.default_domains ()) Sys.ocaml_version;
+  add "  \"host\": { \"cores\": %d, \"ocaml\": %s },\n" (Pool.default_domains ())
+    (Json.quote Sys.ocaml_version);
   add "  \"workload\": \"fig1 end-to-end, sizes [128;256;512;1024], trials %d, median of %d runs\",\n"
     fig1_trials multicore_reps;
   add "  \"sequential_s\": %.6f,\n" sequential_s;

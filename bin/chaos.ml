@@ -30,8 +30,10 @@ module Routes = Concilium_topology.Routes
 module Id = Concilium_overlay.Id
 module Prng = Concilium_util.Prng
 module Pool = Concilium_util.Pool
+module Json = Concilium_util.Json
 module Collector = Concilium_obs.Collector
 module Trace = Concilium_obs.Trace
+module Metrics = Concilium_obs.Metrics
 module Export = Concilium_obs.Export
 module Flight = Concilium_obs.Flight
 module Timeseries = Concilium_obs.Timeseries
@@ -211,12 +213,15 @@ type tally = {
   mutable flagged_no_commitment : int;
 }
 
+type tap_counts = {
+  forced_drops : int;
+  lies : int;
+  route_rewrites : int;
+  advert_rewrites : int;
+  forged_reports : int;
+}
+
 type adversary_tally = {
-  mutable forced_drops : int;
-  mutable lies : int;
-  mutable route_rewrites : int;
-  mutable advert_rewrites : int;
-  mutable forged_reports : int;
   mutable adversary_blamed : int;  (* episodes settling on a compromised node *)
   mutable victim_blamed : int;  (* episodes settling on a framing/eclipse victim *)
   mutable compromised_accusations : int;  (* durable accusations naming colluders *)
@@ -228,6 +233,7 @@ type run_result = {
   faults : (string * int) list;
   adversaries : (string * int) list;
   tally : tally;
+  taps : tap_counts;
   adv : adversary_tally;
   adversary_present : bool;
   adversary_detected : bool;
@@ -262,42 +268,17 @@ let mask_of_nodes node_count nodes =
   Array.iter (fun v -> if v >= 0 && v < node_count then mask.(v) <- true) nodes;
   mask
 
-(* Counting wrappers around the compiled strategy's taps: the per-scenario
-   action counters feed both the transcript and the adversary-inert
-   invariant, without reaching into the shared metrics registry. *)
-let counting_taps base adv =
+(* The five adversary tap firings, as Protocol counts them in the
+   scenario's metrics registry (chaos collectors always record): they feed
+   both the transcript and the adversary-inert invariant. *)
+let tap_counts metrics =
+  let count name = Metrics.counter metrics ("adversary." ^ name) in
   {
-    Protocol.tap_route =
-      (fun ~time ~from ~dest route ->
-        match base.Protocol.tap_route ~time ~from ~dest route with
-        | Some _ as rewritten ->
-            adv.route_rewrites <- adv.route_rewrites + 1;
-            rewritten
-        | None -> None);
-    tap_forward =
-      (fun ~time ~node ~sender ~next ->
-        match base.Protocol.tap_forward ~time ~node ~sender ~next with
-        | Some Protocol.Tap_drop as forced ->
-            adv.forced_drops <- adv.forced_drops + 1;
-            forced
-        | other -> other);
-    tap_observation =
-      (fun ~time ~prober ~link ~up ->
-        let reported = base.Protocol.tap_observation ~time ~prober ~link ~up in
-        if reported <> up then adv.lies <- adv.lies + 1;
-        reported);
-    tap_advertised_peers =
-      (fun ~time ~node peers ->
-        match base.Protocol.tap_advertised_peers ~time ~node peers with
-        | Some _ as rewritten ->
-            adv.advert_rewrites <- adv.advert_rewrites + 1;
-            rewritten
-        | None -> None);
-    tap_forged_reports =
-      (fun ~time ~prober ->
-        let forged = base.Protocol.tap_forged_reports ~time ~prober in
-        adv.forged_reports <- adv.forged_reports + List.length forged;
-        forged);
+    forced_drops = count "forced_drops";
+    lies = count "lies";
+    route_rewrites = count "route_rewrites";
+    advert_rewrites = count "advert_rewrites";
+    forged_reports = count "forged_reports";
   }
 
 let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
@@ -317,11 +298,6 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
   in
   let adv =
     {
-      forced_drops = 0;
-      lies = 0;
-      route_rewrites = 0;
-      advert_rewrites = 0;
-      forged_reports = 0;
       adversary_blamed = 0;
       victim_blamed = 0;
       compromised_accusations = 0;
@@ -434,7 +410,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
         @ [ Chaos.Burst_loss { links = framed_links; start = 60.; duration = scenario.duration } ]
     in
     let strategy = Strategy.compile ~world ~rng:strategy_rng ~forge_copies:6 adversary_plan in
-    let taps = counting_taps (Strategy.taps strategy) adv in
+    let taps = Strategy.taps strategy in
     let compromised_mask = mask_of_nodes node_count (Strategy.compromised strategy) in
     let victim_mask = mask_of_nodes node_count (Strategy.victims strategy) in
     let sampler_mask = mask_of_nodes node_count (Strategy.biased_samplers strategy) in
@@ -613,6 +589,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
       faults = Chaos.fault_counts plan;
       adversaries = Chaos.adversary_counts adversary_plan;
       tally;
+      taps = tap_counts obs.Collector.metrics;
       adv;
       adversary_present = adversary_plan <> [];
       adversary_detected;
@@ -627,6 +604,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
       faults = [];
       adversaries = [];
       tally;
+      taps = tap_counts obs.Collector.metrics;
       adv;
       adversary_present = false;
       adversary_detected = false;
@@ -637,9 +615,9 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
 
 (* ---------- Transcript ---------- *)
 
-let adversary_fired adv =
-  adv.forced_drops > 0 || adv.lies > 0 || adv.route_rewrites > 0 || adv.advert_rewrites > 0
-  || adv.forged_reports > 0
+let adversary_fired taps =
+  taps.forced_drops > 0 || taps.lies > 0 || taps.route_rewrites > 0 || taps.advert_rewrites > 0
+  || taps.forged_reports > 0
 
 let invariant_inputs r =
   {
@@ -648,7 +626,7 @@ let invariant_inputs r =
     unresolved = r.tally.unresolved;
     honest_accusations = r.honest_accusations;
     adversary_present = r.adversary_present;
-    adversary_fired = adversary_fired r.adv;
+    adversary_fired = adversary_fired r.taps;
     adversary_detected = r.adversary_detected;
     require_detection = r.scenario.require_detection;
   }
@@ -657,25 +635,25 @@ let scenario_passed r = Soak.pass (invariant_inputs r)
 
 let emit_json buf ~matrix ~seed ~disable ~expect_failure results =
   let add fmt = Printf.bprintf buf fmt in
-  add "{\n  \"matrix\": %S,\n  \"seed\": %Ld,\n" matrix seed;
+  add "{\n  \"matrix\": %s,\n  \"seed\": %Ld,\n" (Json.quote matrix) seed;
   (match disable with
   | None -> add "  \"disabled_defense\": null,\n"
-  | Some d -> add "  \"disabled_defense\": %S,\n" (defense_name d));
+  | Some d -> add "  \"disabled_defense\": %s,\n" (Json.quote (defense_name d)));
   add "  \"expect_failure\": %b,\n  \"scenarios\": [\n" expect_failure;
   List.iteri
     (fun i r ->
       let t = r.tally in
-      add "    {\n      \"name\": %S,\n" r.scenario.name;
+      add "    {\n      \"name\": %s,\n" (Json.quote r.scenario.name);
       add "      \"faults\": {";
       List.iteri
         (fun j (family, count) ->
-          add "%s\"%s\": %d" (if j = 0 then "" else ", ") family count)
+          add "%s%s: %d" (if j = 0 then "" else ", ") (Json.quote family) count)
         r.faults;
       add "},\n";
       add "      \"adversaries\": {";
       List.iteri
         (fun j (family, count) ->
-          add "%s\"%s\": %d" (if j = 0 then "" else ", ") family count)
+          add "%s%s: %d" (if j = 0 then "" else ", ") (Json.quote family) count)
         r.adversaries;
       add "},\n";
       add "      \"sent\": %d,\n" r.scenario.messages;
@@ -691,16 +669,16 @@ let emit_json buf ~matrix ~seed ~disable ~expect_failure results =
       add "      \"missing_outcomes\": %d,\n" t.missing;
       add "      \"honest_accusations\": %d,\n" r.honest_accusations;
       add "      \"adversary\": {";
-      add "\"forced_drops\": %d, " r.adv.forced_drops;
-      add "\"lies\": %d, " r.adv.lies;
-      add "\"route_rewrites\": %d, " r.adv.route_rewrites;
-      add "\"advert_rewrites\": %d, " r.adv.advert_rewrites;
-      add "\"forged_reports\": %d, " r.adv.forged_reports;
+      add "\"forced_drops\": %d, " r.taps.forced_drops;
+      add "\"lies\": %d, " r.taps.lies;
+      add "\"route_rewrites\": %d, " r.taps.route_rewrites;
+      add "\"advert_rewrites\": %d, " r.taps.advert_rewrites;
+      add "\"forged_reports\": %d, " r.taps.forged_reports;
       add "\"adversary_blamed\": %d, " r.adv.adversary_blamed;
       add "\"victim_blamed\": %d, " r.adv.victim_blamed;
       add "\"compromised_accusations\": %d, " r.adv.compromised_accusations;
       add "\"advert_flagged\": %d, " r.adv.advert_flagged;
-      add "\"fired\": %b, " (adversary_fired r.adv);
+      add "\"fired\": %b, " (adversary_fired r.taps);
       add "\"detected\": %b},\n" r.adversary_detected;
       add "      \"dht_failover_times\": [";
       List.iteri
@@ -709,10 +687,10 @@ let emit_json buf ~matrix ~seed ~disable ~expect_failure results =
       add "],\n";
       (match r.failure with
       | None -> add "      \"exception\": null,\n"
-      | Some msg -> add "      \"exception\": %S,\n" msg);
+      | Some msg -> add "      \"exception\": %s,\n" (Json.quote msg));
       add "      \"invariant_failures\": [";
       List.iteri
-        (fun j label -> add "%s%S" (if j = 0 then "" else ", ") label)
+        (fun j label -> add "%s%s" (if j = 0 then "" else ", ") (Json.quote label))
         (Soak.failures (invariant_inputs r));
       add "],\n";
       add "      \"pass\": %b\n" (scenario_passed r);

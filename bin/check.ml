@@ -15,7 +15,7 @@
 module Harness = Concilium_check.Harness
 module Lockstep = Concilium_check.Lockstep
 module Schedule = Concilium_check.Schedule
-module Json = Concilium_check.Json
+module Json = Concilium_util.Json
 module Flight = Concilium_obs.Flight
 
 let mutation_names = String.concat ", " (List.map Lockstep.mutation_name Lockstep.all_mutations)

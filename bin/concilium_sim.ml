@@ -33,19 +33,13 @@ let describe_target world = function
       Printf.sprintf "node %d (%s, offline)" v (Id.to_hex (World.id_of world v))
 
 let run seed duration messages dropper_fraction drop_probability churn verbose trace_out
-    metrics_out trace_filter domains =
+    metrics_out trace_filter =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info)
   end;
-  (* Per-shard collectors are pre-allocated before any work runs — the same
-     contract the parallel drivers follow — and merged in fixed shard
-     order, so --trace/--metrics output is byte-identical for any
-     --domains value. The sim itself drives one sequential engine; the
-     flag exercises harness symmetry, shard 0 does the recording. *)
   let observing = trace_out <> None || metrics_out <> None in
-  let shards = Collector.shards (max 1 domains) in
-  let obs = if observing then shards.(0) else Collector.noop in
+  let obs = if observing then Collector.create () else Collector.noop in
   let world = World.build (World.small_config ~seed) in
   let graph = world.World.generated.World.Generate.graph in
   let node_count = World.node_count world in
@@ -171,19 +165,18 @@ let run seed duration messages dropper_fraction drop_probability churn verbose t
     "control-plane bandwidth: %.0f B/s per node (probes + snapshot diffs + heavyweight bursts)\n"
     (Protocol.mean_control_bytes_per_second protocol ~horizon:duration);
   if observing then begin
-    let merged = Collector.merge shards in
     let filter = Export.filter_of_spec trace_filter in
-    (match Trace.validate merged.Collector.trace with
+    (match Trace.validate obs.Collector.trace with
     | Ok () -> ()
     | Error reason -> Printf.eprintf "trace validation failed: %s\n%!" reason);
     Option.iter
       (fun path ->
-        Export.write_trace ~path ?filter merged.Collector.trace;
-        Printf.printf "trace: %d records -> %s\n" (Trace.length merged.Collector.trace) path)
+        Export.write_trace ~path ?filter obs.Collector.trace;
+        Printf.printf "trace: %d records -> %s\n" (Trace.length obs.Collector.trace) path)
       trace_out;
     Option.iter
       (fun path ->
-        Export.write_metrics ~path ~time:duration merged.Collector.metrics;
+        Export.write_metrics ~path ~time:duration obs.Collector.metrics;
         Printf.printf "metrics -> %s\n" path)
       metrics_out
   end
@@ -238,20 +231,12 @@ let trace_filter =
           "Keep only trace records in these comma-separated categories (e.g. \
            episode,probe,dht).")
 
-let domains =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Pre-allocate $(docv) per-shard observability collectors and merge them in shard \
-           order; trace and metrics output is byte-identical for any value.")
-
 let cmd =
   let doc = "Run the full Concilium protocol over a simulated deployment" in
   Cmd.v
     (Cmd.info "concilium-sim" ~doc)
     Term.(
       const run $ seed $ duration $ messages $ dropper_fraction $ drop_probability $ churn
-      $ verbose $ trace_out $ metrics_out $ trace_filter $ domains)
+      $ verbose $ trace_out $ metrics_out $ trace_filter)
 
 let () = exit (Cmd.eval cmd)

@@ -14,7 +14,7 @@
    --expect-divergence it is the CI canary proving the validator can
    actually fail. *)
 
-module Json = Concilium_check.Json
+module Json = Concilium_util.Json
 module Blame = Concilium_core.Blame
 
 type node = { id : int; kind : string; fields : (string * Json.t) list; mutable children : int list }
@@ -319,7 +319,8 @@ let render_text g root =
 let render_json g root =
   let buf = Buffer.create 1024 in
   List.iter
-    (fun (name, value) -> Printf.bprintf buf {|{"param": %S, "value": %.17g}|} name value;
+    (fun (name, value) ->
+      Printf.bprintf buf {|{"param": %s, "value": %.17g}|} (Json.quote name) value;
       Buffer.add_char buf '\n')
     g.params;
   List.iter

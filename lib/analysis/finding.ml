@@ -5,6 +5,8 @@
    offending effect originates, so a report reads as a path through the
    call graph rather than a bare line number. *)
 
+module Json = Concilium_util.Json
+
 type t = {
   rule : string;
   file : string;
@@ -106,26 +108,11 @@ let render_text buffer findings =
       render_trail buffer f.trail)
     findings
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer {|\"|}
-      | '\\' -> Buffer.add_string buffer {|\\|}
-      | '\n' -> Buffer.add_string buffer {|\n|}
-      | '\t' -> Buffer.add_string buffer {|\t|}
-      | '\r' -> Buffer.add_string buffer {|\r|}
-      | c when Char.code c < 0x20 -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 let to_json findings =
   let item f =
-    let trail = String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) f.trail) in
+    let trail = String.concat ", " (List.map Json.quote f.trail) in
     Printf.sprintf
-      "  {\"file\": \"%s\", \"line\": %d, \"rule\": \"%s\", \"message\": \"%s\", \"trail\": [%s]}"
-      (json_escape f.file) f.line (json_escape f.rule) (json_escape f.message) trail
+      "  {\"file\": %s, \"line\": %d, \"rule\": %s, \"message\": %s, \"trail\": [%s]}"
+      (Json.quote f.file) f.line (Json.quote f.rule) (Json.quote f.message) trail
   in
   "[\n" ^ String.concat ",\n" (List.map item findings) ^ "\n]"

@@ -1,3 +1,4 @@
+module Json = Concilium_util.Json
 module Prng = Concilium_util.Prng
 module Pool = Concilium_util.Pool
 module World = Concilium_core.World

@@ -47,7 +47,7 @@ val artifact :
   schedule:Schedule.t ->
   mutation:Lockstep.mutation option ->
   divergence:Lockstep.divergence ->
-  Json.t
+  Concilium_util.Json.t
 
 type replay_result = {
   schedule : Schedule.t;

@@ -1,3 +1,4 @@
+module Json = Concilium_util.Json
 module Prng = Concilium_util.Prng
 module Chaos = Concilium_netsim.Chaos
 module Blame = Concilium_core.Blame

@@ -51,5 +51,5 @@ val op_count : t -> int
 
 val pp_op : Format.formatter -> op -> unit
 
-val encode : t -> Json.t
-val decode : Json.t -> (t, string) result
+val encode : t -> Concilium_util.Json.t
+val decode : Concilium_util.Json.t -> (t, string) result

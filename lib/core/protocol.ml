@@ -459,9 +459,7 @@ let build_advertisement t v =
       ~public:(World.public_key_of t.world v)
       ~now ~summaries
   in
-  let true_occupancy =
-    Concilium_overlay.Routing_table.occupancy pastry_node.Pastry.table
-  in
+  let true_occupancy = pastry_node.Pastry.occupancy in
   let advertised_occupancy =
     int_of_float (Float.round (keep_fraction *. float_of_int true_occupancy))
   in
@@ -489,8 +487,7 @@ let exchange_advertisements t =
             let validator_node = Pastry.node t.world.World.pastry validator in
             let local =
               {
-                Validation.own_jump_occupancy =
-                  Concilium_overlay.Routing_table.occupancy validator_node.Pastry.table;
+                Validation.own_jump_occupancy = validator_node.Pastry.occupancy;
                 own_leaf_set = validator_node.Pastry.leaf_set;
               }
             in

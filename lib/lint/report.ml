@@ -1,3 +1,5 @@
+module Json = Concilium_util.Json
+
 let print_text out diagnostics =
   List.iter
     (fun (d : Rules.diagnostic) ->
@@ -13,28 +15,13 @@ let print_text out diagnostics =
   if diagnostics = [] then Printf.fprintf out "lint: clean\n"
   else Printf.fprintf out "lint: %d error(s), %d warning(s)\n" errors warnings
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer {|\"|}
-      | '\\' -> Buffer.add_string buffer {|\\|}
-      | '\n' -> Buffer.add_string buffer {|\n|}
-      | '\t' -> Buffer.add_string buffer {|\t|}
-      | '\r' -> Buffer.add_string buffer {|\r|}
-      | c when Char.code c < 0x20 -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 let to_json diagnostics =
   let item (d : Rules.diagnostic) =
     Printf.sprintf
-      "  {\"file\": \"%s\", \"line\": %d, \"rule\": \"%s\", \"severity\": \"%s\", \"message\": \"%s\"}"
-      (json_escape d.Rules.file) d.Rules.line (json_escape d.Rules.rule)
-      (Rules.severity_to_string d.Rules.severity)
-      (json_escape d.Rules.message)
+      "  {\"file\": %s, \"line\": %d, \"rule\": %s, \"severity\": %s, \"message\": %s}"
+      (Json.quote d.Rules.file) d.Rules.line (Json.quote d.Rules.rule)
+      (Json.quote (Rules.severity_to_string d.Rules.severity))
+      (Json.quote d.Rules.message)
   in
   "[\n" ^ String.concat ",\n" (List.map item diagnostics) ^ "\n]"
 

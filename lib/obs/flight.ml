@@ -29,8 +29,8 @@ let attach t collector =
 let dump ~reason t =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
-    {|{"flight_recorder": {"reason": %S, "entries": %d, "dropped": %d, "capacity": %d}}|}
-    reason (length t) t.dropped t.capacity;
+    {|{"flight_recorder": {"reason": %s, "entries": %d, "dropped": %d, "capacity": %d}}|}
+    (Concilium_util.Json.quote reason) (length t) t.dropped t.capacity;
   Buffer.add_char buf '\n';
   Ring_buffer.fold
     (fun () line ->

@@ -1,4 +1,5 @@
 module Histogram = Concilium_stats.Histogram
+module Json = Concilium_util.Json
 
 (* Log-bucketed histograms reuse the linear stats histogram over log2 space:
    bucket i counts observations in [2^i, 2^(i+1)). 64 bins cover the full
@@ -146,11 +147,11 @@ let snapshot_fields t =
   let counters, gauges, histos = picked t in
   let buf = Buffer.create 256 in
   let section label items add_item =
-    Buffer.add_string buf (Printf.sprintf "%S: {" label);
+    Buffer.add_string buf (Json.quote label ^ ": {");
     List.iteri
       (fun i (name, item) ->
         if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Printf.sprintf "%S: " name);
+        Buffer.add_string buf (Json.quote name ^ ": ");
         add_item buf item)
       items;
     Buffer.add_char buf '}'
@@ -165,11 +166,11 @@ let snapshot_fields t =
 let add_section buf ~label ~first items add_item =
   if not !first then Buffer.add_string buf ",\n";
   first := false;
-  Buffer.add_string buf (Printf.sprintf "  %S: {" label);
+  Buffer.add_string buf ("  " ^ Json.quote label ^ ": {");
   List.iteri
     (fun i (name, item) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n    %S: " name);
+      Buffer.add_string buf ("\n    " ^ Json.quote name ^ ": ");
       add_item buf item)
     items;
   if items <> [] then Buffer.add_string buf "\n  ";

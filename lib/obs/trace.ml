@@ -1,3 +1,5 @@
+module Json = Concilium_util.Json
+
 type value = Int of int | Float of float | Bool of bool | String of string
 
 type args = (string * value) list
@@ -33,21 +35,19 @@ let set_tap t f = if t.recording then t.tap <- Some f
    Shared by the batch [jsonl] export and the streaming tap, so a flight
    recorder's ring holds exactly the lines a full dump would contain. *)
 
-let add_escaped buf s = Buffer.add_string buf (Printf.sprintf "%S" s)
-
 let add_value buf value =
   match value with
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (Printf.sprintf "%.6f" f)
   | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | String s -> add_escaped buf s
+  | String s -> Json.add_quoted buf s
 
 let add_args buf args =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (key, value) ->
       if i > 0 then Buffer.add_string buf ", ";
-      add_escaped buf key;
+      Json.add_quoted buf key;
       Buffer.add_string buf ": ";
       add_value buf value)
     args;
@@ -57,9 +57,9 @@ let add_record_line buf record =
   match record with
   | Instant { time; name; cat; span; args } ->
       Buffer.add_string buf (Printf.sprintf {|{"t": %.6f, "ph": "instant", "name": |} time);
-      add_escaped buf name;
+      Json.add_quoted buf name;
       Buffer.add_string buf {|, "cat": |};
-      add_escaped buf cat;
+      Json.add_quoted buf cat;
       if span <> none then Buffer.add_string buf (Printf.sprintf {|, "span": %d|} span);
       if args <> [] then begin
         Buffer.add_string buf {|, "args": |};
@@ -69,9 +69,9 @@ let add_record_line buf record =
   | Open { time; name; cat; id; parent; args } ->
       Buffer.add_string buf
         (Printf.sprintf {|{"t": %.6f, "ph": "open", "id": %d, "name": |} time id);
-      add_escaped buf name;
+      Json.add_quoted buf name;
       Buffer.add_string buf {|, "cat": |};
-      add_escaped buf cat;
+      Json.add_quoted buf cat;
       if parent <> none then Buffer.add_string buf (Printf.sprintf {|, "parent": %d|} parent);
       if args <> [] then begin
         Buffer.add_string buf {|, "args": |};
@@ -249,9 +249,9 @@ let chrome ?(filter = fun _ -> true) t =
   let emit ~name ~cat ~ph ~time ?id args =
     if !first then first := false else Buffer.add_string buf ",";
     Buffer.add_string buf "\n  {\"name\": ";
-    add_escaped buf name;
+    Json.add_quoted buf name;
     Buffer.add_string buf ", \"cat\": ";
-    add_escaped buf cat;
+    Json.add_quoted buf cat;
     Buffer.add_string buf
       (Printf.sprintf {|, "ph": "%s", "ts": %.3f, "pid": 0, "tid": 0|} ph (time *. 1e6));
     (match id with None -> () | Some id -> Buffer.add_string buf (Printf.sprintf {|, "id": %d|} id));

@@ -114,6 +114,25 @@ let entry_id t ~owner ~row ~col =
   let e = entry t ~owner ~row ~col in
   if e < 0 then None else Some (Ring.id t.ring e)
 
+(* Row-major over all [Id.digits] rows. A row past the materialised ones
+   that comes out empty ends the walk: no other alive node shares that
+   many digits with the owner, so no deeper row can be filled either. *)
+let fold_entries t ~owner f init =
+  let acc = ref init in
+  let row = ref 0 and filled = ref true in
+  while !row < Id.digits && (!row < t.rows || !filled) do
+    filled := false;
+    for col = 0 to Id.base - 1 do
+      let e = entry t ~owner ~row:!row ~col in
+      if e >= 0 then begin
+        filled := true;
+        acc := f !acc e
+      end
+    done;
+    incr row
+  done;
+  !acc
+
 (* ---------- Bulk build: one sweep per (row, digit class) ---------- *)
 
 (* Reusable sweep scratch: candidate positions and midpoints sized to the
@@ -476,6 +495,23 @@ let numerically_closest t key =
     end
   end
 
+(* Walk up to [leaf_half] alive neighbours of [here] on one side (nearest
+   first, [step] = next or previous alive), calling [f] on each; returns
+   the farthest one visited, or [here]. *)
+let walk_leaves ring ~leaf_half ~step here f =
+  let p = ref here and steps = ref 0 in
+  let continue = ref true in
+  while !continue && !steps < leaf_half do
+    let q = step ring !p in
+    if q < 0 || q = here then continue := false
+    else begin
+      f q;
+      p := q;
+      incr steps
+    end
+  done;
+  !p
+
 (* Leaf-set view of an alive node: scan up to [leaf_half] alive neighbours
    on each side. Returns the closest member to [dest] (self included) and
    whether the leaf set covers [dest]'s ring segment. *)
@@ -491,34 +527,15 @@ let leaf_decision t ~leaf_half here dest =
       best_d := d
     end
   in
-  let cw_far = ref here and ccw_far = ref here in
-  let p = ref here and steps = ref 0 in
-  let continue = ref true in
-  while !continue && !steps < leaf_half do
-    let q = Ring.next_alive_cyclic ring !p in
-    if q < 0 || q = here then continue := false
-    else begin
-      consider q;
-      cw_far := q;
-      p := q;
-      incr steps
-    end
-  done;
-  let p = ref here and steps = ref 0 in
-  let continue = ref true in
-  while !continue && !steps < leaf_half do
-    let q = Ring.prev_alive_cyclic ring !p in
-    if q < 0 || q = here then continue := false
-    else begin
-      consider q;
-      ccw_far := q;
-      p := q;
-      incr steps
-    end
-  done;
+  let cw_far = walk_leaves ring ~leaf_half ~step:Ring.next_alive_cyclic here consider in
+  let ccw_far = walk_leaves ring ~leaf_half ~step:Ring.prev_alive_cyclic here consider in
+  (* With at most 2 * leaf_half nodes alive the two walks meet and the leaf
+     set is the whole ring; the far ends then no longer bound an arc that
+     contains the owner's own neighbourhood. *)
   let covers =
-    let lo = Ring.id ring !ccw_far and hi = Ring.id ring !cw_far in
-    Id.equal dest hi || Id.equal dest lo || Id.in_clockwise_interval dest ~lo ~hi
+    let lo = Ring.id ring ccw_far and hi = Ring.id ring cw_far in
+    Ring.alive_count ring <= 2 * leaf_half
+    || Id.equal dest hi || Id.equal dest lo || Id.in_clockwise_interval dest ~lo ~hi
     || Id.equal lo hi
   in
   (covers, !best)
@@ -536,30 +553,24 @@ let next_hop t ~leaf_half ~here ~dest =
       let e = entry t ~owner:here ~row ~col in
       if e >= 0 then Some e
       else begin
-        (* Fallback (paper Section 2's "rare case"): any known node — the
-           closest leaf member or a materialised table entry — that shares
-           at least as long a prefix with the key and makes strict
+        (* Fallback (paper Section 2's "rare case"): any known node — a leaf
+           member or an entry of any table row, deep rows included — that
+           shares at least as long a prefix with the key and makes strict
            numerical progress. *)
-        let d_here = Id.ring_distance here_id dest in
-        let best = ref (-1) and best_d = ref d_here in
+        let best = ref (-1) and best_d = ref (Id.ring_distance here_id dest) in
         let consider p =
-          if p >= 0 && p <> here then begin
-            let pid = Ring.id ring p in
-            if Id.shared_prefix_length pid dest >= row then begin
-              let d = Id.ring_distance pid dest in
-              if Id.compare d !best_d < 0 then begin
-                best := p;
-                best_d := d
-              end
+          let pid = Ring.id ring p in
+          if Id.shared_prefix_length pid dest >= row then begin
+            let d = Id.ring_distance pid dest in
+            if Id.compare d !best_d < 0 then begin
+              best := p;
+              best_d := d
             end
           end
         in
-        consider closest;
-        for r = 0 to t.rows - 1 do
-          for cc = 0 to Id.base - 1 do
-            consider t.slots.(slot_index t ~owner:here ~row:r ~col:cc)
-          done
-        done;
+        ignore (walk_leaves ring ~leaf_half ~step:Ring.prev_alive_cyclic here consider : int);
+        ignore (walk_leaves ring ~leaf_half ~step:Ring.next_alive_cyclic here consider : int);
+        fold_entries t ~owner:here (fun () p -> consider p) ();
         if !best >= 0 then Some !best else None
       end
     end

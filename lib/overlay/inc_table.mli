@@ -40,6 +40,11 @@ val entry : t -> owner:int -> row:int -> col:int -> int
 
 val entry_id : t -> owner:int -> row:int -> col:int -> Id.t option
 
+val fold_entries : t -> owner:int -> ('a -> int -> 'a) -> 'a -> 'a
+(** Fold over the universe positions in the owner's filled slots, all
+    {!Id.digits} rows, row-major. Deep rows are computed on demand and the
+    walk stops at the first empty one. *)
+
 val compute_entry : t -> owner:int -> row:int -> col:int -> int
 (** From-scratch slot computation (ignores the materialised value). *)
 

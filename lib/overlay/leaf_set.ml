@@ -65,32 +65,6 @@ let mean_spacing t =
 let density t = 1. /. mean_spacing t
 let estimate_network_size t = Id.ring_size_float /. mean_spacing t
 
-let covers t dest =
-  let last array fallback =
-    if Array.length array = 0 then fallback else array.(Array.length array - 1)
-  in
-  let start = last t.counter_clockwise t.owner in
-  let stop = last t.clockwise t.owner in
-  (* dest in [start, stop] going clockwise. *)
-  let to_dest = Id.to_float (Id.clockwise_distance start dest) in
-  let to_stop = Id.to_float (Id.clockwise_distance start stop) in
-  to_dest <= to_stop
-
-let closest_member t dest =
-  let best = ref t.owner in
-  let best_distance = ref (Id.ring_distance t.owner dest) in
-  let consider id =
-    let d = Id.ring_distance id dest in
-    let c = Id.compare d !best_distance in
-    if c < 0 || (c = 0 && Id.compare id !best < 0) then begin
-      best := id;
-      best_distance := d
-    end
-  in
-  Array.iter consider t.clockwise;
-  Array.iter consider t.counter_clockwise;
-  !best
-
 let spacing_check ~gamma ~local ~peer =
   if gamma < 1. then invalid_arg "Leaf_set.spacing_check: gamma must be >= 1";
   if mean_spacing peer > gamma *. mean_spacing local then `Suspicious else `Acceptable

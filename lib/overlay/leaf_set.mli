@@ -32,13 +32,6 @@ val density : t -> float
 val estimate_network_size : t -> float
 (** Mahajan et al.: ring size divided by mean spacing. *)
 
-val covers : t -> Id.t -> bool
-(** Whether [dest] falls within the leaf set's span, i.e. routing can finish
-    with a direct leaf hop. *)
-
-val closest_member : t -> Id.t -> Id.t
-(** Member (or the owner itself) with minimal ring distance to [dest]. *)
-
 val spacing_check : gamma:float -> local:t -> peer:t -> [ `Acceptable | `Suspicious ]
 (** Castro's leaf-set density test: the peer's advertised leaf set is
     suspicious when its mean spacing exceeds [gamma] times the local one

@@ -1,110 +1,58 @@
-module Sorted = Concilium_util.Sorted
-module Prng = Concilium_util.Prng
+module Bitset = Concilium_util.Bitset
 
-type node = {
-  index : int;
-  id : Id.t;
-  leaf_set : Leaf_set.t;
-  table : Routing_table.t;
+type node = { index : int; id : Id.t; leaf_set : Leaf_set.t; occupancy : int }
+
+(* Node indices are the caller's order; the flat core works in ring
+   positions (ascending id). [position] and [index_of] translate. *)
+type t = {
+  nodes : node array;
+  table : Inc_table.t;
+  position : int array;  (* node index -> ring position *)
+  index_of : int array;  (* ring position -> node index *)
+  leaf_half : int;
 }
 
-type t = { nodes : node array; sorted : (Id.t * int) array; leaf_half : int }
-type table_style = Secure | Standard of Prng.t
-
-let compare_fst (a, _) (b, _) = Id.compare a b
-
-let build ?(leaf_half_size = 8) ?(style = Secure) ids =
+let build ?(leaf_half_size = 8) ids =
   let n = Array.length ids in
   if n < 2 then invalid_arg "Pastry.build: need at least two nodes";
-  let sorted = Array.mapi (fun index id -> (id, index)) ids in
-  Array.sort compare_fst sorted;
-  for i = 1 to n - 1 do
-    if Id.equal (fst sorted.(i - 1)) (fst sorted.(i)) then
+  let index_of = Array.init n Fun.id in
+  Array.sort (fun a b -> Id.compare ids.(a) ids.(b)) index_of;
+  let sorted_ids = Array.map (fun v -> ids.(v)) index_of in
+  for p = 1 to n - 1 do
+    if Id.equal sorted_ids.(p - 1) sorted_ids.(p) then
       invalid_arg "Pastry.build: duplicate identifier"
   done;
-  let sorted_ids = Array.map fst sorted in
+  let table = Inc_table.build (Ring.of_sorted_ids sorted_ids) in
+  let position = Array.make n 0 in
+  Array.iteri (fun p v -> position.(v) <- p) index_of;
+  (* Occupancy is read per (advertisement, validator) pair by the Section
+     3.1 exchange, so it is counted once here rather than on demand. *)
   let nodes =
     Array.mapi
       (fun index id ->
-        let leaf_set = Leaf_set.build ~owner:id ~sorted_ids ~half_size:leaf_half_size in
-        let table =
-          match style with
-          | Secure -> Routing_table.build_secure ~owner:id ~sorted
-          | Standard rng -> Routing_table.build_standard ~owner:id ~sorted ~rng
-        in
-        { index; id; leaf_set; table })
+        {
+          index;
+          id;
+          leaf_set = Leaf_set.build ~owner:id ~sorted_ids ~half_size:leaf_half_size;
+          occupancy = Inc_table.fold_entries table ~owner:position.(index) (fun k _ -> k + 1) 0;
+        })
       ids
   in
-  { nodes; sorted; leaf_half = leaf_half_size }
+  { nodes; table; position; index_of; leaf_half = leaf_half_size }
 
 let node_count t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let leaf_half_size t = t.leaf_half
 
 let index_of_id t id =
-  let position = Sorted.lower_bound compare_fst t.sorted (id, 0) in
-  if position < Array.length t.sorted && Id.equal (fst t.sorted.(position)) id then
-    Some (snd t.sorted.(position))
-  else None
+  Option.map (fun p -> t.index_of.(p)) (Ring.position_of_id (Inc_table.ring t.table) id)
 
-let index_of_id_exn t id =
-  match index_of_id t id with
-  | Some i -> i
-  | None -> invalid_arg "Pastry: unknown identifier"
-
-let numerically_closest t key =
-  let n = Array.length t.sorted in
-  let position = Sorted.lower_bound compare_fst t.sorted (key, 0) in
-  let best = ref None in
-  let consider raw =
-    let index = ((raw mod n) + n) mod n in
-    let id, node_index = t.sorted.(index) in
-    let d = Id.ring_distance id key in
-    match !best with
-    | Some (_, best_d) when Id.compare d best_d >= 0 -> ()
-    | _ -> best := Some (node_index, d)
-  in
-  consider position;
-  consider (position - 1);
-  consider (position + 1);
-  (* [t.sorted] is non-empty (create rejects empty rings), so at least one
-     candidate was considered.  lint: allow assert-false *)
-  match !best with Some (i, _) -> i | None -> assert false
+let numerically_closest t key = t.index_of.(Inc_table.numerically_closest t.table key)
 
 let next_hop t ~from ~dest =
-  let here = t.nodes.(from) in
-  if Id.equal here.id dest then None
-  else if Leaf_set.covers here.leaf_set dest then begin
-    let closest = Leaf_set.closest_member here.leaf_set dest in
-    if Id.equal closest here.id then None else Some (index_of_id_exn t closest)
-  end
-  else begin
-    match Routing_table.next_hop here.table ~dest with
-    | Some entry -> Some entry.Routing_table.node
-    | None ->
-        (* Rare fallback: any known peer that is strictly closer to the key
-           and shares at least as long a prefix (standard Pastry rule). *)
-        let here_shared = Id.shared_prefix_length here.id dest in
-        let here_distance = Id.ring_distance here.id dest in
-        let best = ref None in
-        let consider id =
-          if (not (Id.equal id here.id))
-             && Id.shared_prefix_length id dest >= here_shared
-             && Id.compare (Id.ring_distance id dest) here_distance < 0
-          then begin
-            let d = Id.ring_distance id dest in
-            match !best with
-            | Some (_, best_d) when Id.compare d best_d >= 0 -> ()
-            | _ -> best := Some (id, d)
-          end
-        in
-        List.iter consider (Leaf_set.members here.leaf_set);
-        Routing_table.iter
-          (fun ~row:_ ~col:_ entry ->
-            match entry with Some e -> consider e.Routing_table.peer | None -> ())
-          here.table;
-        Option.map (fun (id, _) -> index_of_id_exn t id) !best
-  end
+  Option.map
+    (fun p -> t.index_of.(p))
+    (Inc_table.next_hop t.table ~leaf_half:t.leaf_half ~here:t.position.(from) ~dest)
 
 let route t ~from ~dest =
   let limit = (2 * Id.digits) + (4 * t.leaf_half) in
@@ -119,23 +67,14 @@ let route t ~from ~dest =
   loop from [] limit
 
 let routing_peers t index =
-  let here = t.nodes.(index) in
-  let seen = Concilium_util.Bitset.create (Array.length t.nodes) in
-  let add node_index = if node_index <> index then Concilium_util.Bitset.add seen node_index in
-  Routing_table.iter
-    (fun ~row:_ ~col:_ entry ->
-      match entry with Some e -> add e.Routing_table.node | None -> ())
-    here.table;
-  List.iter (fun id -> add (index_of_id_exn t id)) (Leaf_set.members here.leaf_set);
-  let out = Array.make (Concilium_util.Bitset.cardinal seen) 0 in
-  let k = ref 0 in
-  (* Bitset iteration is ascending: the output arrives sorted. *)
-  Concilium_util.Bitset.iter
-    (fun peer ->
-      out.(!k) <- peer;
-      incr k)
-    seen;
-  out
+  let seen = Bitset.create (Array.length t.nodes) in
+  let add v = if v <> index then Bitset.add seen v in
+  Inc_table.fold_entries t.table ~owner:t.position.(index) (fun () p -> add t.index_of.(p)) ();
+  List.iter
+    (fun id -> Option.iter add (index_of_id t id))
+    (Leaf_set.members t.nodes.(index).leaf_set);
+  (* Bitset lists are ascending: the peers arrive sorted. *)
+  Array.of_list (Bitset.to_list seen)
 
 let mean_routing_peer_count t =
   let total = ref 0 in
@@ -143,217 +82,3 @@ let mean_routing_peer_count t =
     total := !total + Array.length (routing_peers t i)
   done;
   float_of_int !total /. float_of_int (node_count t)
-
-(* ---------- Dynamic membership ---------- *)
-
-let refresh_leaf_sets_near t nodes sorted ~ring_position =
-  (* Only nodes within a leaf-set radius of the touched ring position can
-     see their membership change; rebuild theirs from the new ring. *)
-  let n = Array.length sorted in
-  let sorted_ids = Array.map fst sorted in
-  let radius = t.leaf_half + 1 in
-  for offset = -radius to radius do
-    let index = (((ring_position + offset) mod n) + n) mod n in
-    let _, node_index = sorted.(index) in
-    let node = nodes.(node_index) in
-    nodes.(node_index) <-
-      {
-        node with
-        leaf_set = Leaf_set.build ~owner:node.id ~sorted_ids ~half_size:t.leaf_half;
-      }
-  done
-
-let add_node t id =
-  if index_of_id t id <> None then invalid_arg "Pastry.add_node: duplicate identifier";
-  let n = node_count t in
-  let sorted = Array.make (n + 1) (id, n) in
-  Array.blit t.sorted 0 sorted 0 n;
-  Array.sort compare_fst sorted;
-  let sorted_ids = Array.map fst sorted in
-  (* The newcomer builds its own full state. *)
-  let newcomer =
-    {
-      index = n;
-      id;
-      leaf_set = Leaf_set.build ~owner:id ~sorted_ids ~half_size:t.leaf_half;
-      table = Routing_table.build_secure ~owner:id ~sorted;
-    }
-  in
-  (* Copy node records and tables so the original overlay stays intact. *)
-  let nodes =
-    Array.append
-      (Array.map (fun node -> { node with table = Routing_table.copy node.table }) t.nodes)
-      [| newcomer |]
-  in
-  (* Each existing node checks every constrained slot the newcomer
-     qualifies for: in each row up to the shared prefix length, the column
-     of the newcomer's digit there (the owner's own digit for rows below
-     the first differing one). *)
-  for v = 0 to n - 1 do
-    let node = nodes.(v) in
-    let shared = Id.shared_prefix_length node.id id in
-    for row = 0 to min shared (Routing_table.rows - 1) do
-      let col = Id.digit id row in
-      let point = Id.with_digit node.id row col in
-      let replace =
-        match Routing_table.get node.table ~row ~col with
-        | None -> true
-        | Some current ->
-            let challenger = Id.ring_distance id point in
-            let incumbent = Id.ring_distance current.Routing_table.peer point in
-            let c = Id.compare challenger incumbent in
-            c < 0 || (c = 0 && Id.compare id current.Routing_table.peer < 0)
-      in
-      if replace then
-        Routing_table.set node.table ~row ~col (Some { Routing_table.peer = id; node = n })
-    done
-  done;
-  let updated = { t with nodes; sorted } in
-  let ring_position = Sorted.lower_bound compare_fst sorted (id, 0) in
-  refresh_leaf_sets_near updated nodes sorted ~ring_position;
-  updated
-
-let remove_node t id =
-  let departed =
-    match index_of_id t id with
-    | Some index -> index
-    | None -> invalid_arg "Pastry.remove_node: unknown identifier"
-  in
-  let n = node_count t in
-  if n <= 2 then invalid_arg "Pastry.remove_node: overlay would collapse";
-  (* Surviving nodes keep their relative order; indices above shift down. *)
-  let remap v = if v < departed then v else v - 1 in
-  let survivors =
-    Array.of_list
-      (List.filteri (fun v _ -> v <> departed) (Array.to_list t.nodes))
-  in
-  let sorted =
-    Array.of_list
-      (List.filter_map
-         (fun (node_id, v) -> if v = departed then None else Some (node_id, remap v))
-         (Array.to_list t.sorted))
-  in
-  let sorted_ids = Array.map fst sorted in
-  let nodes =
-    Array.map
-      (fun node ->
-        let table = Routing_table.create_empty ~owner:node.id in
-        (* Copy entries, re-resolving any slot that referenced the departed
-           node against the surviving ring. *)
-        Routing_table.iter
-          (fun ~row ~col entry ->
-            match entry with
-            | None -> ()
-            | Some e when Id.equal e.Routing_table.peer id ->
-                let point = Id.with_digit node.id row col in
-                let lo =
-                  let rec fill p i =
-                    if i >= Id.digits then p else fill (Id.with_digit p i 0) (i + 1)
-                  in
-                  fill point (row + 1)
-                in
-                let hi =
-                  let rec fill p i =
-                    if i >= Id.digits then p else fill (Id.with_digit p i (Id.base - 1)) (i + 1)
-                  in
-                  fill point (row + 1)
-                in
-                let lo_pos = Sorted.lower_bound compare_fst sorted (lo, 0) in
-                let hi_pos = Sorted.upper_bound compare_fst sorted (hi, 0) in
-                let best = ref None in
-                for position = lo_pos to hi_pos - 1 do
-                  let candidate_id, candidate_index = sorted.(position) in
-                  if not (Id.equal candidate_id node.id) then begin
-                    let d = Id.ring_distance candidate_id point in
-                    match !best with
-                    | Some (_, _, best_d)
-                      when Id.compare d best_d > 0
-                           || (Id.compare d best_d = 0
-                              &&
-                              match !best with
-                              | Some (b_id, _, _) -> Id.compare candidate_id b_id >= 0
-                              | None -> false) ->
-                        ()
-                    | _ -> best := Some (candidate_id, candidate_index, d)
-                  end
-                done;
-                Routing_table.set table ~row ~col
-                  (Option.map
-                     (fun (peer, node_index, _) -> { Routing_table.peer; node = node_index })
-                     !best)
-            | Some e ->
-                Routing_table.set table ~row ~col
-                  (Some { e with Routing_table.node = remap e.Routing_table.node }))
-          node.table;
-        {
-          index = remap node.index;
-          id = node.id;
-          leaf_set = node.leaf_set;
-          table;
-        })
-      survivors
-  in
-  let updated = { t with nodes; sorted } in
-  (* Leaf sets around the vacated ring position must be rebuilt. *)
-  let ring_position = Sorted.lower_bound compare_fst sorted (id, 0) in
-  let m = Array.length sorted in
-  let sorted_ids = sorted_ids in
-  let radius = t.leaf_half + 1 in
-  for offset = -radius to radius do
-    let index = (((ring_position + offset) mod m) + m) mod m in
-    let _, node_index = sorted.(index) in
-    let node = nodes.(node_index) in
-    nodes.(node_index) <-
-      {
-        node with
-        leaf_set = Leaf_set.build ~owner:node.id ~sorted_ids ~half_size:t.leaf_half;
-      }
-  done;
-  updated
-
-(* ---------- Sanctioned routing ---------- *)
-
-let route_avoiding t ~from ~dest ~avoid =
-  let root = numerically_closest t dest in
-  let limit = (4 * Id.digits) + (8 * t.leaf_half) in
-  let next_allowed current =
-    let here = t.nodes.(current) in
-    let here_distance = Id.ring_distance here.id dest in
-    (* Best known peer strictly closer to the key and not avoided; prefer
-       longer shared prefixes, then smaller ring distance (standard Pastry
-       progress metric, restricted to the allowed set). *)
-    let best = ref None in
-    let consider id =
-      match index_of_id t id with
-      | None -> ()
-      | Some index ->
-          if (not (Id.equal id here.id)) && (index = root || not (avoid index)) then begin
-            let d = Id.ring_distance id dest in
-            if Id.compare d here_distance < 0 then begin
-              let shared = Id.shared_prefix_length id dest in
-              match !best with
-              | Some (_, best_shared, best_d)
-                when best_shared > shared
-                     || (best_shared = shared && Id.compare best_d d <= 0) ->
-                  ()
-              | _ -> best := Some (index, shared, d)
-            end
-          end
-    in
-    List.iter consider (Leaf_set.members here.leaf_set);
-    Routing_table.iter
-      (fun ~row:_ ~col:_ entry ->
-        match entry with Some e -> consider e.Routing_table.peer | None -> ())
-      here.table;
-    Option.map (fun (index, _, _) -> index) !best
-  in
-  let rec loop current acc remaining =
-    if current = root then Some (List.rev (current :: acc))
-    else if remaining = 0 then None
-    else begin
-      match next_allowed current with
-      | None -> None
-      | Some next -> loop next (current :: acc) (remaining - 1)
-    end
-  in
-  loop from [] limit

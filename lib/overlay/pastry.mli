@@ -1,27 +1,27 @@
 (** A whole Pastry overlay, constructed from global knowledge (as a
     simulator may) but routed using only per-node local state.
 
-    Each node holds a leaf set and a jump table; [`Secure] tables obey the
-    Castro constraint (see {!Routing_table.build_secure}), [`Standard]
-    tables model proximity-style free choice. Message forwarding follows
-    the Pastry rule: finish within the leaf set when possible, otherwise
-    jump by prefix, otherwise fall back to any known strictly-closer peer. *)
+    This is a node-indexed view of the flat core that the million-node
+    scale worlds also run on: the identifiers form a {!Ring}, the
+    constrained ("secure") jump tables are an {!Inc_table}, byte-for-byte
+    {!Routing_table.build_secure}, and forwarding is {!Inc_table.next_hop}:
+    finish within the leaf set when possible, otherwise jump by prefix,
+    otherwise fall back to any known strictly-closer peer. Node indices
+    follow the identifier array given to {!build}; ring positions stay
+    internal. *)
 
 type node = {
   index : int;
   id : Id.t;
   leaf_set : Leaf_set.t;
-  table : Routing_table.t;
+  occupancy : int;  (** filled jump-table slots, all {!Id.digits} rows *)
 }
 
 type t
 
-type table_style = Secure | Standard of Concilium_util.Prng.t
-
-val build : ?leaf_half_size:int -> ?style:table_style -> Id.t array -> t
+val build : ?leaf_half_size:int -> Id.t array -> t
 (** Build an overlay over the given identifiers (default [leaf_half_size] 8
-    — a 16-member leaf set — and [Secure] tables). Duplicate identifiers are
-    rejected. *)
+    — a 16-member leaf set). Duplicate identifiers are rejected. *)
 
 val node_count : t -> int
 val node : t -> int -> node
@@ -29,8 +29,8 @@ val leaf_half_size : t -> int
 
 val index_of_id : t -> Id.t -> int option
 val numerically_closest : t -> Id.t -> int
-(** Index of the live node whose identifier minimises ring distance to the
-    key — the key's root. *)
+(** Index of the node whose identifier minimises ring distance to the key
+    (ties to the smaller identifier) — the key's root. *)
 
 val next_hop : t -> from:int -> dest:Id.t -> int option
 (** [None] when [from] is already the destination's root. *)
@@ -41,33 +41,7 @@ val route : t -> from:int -> dest:Id.t -> int list
     well-formed overlays; guarded for safety). *)
 
 val routing_peers : t -> int -> int array
-(** Distinct node indices appearing in a node's jump table or leaf set —
-    the leaves of its tomography tree T_H. *)
+(** Distinct node indices appearing in a node's jump table or leaf set,
+    ascending — the leaves of its tomography tree T_H. *)
 
 val mean_routing_peer_count : t -> float
-
-val add_node : t -> Id.t -> t
-(** Overlay maintenance: admit a newly certified identifier. The join is
-    incremental — the newcomer builds its own state, ring neighbors refresh
-    their leaf sets, and each existing node updates the single constrained
-    table slot the newcomer can qualify for — but the result is exactly the
-    overlay {!build} would produce from scratch over the enlarged
-    membership (property-tested). The new node takes the next index.
-    @raise Invalid_argument on a duplicate identifier. *)
-
-val remove_node : t -> Id.t -> t
-(** Overlay maintenance: a member departs. Ring neighbors refresh their
-    leaf sets and every table slot that referenced the departed node is
-    re-resolved against the surviving membership; again equal to a fresh
-    {!build}. Node indices above the departed one shift down by one.
-    @raise Invalid_argument if the identifier is not a member or only two
-    members remain. *)
-
-val route_avoiding : t -> from:int -> dest:Id.t -> avoid:(int -> bool) -> int list option
-(** Sanctioned routing (paper Section 3.7: traffic "may simply avoid
-    certain overlay paths"): like {!route} but never forwards *through* a
-    node satisfying [avoid]; at each hop the best non-avoided known peer
-    making progress is chosen instead. [None] when every forwarding choice
-    is avoided. The key's root is still allowed to terminate the route —
-    refusing delivery to the owner would break DHT consistency (the
-    leaf-set-eviction rule of Section 3.7). *)

@@ -1,24 +1,17 @@
 module Sorted = Concilium_util.Sorted
-module Prng = Concilium_util.Prng
 
 type entry = { peer : Id.t; node : int }
-type t = { owner : Id.t; slots : entry option array }
+type t = entry option array
 
 let rows = Id.digits
 let columns = Id.base
-
-let owner t = t.owner
 
 let slot_index ~row ~col =
   if row < 0 || row >= rows then invalid_arg "Routing_table: row out of range";
   if col < 0 || col >= columns then invalid_arg "Routing_table: column out of range";
   (row * columns) + col
 
-let get t ~row ~col = t.slots.(slot_index ~row ~col)
-let set t ~row ~col entry = t.slots.(slot_index ~row ~col) <- entry
-
-let create_empty ~owner = { owner; slots = Array.make (rows * columns) None }
-let copy t = { owner = t.owner; slots = Array.copy t.slots }
+let get t ~row ~col = t.(slot_index ~row ~col)
 
 let compare_fst (a, _) (b, _) = Id.compare a b
 
@@ -72,55 +65,18 @@ let closest_in_range ~point ~owner_id sorted lo hi =
    occupancy follows the paper's Equation 1 with N-1 candidate draws for
    every one of the l*v slots. *)
 let build_secure ~owner:owner_id ~sorted =
-  let t = create_empty ~owner:owner_id in
+  let slots = Array.make (rows * columns) None in
   for row = 0 to rows - 1 do
     for col = 0 to columns - 1 do
       let point, lo, hi = candidate_range ~owner_id ~row ~col sorted in
-      if hi > lo then set t ~row ~col (closest_in_range ~point ~owner_id sorted lo hi)
+      if hi > lo then
+        slots.(slot_index ~row ~col) <- closest_in_range ~point ~owner_id sorted lo hi
     done
   done;
-  t
-
-let build_standard ~owner:owner_id ~sorted ~rng =
-  let t = create_empty ~owner:owner_id in
-  for row = 0 to rows - 1 do
-    for col = 0 to columns - 1 do
-      let _, lo, hi = candidate_range ~owner_id ~row ~col sorted in
-      let width = hi - lo in
-      if width > 0 then begin
-        let offset = Prng.int rng width in
-        let id, node = sorted.(lo + offset) in
-        if not (Id.equal id owner_id) then set t ~row ~col (Some { peer = id; node })
-        else if width > 1 then begin
-          (* Landed on the owner: deterministically take the next candidate
-             so a populated slot is not spuriously left empty. *)
-          let id, node = sorted.(lo + ((offset + 1) mod width)) in
-          set t ~row ~col (Some { peer = id; node })
-        end
-      end
-    done
-  done;
-  t
+  slots
 
 let occupancy t =
-  Array.fold_left (fun acc slot -> match slot with Some _ -> acc + 1 | None -> acc) 0 t.slots
-
-let density t = float_of_int (occupancy t) /. float_of_int (rows * columns)
-
-let next_hop t ~dest =
-  let shared = Id.shared_prefix_length t.owner dest in
-  if shared >= rows then None else get t ~row:shared ~col:(Id.digit dest shared)
-
-let entries t =
-  let out = ref [] in
-  for row = rows - 1 downto 0 do
-    for col = columns - 1 downto 0 do
-      match get t ~row ~col with
-      | Some entry -> out := (row, col, entry) :: !out
-      | None -> ()
-    done
-  done;
-  !out
+  Array.fold_left (fun acc slot -> match slot with Some _ -> acc + 1 | None -> acc) 0 t
 
 let iter f t =
   for row = 0 to rows - 1 do

@@ -1,4 +1,6 @@
-(** Pastry jump (routing) tables, standard and secure variants.
+(** Pastry jump (routing) tables built from global knowledge, secure
+    variant — the per-owner reference that {!Inc_table} maintains for every
+    node at once, and the table of Figure 1's Monte Carlo.
 
     The table has {!Id.digits} rows and {!Id.base} columns. The entry in row
     [i], column [j] holds a peer whose identifier shares an [i]-digit prefix
@@ -14,37 +16,14 @@ type t
 val rows : int
 val columns : int
 
-val owner : t -> Id.t
 val get : t -> row:int -> col:int -> entry option
-val set : t -> row:int -> col:int -> entry option -> unit
-
-val create_empty : owner:Id.t -> t
-
-val copy : t -> t
-(** Independent copy; mutations to one do not affect the other. *)
 
 val build_secure : owner:Id.t -> sorted:(Id.t * int) array -> t
 (** Constrained-table construction from global knowledge: [sorted] is the
     ascending (id, node index) array of all overlay members. The owner
     itself never fills a slot. *)
 
-val build_standard :
-  owner:Id.t -> sorted:(Id.t * int) array -> rng:Concilium_util.Prng.t -> t
-(** Unconstrained table: any node with the required prefix qualifies; a
-    uniformly random qualifying candidate is chosen, modeling
-    proximity-driven choices that the adversary can influence. *)
-
 val occupancy : t -> int
 (** Number of filled slots. *)
-
-val density : t -> float
-(** [occupancy / (rows * columns)]. *)
-
-val next_hop : t -> dest:Id.t -> entry option
-(** Jump-table forwarding rule: the entry at row = length of the shared
-    prefix between owner and [dest], column = [dest]'s next digit. *)
-
-val entries : t -> (int * int * entry) list
-(** All filled slots as (row, col, entry), row-major. *)
 
 val iter : (row:int -> col:int -> entry option -> unit) -> t -> unit

@@ -10,6 +10,8 @@
    results with provenance on or off, and per-shard graphs merged in
    shard order render byte-identical JSONL for any domain count. *)
 
+module Json = Concilium_util.Json
+
 type node = int
 
 let none : node = 0
@@ -170,7 +172,7 @@ let verdict_of_bits bits =
 let add_node_fields buf t i =
   let add fmt = Printf.bprintf buf fmt in
   let tag = Char.code (Bytes.get t.tags i) in
-  add {|"id": %d, "kind": %S|} (i + 1) (kind_name tag);
+  add {|"id": %d, "kind": %s|} (i + 1) (Json.quote (kind_name tag));
   if tag = tag_probe then
     add {|, "prober": %d, "link": %d, "up": %b, "tapped": %b, "forged": %b, "time": %.17g|}
       t.ia.(i) t.ib.(i)
@@ -180,36 +182,39 @@ let add_node_fields buf t i =
       t.fa.(i)
   else if tag = tag_verdict then
     add
-      {|, "judge": %d, "suspect": %d, "verdict": %S, "exonerated": %b, "usable_rounds": %d, "blame": %.17g, "drop_time": %.17g|}
+      {|, "judge": %d, "suspect": %d, "verdict": %s, "exonerated": %b, "usable_rounds": %d, "blame": %.17g, "drop_time": %.17g|}
       t.ia.(i) t.ib.(i)
-      (verdict_name (verdict_of_bits t.ic.(i)))
+      (Json.quote (verdict_name (verdict_of_bits t.ic.(i))))
       (t.ic.(i) land 4 <> 0)
       t.id_.(i) t.fa.(i) t.fb.(i)
   else if tag = tag_accusation then
     add {|, "accuser": %d, "accused": %d, "blame": %.17g, "time": %.17g|} t.ia.(i) t.ib.(i)
       t.fa.(i) t.fb.(i)
   else if tag = tag_defense then
-    add {|, "knob": %S, "removed": %d, "judge": %d, "suspect": %d|}
-      (defense_name (if t.ia.(i) = 0 then Exclude_suspect else Vote_dedup))
+    add {|, "knob": %s, "removed": %d, "judge": %d, "suspect": %d|}
+      (Json.quote (defense_name (if t.ia.(i) = 0 then Exclude_suspect else Vote_dedup)))
       t.ib.(i) t.ic.(i) t.id_.(i)
   else if tag = tag_tap then
-    add {|, "firing": %S, "node": %d, "time": %.17g|}
-      (tap_name
-         (if t.ia.(i) = 0 then Route_rewrite
-          else if t.ia.(i) = 1 then Forced_drop
-          else Advert_rewrite))
+    add {|, "firing": %s, "node": %d, "time": %.17g|}
+      (Json.quote
+         (tap_name
+            (if t.ia.(i) = 0 then Route_rewrite
+             else if t.ia.(i) = 1 then Forced_drop
+             else Advert_rewrite)))
       t.ib.(i) t.fa.(i)
   else if tag = tag_failover then
-    add {|, "path": %S, "node": %d, "time": %.17g|}
-      (failover_name (if t.ia.(i) = 0 then Dht_put else if t.ia.(i) = 1 then Dht_get else Steward))
+    add {|, "path": %s, "node": %d, "time": %.17g|}
+      (Json.quote
+         (failover_name (if t.ia.(i) = 0 then Dht_put else if t.ia.(i) = 1 then Dht_get else Steward)))
       t.ib.(i) t.fa.(i)
   else if tag = tag_consolidation then
     add {|, "link": %d, "up": %b, "up_votes": %d, "down_votes": %d|} t.ia.(i)
       (t.ic.(i) land 1 <> 0)
       t.ib.(i) t.id_.(i)
   else
-    add {|, "accuser": %d, "accused": %d, "outcome": %S|} t.ia.(i) t.ib.(i)
-      (rebuttal_name (if t.ic.(i) = 0 then Stands else if t.ic.(i) = 1 then Shifted else Invalid))
+    add {|, "accuser": %d, "accused": %d, "outcome": %s|} t.ia.(i) t.ib.(i)
+      (Json.quote
+         (rebuttal_name (if t.ic.(i) = 0 then Stands else if t.ic.(i) = 1 then Shifted else Invalid)))
 
 let node_line t i =
   let buf = Buffer.create 128 in
@@ -218,7 +223,8 @@ let node_line t i =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let param_line name value = Printf.sprintf {|{"param": %S, "value": %.17g}|} name value
+let param_line name value =
+  Printf.sprintf {|{"param": %s, "value": %.17g}|} (Json.quote name) value
 
 let edge_line ~parent ~child = Printf.sprintf {|{"edge": [%d, %d]}|} parent child
 

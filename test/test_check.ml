@@ -2,7 +2,7 @@
    runs over generated schedules, injected-mutation canaries shrunk to
    replayable counterexamples, and obs byte reconciliation. *)
 
-module Json = Concilium_check.Json
+module Json = Concilium_util.Json
 module Schedule = Concilium_check.Schedule
 module Lockstep = Concilium_check.Lockstep
 module Shrink = Concilium_check.Shrink

@@ -7,7 +7,6 @@ module Dht = Concilium_core.Dht
 module Stewardship = Concilium_core.Stewardship
 module Bandwidth = Concilium_core.Bandwidth
 module Validation = Concilium_core.Validation
-module Sanction = Concilium_core.Sanction
 module World = Concilium_core.World
 module Observation = Concilium_tomography.Observation
 module Snapshot = Concilium_tomography.Snapshot
@@ -561,24 +560,6 @@ let test_validation_flags_stale_stamp () =
        (function Validation.Stale_or_invalid_stamp _ -> true | _ -> false)
        failures)
 
-(* ---------- Sanction ---------- *)
-
-let test_sanction_policies () =
-  let clean = { Sanction.verified_accusations = 0; observation_hours = 10. } in
-  let dirty = { Sanction.verified_accusations = 25; observation_hours = 10. } in
-  check Alcotest.bool "clean untouched" true
-    (Sanction.evaluate Sanction.Distrust_sensitive clean = Sanction.No_action);
-  check Alcotest.bool "distrust" true
-    (Sanction.evaluate Sanction.Distrust_sensitive dirty = Sanction.Distrust);
-  check Alcotest.bool "blacklist above rate" true
-    (Sanction.evaluate (Sanction.Universal_blacklist { accusations_per_hour = 2. }) dirty
-    = Sanction.Blacklist);
-  check Alcotest.bool "below rate" true
-    (Sanction.evaluate (Sanction.Universal_blacklist { accusations_per_hour = 3. }) dirty
-    = Sanction.No_action);
-  check Alcotest.bool "leaf-set eviction forbidden" false
-    (Sanction.allows_leaf_set_eviction Sanction.Distrust_sensitive)
-
 (* ---------- World ---------- *)
 
 let world_fixture = lazy (World.build (World.tiny_config ~seed:123L))
@@ -601,6 +582,31 @@ let test_world_invariants () =
               nodes.(Array.length nodes - 1))
       world.World.peer_paths.(v)
   done
+
+(* World's overlay is the flat core; on whole worlds it must match the
+   list-based oracle node for node, and its routing peers are the ones the
+   probe trees were built over. *)
+let test_world_overlay_matches_oracle () =
+  List.iter
+    (fun config ->
+      let world = World.build config in
+      let ids = Array.init (World.node_count world) (World.id_of world) in
+      let context = Printf.sprintf "world seed %Ld, %d nodes" config.World.seed (Array.length ids) in
+      Pastry_oracle.assert_agrees ~context ~leaf_half:config.World.leaf_half_size
+        ~rng:(Prng.of_seed config.World.seed) ~routes:2000 ids world.World.pastry;
+      let oracle = Pastry_oracle.build ~leaf_half_size:config.World.leaf_half_size ids in
+      Array.iteri
+        (fun v peers ->
+          if peers <> Pastry_oracle.routing_peers oracle v then
+            Alcotest.failf "%s: node %d probes other peers than the oracle's" context v)
+        world.World.peers)
+    [
+      World.tiny_config ~seed:1L;
+      World.tiny_config ~seed:2L;
+      World.tiny_config ~seed:3L;
+      World.small_config ~seed:1L;
+      World.small_config ~seed:2L;
+    ]
 
 let test_world_tree_roots () =
   let world = Lazy.force world_fixture in
@@ -634,38 +640,6 @@ let test_world_forest_includes_own_tree () =
   Array.iter
     (fun link -> check Alcotest.bool "own tree in forest" true (Array.exists (( = ) link) forest))
     (World.Tree.physical_links world.World.trees.(0))
-
-
-(* ---------- Ack batching (Section 3.7) ---------- *)
-
-module Ack_batch = Concilium_core.Ack_batch
-
-let test_ack_batch_counter () =
-  let batch = Ack_batch.create () in
-  List.iter (fun id -> Ack_batch.record_received batch ~message_id:id) [ "a"; "b"; "b" ];
-  check Alcotest.int "dedup" 2 (Ack_batch.received_count batch);
-  let summary = Ack_batch.flush batch ~encoding:`Counter in
-  check Alcotest.int "counter bytes" (128 + 4) (Ack_batch.wire_bytes summary);
-  (* All sent arrived: the counter can certify it. *)
-  check
-    (Alcotest.option (Alcotest.list Alcotest.string))
-    "counter matches" (Some []) (Ack_batch.missing ~sent:[ "a"; "b" ] summary);
-  (* A counter mismatch proves loss but cannot name the victim. *)
-  check
-    (Alcotest.option (Alcotest.list Alcotest.string))
-    "counter cannot localise" None
-    (Ack_batch.missing ~sent:[ "a"; "b"; "c" ] summary);
-  check Alcotest.int "flushed" 0 (Ack_batch.received_count batch)
-
-let test_ack_batch_hashes () =
-  let batch = Ack_batch.create () in
-  List.iter (fun id -> Ack_batch.record_received batch ~message_id:id) [ "a"; "c" ];
-  let summary = Ack_batch.flush batch ~encoding:`Hashes in
-  check
-    (Alcotest.option (Alcotest.list Alcotest.string))
-    "hashes localise the loss" (Some [ "b" ])
-    (Ack_batch.missing ~sent:[ "a"; "b"; "c" ] summary);
-  check Alcotest.int "hash bytes" (128 + 64) (Ack_batch.wire_bytes summary)
 
 
 (* ---------- Rebuttal (Section 3.5) ---------- *)
@@ -858,7 +832,6 @@ let suites =
         Alcotest.test_case "flags sparse jump table" `Quick test_validation_flags_sparse_table;
         Alcotest.test_case "flags stale stamps" `Quick test_validation_flags_stale_stamp;
       ] );
-    ("core.sanction", [ Alcotest.test_case "policies" `Quick test_sanction_policies ]);
     ( "core.rebuttal",
       [
         Alcotest.test_case "verified rebuttal shifts blame" `Quick test_rebuttal_shifts_blame;
@@ -869,11 +842,6 @@ let suites =
         Alcotest.test_case "stale verdicts do not cover" `Quick
           test_rebuttal_stale_drop_time_rejected;
       ] );
-    ( "core.ack_batch",
-      [
-        Alcotest.test_case "counter encoding" `Quick test_ack_batch_counter;
-        Alcotest.test_case "hash encoding" `Quick test_ack_batch_hashes;
-      ] );
     ( "core.world",
       [
         Alcotest.test_case "route invariants" `Quick test_world_invariants;
@@ -881,5 +849,7 @@ let suites =
         Alcotest.test_case "voucher index" `Quick test_world_vouchers_are_tree_members;
         Alcotest.test_case "certificates" `Quick test_world_certificates_valid;
         Alcotest.test_case "forest contains own tree" `Quick test_world_forest_includes_own_tree;
+        Alcotest.test_case "overlay matches the list-based oracle" `Quick
+          test_world_overlay_matches_oracle;
       ] );
   ]

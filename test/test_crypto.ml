@@ -2,7 +2,6 @@ module Sha256 = Concilium_crypto.Sha256
 module Hmac = Concilium_crypto.Hmac
 module Pki = Concilium_crypto.Pki
 module Signed = Concilium_crypto.Signed
-module Nonce = Concilium_crypto.Nonce
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -114,13 +113,6 @@ let prop_signed_any_payload =
       let envelope = Signed.make ~serialize ~signer:cert.Pki.subject_key ~secret payload in
       Signed.check ~serialize pki envelope)
 
-(* ---------- Nonces ---------- *)
-
-let test_nonce_uniqueness () =
-  let generate = Nonce.generator ~seed:4L in
-  let nonces = List.init 1000 (fun _ -> Nonce.to_string (generate ())) in
-  check Alcotest.int "all distinct" 1000 (List.length (List.sort_uniq String.compare nonces))
-
 let suites =
   [
     ( "crypto.sha256",
@@ -143,5 +135,4 @@ let suites =
         Alcotest.test_case "forgery rejected" `Quick test_signed_forgery_rejected;
         qtest prop_signed_any_payload;
       ] );
-    ("crypto.nonce", [ Alcotest.test_case "uniqueness" `Quick test_nonce_uniqueness ]);
   ]

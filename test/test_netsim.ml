@@ -2,7 +2,6 @@ module Engine = Concilium_netsim.Engine
 module Link_state = Concilium_netsim.Link_state
 module Link_history = Concilium_netsim.Link_history
 module Failures = Concilium_netsim.Failures
-module Net = Concilium_netsim.Net
 module Graph = Concilium_topology.Graph
 module Generate = Concilium_topology.Generate
 module Routes = Concilium_topology.Routes
@@ -207,35 +206,6 @@ let test_failures_edge_bias () =
     (Printf.sprintf "edge rate %.2f exceeds interior rate %.2f" edge_rate interior_rate)
     true
     (edge_rate > interior_rate)
-
-(* ---------- Net ---------- *)
-
-let test_net_delivery_and_loss () =
-  let b = Graph.Builder.create 3 in
-  Graph.Builder.add_link b 0 1;
-  Graph.Builder.add_link b 1 2;
-  let g = Graph.build b in
-  let path = Option.get (Routes.shortest_path g ~source:0 ~target:2) in
-  let engine = Engine.create () in
-  let state = Link_state.create ~link_count:2 ~good_loss:0. ~bad_loss:1. in
-  let net = Net.create ~engine ~state ~rng:(Prng.of_seed 1L) ~node_count:3 () in
-  let delivered = ref 0 and dropped_on = ref (-1) in
-  Net.send net ~path ~size_bytes:100 ~on_delivered:(fun _ -> incr delivered) ();
-  Engine.run engine;
-  check Alcotest.int "delivered" 1 !delivered;
-  check Alcotest.int "bytes sent" 100 (Net.bytes_sent net 0);
-  check Alcotest.int "bytes received" 100 (Net.bytes_received net 2);
-  (* Break the middle link: the drop callback must name it. *)
-  Link_state.set_bad state 1;
-  Net.send net ~path ~size_bytes:50
-    ~on_delivered:(fun _ -> incr delivered)
-    ~on_dropped:(fun _ ~link -> dropped_on := link)
-    ();
-  Engine.run engine;
-  check Alcotest.int "not delivered" 1 !delivered;
-  check Alcotest.int "dropped on bad link" 1 !dropped_on;
-  check Alcotest.int "receiver unchanged" 100 (Net.bytes_received net 2)
-
 
 (* ---------- Churn ---------- *)
 
@@ -514,7 +484,6 @@ let suites =
         Alcotest.test_case "target fraction across seeds" `Quick
           test_failures_target_across_seeds;
       ] );
-    ("netsim.net", [ Alcotest.test_case "delivery and loss" `Quick test_net_delivery_and_loss ]);
     ( "netsim.churn",
       [
         Alcotest.test_case "steady state" `Quick test_churn_steady_state;

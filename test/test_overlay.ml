@@ -140,9 +140,9 @@ let test_leaf_set_covers_and_closest () =
   let _, sorted = ring_fixture 64 25L in
   let owner = sorted.(30) in
   let ls = Leaf_set.build ~owner ~sorted_ids:sorted ~half_size:4 in
-  check Alcotest.bool "covers a near id" true (Leaf_set.covers ls sorted.(31));
+  check Alcotest.bool "covers a near id" true (Pastry_oracle.covers ls sorted.(31));
   check Alcotest.string "closest to member is member" (Id.to_hex sorted.(31))
-    (Id.to_hex (Leaf_set.closest_member ls sorted.(31)))
+    (Id.to_hex (Pastry_oracle.closest_member ls sorted.(31)))
 
 (* ---------- Routing table ---------- *)
 
@@ -191,28 +191,13 @@ let test_secure_table_picks_closest_to_point () =
             sorted)
     table
 
-let test_standard_table_prefix_constraint () =
-  let _, sorted = ring_fixture 128 28L in
-  let pairs = sorted_with_indices sorted in
-  let owner = sorted.(5) in
-  let rng = Prng.of_seed 1L in
-  let table = Routing_table.build_standard ~owner ~sorted:pairs ~rng in
-  Routing_table.iter
-    (fun ~row ~col entry ->
-      match entry with
-      | None -> ()
-      | Some { Routing_table.peer; _ } ->
-          check Alcotest.bool "prefix" true (Id.shared_prefix_length owner peer >= row);
-          check Alcotest.int "col digit" col (Id.digit peer row))
-    table
-
 let test_next_hop_improves_prefix () =
   let _, sorted = ring_fixture 128 29L in
   let pairs = sorted_with_indices sorted in
   let owner = sorted.(0) in
   let table = Routing_table.build_secure ~owner ~sorted:pairs in
   let dest = sorted.(100) in
-  match Routing_table.next_hop table ~dest with
+  match Pastry_oracle.table_next_hop table ~owner ~dest with
   | None -> () (* possible when the needed slot is empty *)
   | Some { Routing_table.peer; _ } ->
       check Alcotest.bool "longer shared prefix" true
@@ -546,126 +531,6 @@ let test_secure_routing_castro_threshold () =
     (standard_at_25 < redundant_at_25 -. 0.05)
 
 
-(* ---------- Dynamic membership ---------- *)
-
-let overlay_equal a b =
-  let same = ref (Pastry.node_count a = Pastry.node_count b) in
-  if !same then
-    for v = 0 to Pastry.node_count a - 1 do
-      let na = Pastry.node a v and nb = Pastry.node b v in
-      if not (Id.equal na.Pastry.id nb.Pastry.id) then same := false;
-      if
-        not
-          (List.equal Id.equal
-             (Leaf_set.members na.Pastry.leaf_set)
-             (Leaf_set.members nb.Pastry.leaf_set))
-      then same := false;
-      Routing_table.iter
-        (fun ~row ~col entry ->
-          let other = Routing_table.get nb.Pastry.table ~row ~col in
-          match (entry, other) with
-          | None, None -> ()
-          | Some x, Some y ->
-              if
-                not
-                  (Id.equal x.Routing_table.peer y.Routing_table.peer
-                  && x.Routing_table.node = y.Routing_table.node)
-              then same := false
-          | None, Some _ | Some _, None -> same := false)
-        na.Pastry.table
-    done;
-  !same
-
-let prop_join_equals_rebuild =
-  QCheck.Test.make ~name:"incremental join equals a fresh build" ~count:25
-    QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
-    (fun (seed, join_seed) ->
-      let rng = Prng.of_seed (Int64.of_int seed) in
-      let ids = Array.init 60 (fun _ -> Id.random rng) in
-      let overlay = Pastry.build ~leaf_half_size:4 ids in
-      let newcomer = Id.random (Prng.of_seed (Int64.of_int join_seed)) in
-      (* seed = join_seed regenerates ids.(0): a legitimate duplicate. *)
-      QCheck.assume (Pastry.index_of_id overlay newcomer = None);
-      let incremental = Pastry.add_node overlay newcomer in
-      let fresh = Pastry.build ~leaf_half_size:4 (Array.append ids [| newcomer |]) in
-      overlay_equal incremental fresh)
-
-let prop_leave_equals_rebuild =
-  QCheck.Test.make ~name:"incremental departure equals a fresh build" ~count:25
-    QCheck.(pair (int_range 0 10_000) (int_bound 59))
-    (fun (seed, victim) ->
-      let rng = Prng.of_seed (Int64.of_int seed) in
-      let ids = Array.init 60 (fun _ -> Id.random rng) in
-      let overlay = Pastry.build ~leaf_half_size:4 ids in
-      let incremental = Pastry.remove_node overlay ids.(victim) in
-      let survivors =
-        Array.of_list
-          (List.filteri (fun i _ -> i <> victim) (Array.to_list ids))
-      in
-      let fresh = Pastry.build ~leaf_half_size:4 survivors in
-      overlay_equal incremental fresh)
-
-let test_add_node_rejects_duplicates () =
-  let ids, overlay = pastry_fixture 50 170L in
-  Alcotest.check_raises "duplicate" (Invalid_argument "Pastry.add_node: duplicate identifier")
-    (fun () -> ignore (Pastry.add_node overlay ids.(7)))
-
-let test_route_avoiding () =
-  let _, overlay = pastry_fixture 200 171L in
-  let rng = Prng.of_seed 172L in
-  (* Find a key whose plain route passes through an intermediate node. *)
-  let rec search attempts =
-    if attempts = 0 then None
-    else begin
-      let dest = Id.random rng in
-      let hops = Pastry.route overlay ~from:0 ~dest in
-      if List.length hops >= 3 then Some (dest, hops) else search (attempts - 1)
-    end
-  in
-  match search 3000 with
-  | None -> Alcotest.fail "no multi-hop key"
-  | Some (dest, hops) ->
-      let shunned = List.nth hops 1 in
-      let root = List.nth hops (List.length hops - 1) in
-      (match Pastry.route_avoiding overlay ~from:0 ~dest ~avoid:(fun v -> v = shunned) with
-      | None -> Alcotest.fail "expected a detour"
-      | Some detour ->
-          check Alcotest.bool "detour skips the shunned node" false (List.mem shunned detour);
-          check Alcotest.int "still reaches the root" root
-            (List.nth detour (List.length detour - 1)));
-      (* Avoiding everyone but the endpoints leaves no route. *)
-      check Alcotest.bool "fully blocked" true
-        (Pastry.route_avoiding overlay ~from:0 ~dest ~avoid:(fun v -> v <> 0 && v <> root)
-         = None
-        ||
-        (* unless the root is a direct peer of the sender *)
-        List.length (Pastry.route overlay ~from:0 ~dest) <= 2)
-
-
-let test_add_node_preserves_original () =
-  let ids, overlay = pastry_fixture 60 175L in
-  ignore ids;
-  let before =
-    List.init (Pastry.node_count overlay) (fun v ->
-        Routing_table.entries (Pastry.node overlay v).Pastry.table)
-  in
-  let newcomer = Id.random (Prng.of_seed 176L) in
-  ignore (Pastry.add_node overlay newcomer);
-  let after =
-    List.init (Pastry.node_count overlay) (fun v ->
-        Routing_table.entries (Pastry.node overlay v).Pastry.table)
-  in
-  check Alcotest.bool "original untouched" true
-    (List.for_all2
-       (fun b a ->
-         List.length b = List.length a
-         && List.for_all2
-              (fun (r1, c1, e1) (r2, c2, e2) ->
-                r1 = r2 && c1 = c2
-                && Id.equal e1.Routing_table.peer e2.Routing_table.peer)
-              b a)
-       before after)
-
 (* ---------- Id helpers for the flat core ---------- *)
 
 let prop_midpoint_orders =
@@ -889,6 +754,76 @@ let prop_flat_chord_routes_to_owner =
       done;
       !ok)
 
+(* ---------- Tiny rings: the leaf set is the whole ring ---------- *)
+
+(* With at most 2 * leaf_half nodes alive, the leaf walks of [next_hop]
+   wrap around and meet; every route must still end at the key's root,
+   in at most one hop. Some universes carry dead positions as well. *)
+let test_tiny_ring_routes_to_root () =
+  let rng = Prng.of_seed 9100L in
+  for trial = 0 to 799 do
+    let leaf_half = 1 + (trial mod 8) in
+    let alive = 2 + Prng.int rng ((2 * leaf_half) - 1) in
+    let dead = if trial mod 3 = 0 then Prng.int rng 4 else 0 in
+    let ring = Ring.of_ids (distinct_ids ~rng (alive + dead)) in
+    while Ring.alive_count ring > alive do
+      Ring.set_dead ring (Prng.int rng (alive + dead))
+    done;
+    let tbl = Inc_table.build ring in
+    for _ = 1 to 8 do
+      let dest = Id.random rng in
+      let root = Inc_table.numerically_closest tbl dest in
+      for src = 0 to Ring.size ring - 1 do
+        if Ring.is_alive ring src then begin
+          let final, hops, _ = Inc_table.route tbl ~leaf_half ~src ~dest in
+          if final <> root || hops > 1 then
+            Alcotest.failf "leaf_half %d, %d alive: route from %d to %s ends at %d after %d hops, root %d"
+              leaf_half alive src (Id.to_hex dest) final hops root
+        end
+      done
+    done
+  done
+
+(* A two-member overlay: the list-based rule livelocked between the two
+   nodes on keys outside the leaf sets' one-sided spans, like this one. *)
+let test_two_node_pastry_route () =
+  let ids =
+    [| Id.of_hex "f6e11b1f4b6d918801bf773009bd4370"; Id.of_hex "0257d24790df86293249d5a1a32b95a7" |]
+  in
+  let overlay = Pastry.build ~leaf_half_size:1 ids in
+  let dest = Id.of_hex "fed51349088afdf5050bd1276f2d6a60" in
+  check Alcotest.int "node 1 is the root" 1 (Pastry.numerically_closest overlay dest);
+  check (Alcotest.list Alcotest.int) "one hop to the root" [ 0; 1 ]
+    (Pastry.route overlay ~from:0 ~dest)
+
+(* ---------- Pastry = the list-based oracle ---------- *)
+
+(* A fallback hop (the table slot for the key's next digit is empty) must
+   weigh every node the sender knows. Here node 45's best progress is node
+   26, which sits only in a table row beyond the materialised ones. *)
+let test_fallback_sees_deep_rows () =
+  let ids = distinct_ids ~rng:(Prng.of_seed 77072L) 171 in
+  let dest = Id.of_hex "c362cda05ccfd8acbb0d8f7c2941d27a" in
+  let overlay = Pastry.build ~leaf_half_size:1 ids in
+  let oracle = Pastry_oracle.build ~leaf_half_size:1 ids in
+  check (Alcotest.list Alcotest.int) "oracle route" [ 84; 45; 26 ]
+    (Pastry_oracle.route oracle ~from:84 ~dest);
+  check (Alcotest.list Alcotest.int) "flat route" [ 84; 45; 26 ]
+    (Pastry.route overlay ~from:84 ~dest)
+
+let prop_pastry_matches_oracle =
+  QCheck.Test.make ~name:"pastry = list-based oracle on rings above 2 * leaf_half" ~count:12
+    QCheck.(triple (int_range 1 8) (int_range 0 600) (int_bound 10_000))
+    (fun (leaf_half, extra, seed) ->
+      let n = (2 * leaf_half) + 1 + extra in
+      let rng = Prng.of_seed (Int64.of_int (9300 + seed)) in
+      let ids = distinct_ids ~rng n in
+      Pastry_oracle.assert_agrees
+        ~context:(Printf.sprintf "n %d leaf_half %d seed %d" n leaf_half seed)
+        ~leaf_half ~rng ~routes:300 ids
+        (Pastry.build ~leaf_half_size:leaf_half ids);
+      true)
+
 (* ---------- Chord O(log n) forwarding vs the linear reference ---------- *)
 
 let prop_chord_next_hop_matches_reference =
@@ -937,8 +872,6 @@ let suites =
         Alcotest.test_case "secure prefix constraint" `Quick test_secure_table_prefix_constraint;
         Alcotest.test_case "secure closest-to-point" `Quick
           test_secure_table_picks_closest_to_point;
-        Alcotest.test_case "standard prefix constraint" `Quick
-          test_standard_table_prefix_constraint;
         Alcotest.test_case "next hop improves prefix" `Quick test_next_hop_improves_prefix;
       ] );
     ( "overlay.jump_table_model",
@@ -964,15 +897,6 @@ let suites =
         qtest prop_pastry_routes_converge;
       ] );
     ("overlay.freshness", [ Alcotest.test_case "stamp validation" `Quick test_freshness_validate ]);
-    ( "overlay.membership",
-      [
-        qtest prop_join_equals_rebuild;
-        qtest prop_leave_equals_rebuild;
-        Alcotest.test_case "duplicate join rejected" `Quick test_add_node_rejects_duplicates;
-        Alcotest.test_case "join leaves the original intact" `Quick
-          test_add_node_preserves_original;
-        Alcotest.test_case "route around accused nodes" `Quick test_route_avoiding;
-      ] );
     ( "overlay.secure_routing",
       [
         Alcotest.test_case "clean network" `Quick test_secure_routing_no_faults;
@@ -1005,5 +929,9 @@ let suites =
         qtest prop_parallel_build_matches_sequential;
         qtest prop_flat_pastry_routes_to_root;
         qtest prop_flat_chord_routes_to_owner;
+        Alcotest.test_case "tiny rings route to the root" `Quick test_tiny_ring_routes_to_root;
+        Alcotest.test_case "two-node pastry route" `Quick test_two_node_pastry_route;
+        Alcotest.test_case "fallback sees deep table rows" `Quick test_fallback_sees_deep_rows;
+        qtest prop_pastry_matches_oracle;
       ] );
   ]

@@ -11,7 +11,7 @@ module Trace = Concilium_obs.Trace
 module Metrics = Concilium_obs.Metrics
 module Flight = Concilium_obs.Flight
 module Timeseries = Concilium_obs.Timeseries
-module Json = Concilium_check.Json
+module Json = Concilium_util.Json
 module World = Concilium_core.World
 module Protocol = Concilium_core.Protocol
 module Blame = Concilium_core.Blame
@@ -303,6 +303,26 @@ let test_flight_attach_taps_trace_and_provenance () =
      let re = Str.regexp_string needle in
      match Str.search_forward re dump 0 with exception Not_found -> false | _ -> true)
 
+(* Every string reaches the JSON artifacts through [Json.quote], so a
+   control byte and a UTF-8 character must parse back byte-for-byte (the
+   OCaml literal syntax of %S writes \ddd escapes, which JSON rejects). *)
+let test_json_strings_round_trip () =
+  let odd = "tab\there \001 caf\xc3\xa9 \xe2\x9c\x93" in
+  let string_field name json = Option.bind (Json.member name json) Json.string_value in
+  let parse line = match Json.parse line with Ok json -> json | Error e -> Alcotest.fail e in
+  let obs = Collector.create () in
+  let flight = Flight.create () in
+  Flight.attach flight obs;
+  Trace.instant obs.Collector.trace ~time:1. ~cat:odd ~args:[ (odd, Trace.String odd) ] odd;
+  let line = parse (String.trim (Trace.jsonl obs.Collector.trace)) in
+  let same = Alcotest.option Alcotest.string in
+  check same "trace name" (Some odd) (string_field "name" line);
+  check same "trace category" (Some odd) (string_field "cat" line);
+  check same "trace argument" (Some odd) (Option.bind (Json.member "args" line) (string_field odd));
+  let header = parse (List.hd (String.split_on_char '\n' (Flight.dump ~reason:odd flight))) in
+  check same "flight reason" (Some odd)
+    (Option.bind (Json.member "flight_recorder" header) (string_field "reason"))
+
 (* ---------- Time series ---------- *)
 
 let test_timeseries_epochs_and_merge () =
@@ -400,6 +420,7 @@ let suites =
         Alcotest.test_case "ring evicts oldest" `Quick test_flight_ring_evicts_oldest;
         Alcotest.test_case "attach taps trace and provenance" `Quick
           test_flight_attach_taps_trace_and_provenance;
+        Alcotest.test_case "json strings round-trip" `Quick test_json_strings_round_trip;
       ] );
     ( "obs.timeseries",
       [

@@ -1,7 +1,6 @@
 module Prng = Concilium_util.Prng
 module Heap = Concilium_util.Heap
 module Bitset = Concilium_util.Bitset
-module Fenwick = Concilium_util.Fenwick
 module Sorted = Concilium_util.Sorted
 module Ring_buffer = Concilium_util.Ring_buffer
 module Hashing = Concilium_util.Hashing
@@ -227,104 +226,6 @@ let prop_bitset_directional_scans =
       in
       Bitset.next_member s i = next_ref && Bitset.prev_member s i = prev_ref)
 
-(* ---------- Fenwick ---------- *)
-
-let test_fenwick_prefix_sums () =
-  let t = Fenwick.create 5 in
-  List.iteri (fun i w -> Fenwick.set t i w) [ 1.; 2.; 3.; 4.; 5. ];
-  check (Alcotest.float 1e-9) "prefix 0" 1. (Fenwick.prefix_sum t 0);
-  check (Alcotest.float 1e-9) "prefix 2" 6. (Fenwick.prefix_sum t 2);
-  check (Alcotest.float 1e-9) "total" 15. (Fenwick.total t);
-  Fenwick.set t 2 0.;
-  check (Alcotest.float 1e-9) "after update" 12. (Fenwick.total t)
-
-let test_fenwick_find_by_weight () =
-  let t = Fenwick.create 4 in
-  List.iteri (fun i w -> Fenwick.set t i w) [ 1.; 0.; 2.; 1. ];
-  check Alcotest.int "x=0.5" 0 (Fenwick.find_by_weight t 0.5);
-  check Alcotest.int "x=1.5" 2 (Fenwick.find_by_weight t 1.5);
-  check Alcotest.int "x=2.9" 2 (Fenwick.find_by_weight t 2.9);
-  check Alcotest.int "x=3.5" 3 (Fenwick.find_by_weight t 3.5)
-
-let prop_fenwick_sampling_hits_positive_weights =
-  QCheck.Test.make ~name:"weighted find never lands on zero weight" ~count:200
-    QCheck.(pair (small_list (float_bound_inclusive 5.)) (float_bound_exclusive 1.))
-    (fun (weights, u) ->
-      QCheck.assume (List.exists (fun w -> w > 0.) weights);
-      let t = Fenwick.create (List.length weights) in
-      List.iteri (fun i w -> Fenwick.set t i w) weights;
-      let index = Fenwick.find_by_weight t (u *. Fenwick.total t) in
-      Fenwick.get t index > 0.)
-
-(* Linear-scan reference for [find_by_weight]'s documented contract: the
-   smallest index whose prefix sum exceeds x, clamped to the last
-   positive-weight index (0 when all weights are zero) once x reaches the
-   total. *)
-let find_by_weight_reference weights x =
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i >= n then None
-    else
-      let acc = acc +. weights.(i) in
-      if acc > x then Some i else scan (i + 1) acc
-  in
-  match scan 0 0. with
-  | Some i -> i
-  | None ->
-      let last = ref 0 in
-      Array.iteri (fun i w -> if w > 0. then last := i) weights;
-      !last
-
-let test_fenwick_boundary_clamps () =
-  let t = Fenwick.create 4 in
-  List.iteri (fun i w -> Fenwick.set t i w) [ 1.; 0.; 2.; 0. ];
-  (* x = total: no index has prefix sum > total, so the contract clamps to
-     the last positive-weight index (2, not the zero-weight tail). *)
-  check Alcotest.int "x = total" 2 (Fenwick.find_by_weight t (Fenwick.total t));
-  check Alcotest.int "x just above total" 2 (Fenwick.find_by_weight t (Fenwick.total t +. 0.5));
-  let zeros = Fenwick.create 3 in
-  check Alcotest.int "all-zero tree" 0 (Fenwick.find_by_weight zeros 0.);
-  Alcotest.check_raises "negative target"
-    (Invalid_argument "Fenwick.find_by_weight: negative target") (fun () ->
-      ignore (Fenwick.find_by_weight t (-1.)));
-  Alcotest.check_raises "empty tree"
-    (Invalid_argument "Fenwick.find_by_weight: empty tree") (fun () ->
-      ignore (Fenwick.find_by_weight (Fenwick.create 0) 0.))
-
-let test_fenwick_fp_accumulation_at_boundary () =
-  (* 1000 x 0.1 accumulates differently in the tree's internal nodes than
-     in a flat sum; u *. total at u -> 1 historically tripped the
-     "target exceeds total" guard. The clamp must return the last positive
-     index for x = total and anything the sampler can produce near it. *)
-  let n = 1000 in
-  let t = Fenwick.create n in
-  for i = 0 to n - 1 do
-    Fenwick.set t i 0.1
-  done;
-  let total = Fenwick.total t in
-  check Alcotest.int "x = total" (n - 1) (Fenwick.find_by_weight t total);
-  check Alcotest.int "x = pred total" (n - 1) (Fenwick.find_by_weight t (Float.pred total));
-  (* A trailing zero run must never be sampled, even at the boundary. *)
-  Fenwick.set t (n - 1) 0.;
-  Fenwick.set t (n - 2) 0.;
-  check Alcotest.int "trailing zeros skipped" (n - 3)
-    (Fenwick.find_by_weight t (Fenwick.total t))
-
-let prop_fenwick_matches_reference =
-  (* Weights are quarter-integers, so flat and tree prefix sums are both
-     exact and the reference comparison cannot drift by an ulp; the
-     dedicated FP test above covers inexact accumulation. u = 1 drives x
-     exactly onto the total: the boundary case. *)
-  QCheck.Test.make ~name:"find_by_weight matches linear-scan reference" ~count:500
-    QCheck.(pair (small_list (int_bound 12)) (float_bound_inclusive 1.))
-    (fun (quarters, u) ->
-      QCheck.assume (quarters <> []);
-      let weights = Array.of_list (List.map (fun k -> 0.25 *. float_of_int k) quarters) in
-      let t = Fenwick.create (Array.length weights) in
-      Array.iteri (fun i w -> Fenwick.set t i w) weights;
-      let x = u *. Fenwick.total t in
-      Fenwick.find_by_weight t x = find_by_weight_reference weights x)
-
 (* ---------- Sorted ---------- *)
 
 let test_sorted_bounds () =
@@ -503,16 +404,6 @@ let suites =
         Alcotest.test_case "bounds checking" `Quick test_bitset_out_of_range;
         qtest prop_bitset_matches_list_set;
         qtest prop_bitset_directional_scans;
-      ] );
-    ( "util.fenwick",
-      [
-        Alcotest.test_case "prefix sums" `Quick test_fenwick_prefix_sums;
-        Alcotest.test_case "find by weight" `Quick test_fenwick_find_by_weight;
-        Alcotest.test_case "boundary clamps" `Quick test_fenwick_boundary_clamps;
-        Alcotest.test_case "fp accumulation at boundary" `Quick
-          test_fenwick_fp_accumulation_at_boundary;
-        qtest prop_fenwick_sampling_hits_positive_weights;
-        qtest prop_fenwick_matches_reference;
       ] );
     ( "util.sorted",
       [
