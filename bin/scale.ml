@@ -10,6 +10,7 @@
 module Scale_world = Concilium_scale.Scale_world
 module Inc_table = Concilium_overlay.Inc_table
 module Pool = Concilium_util.Pool
+module Json = Concilium_util.Json
 module Collector = Concilium_obs.Collector
 module Export = Concilium_obs.Export
 module Flight = Concilium_obs.Flight
@@ -165,8 +166,12 @@ let run_one ~protocol ~nodes ~seed ~pool ~obs ~episodes ~routes_per_episode ~chu
     rss_after_mb = rss_mb ();
   }
 
-let emit_json buf ~seed results =
+let emit_json buf ~seed ~domains results =
   Buffer.add_string buf "{\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  \"host\": { \"cores\": %d, \"ocaml\": %s },\n" (Pool.default_domains ())
+       (Json.quote Sys.ocaml_version));
+  Buffer.add_string buf (Printf.sprintf "  \"domains\": %d,\n" domains);
   Buffer.add_string buf (Printf.sprintf "  \"seed\": %Ld,\n" seed);
   Buffer.add_string buf "  \"runs\": [\n";
   List.iteri
@@ -256,7 +261,7 @@ let run protocol_spec sizes_spec seed domains episodes routes churn_events trans
   Option.iter
     (fun path ->
       let jbuf = Buffer.create 4096 in
-      emit_json jbuf ~seed results;
+      emit_json jbuf ~seed ~domains:(Option.fold ~none:1 ~some:Pool.domain_count pool) results;
       let oc = open_out path in
       output_string oc (Buffer.contents jbuf);
       close_out oc)

@@ -84,10 +84,11 @@ let build config =
   let secrets = Array.map snd enrolled in
   let pastry = Pastry.build ~leaf_half_size:config.leaf_half_size ids in
   let peers = Array.init member_count (fun v -> Pastry.routing_peers pastry v) in
+  let router = Routes.Hierarchy.create graph ~classes:generated.Generate.classes in
   let peer_paths =
     Array.init member_count (fun v ->
         let targets = Array.map (fun peer -> host_router.(peer)) peers.(v) in
-        Routes.shortest_paths graph ~source:host_router.(v) ~targets)
+        Routes.Hierarchy.shortest_paths router ~source:host_router.(v) ~targets)
   in
   let trees =
     Array.init member_count (fun v ->

@@ -30,8 +30,10 @@ type world = {
 }
 
 val paper_scale : seed:int64 -> params
-(** ~110k routers / ~160k links / ~38k end hosts, so that 3% of end hosts
-    gives ~1,150 overlay nodes as in the paper. *)
+(** 110,400 nodes (320 transit routers, 71,680 stub routers, 38,400
+    attached end hosts) and ~158.4k links. [Graph.end_hosts] also counts the
+    ~5.2k stub routers left with degree 1, so it finds ~43.6k end hosts, and
+    3% of them gives 1,307–1,310 overlay nodes (seeds 1, 42, 1907). *)
 
 val small_scale : seed:int64 -> params
 (** ~1/16 of paper scale; the default for quick experiment runs. *)
@@ -40,7 +42,9 @@ val tiny : seed:int64 -> params
 (** A few hundred routers; unit-test sized. *)
 
 val generate : params -> world
-(** Deterministic for a given [params]. The result is always connected. *)
+(** Deterministic for a given [params]. The result is always connected, and
+    each stub domain reaches the transit core by exactly one link, from its
+    gateway router: the shape [Routes.Hierarchy] requires. *)
 
 val end_host_count : world -> int
 val class_of : world -> int -> node_class

@@ -108,22 +108,37 @@ let end_hosts t =
   done;
   Array.of_list !out
 
-let is_connected t =
-  if t.node_count = 0 then true
-  else begin
-    let visited = Bytes.make t.node_count '\000' in
-    let queue = Queue.create () in
-    Queue.add 0 queue;
-    Bytes.set visited 0 '\001';
-    let reached = ref 1 in
-    while not (Queue.is_empty queue) do
-      let node = Queue.pop queue in
-      iter_neighbors t node (fun ~neighbor ~link:_ ->
-          if Bytes.get visited neighbor = '\000' then begin
-            Bytes.set visited neighbor '\001';
-            incr reached;
-            Queue.add neighbor queue
-          end)
-    done;
-    !reached = t.node_count
-  end
+let components t ~member =
+  (* Union-find over the member-member links; each root is its component's
+     smallest node, so labels come out numbered in node order. *)
+  let parent = Array.init t.node_count Fun.id in
+  let rec find node =
+    let up = parent.(node) in
+    if up = node then node
+    else begin
+      parent.(node) <- parent.(up);
+      find parent.(up)
+    end
+  in
+  for link = 0 to t.link_count - 1 do
+    let u = t.endpoints_lo.(link) and v = t.endpoints_hi.(link) in
+    if member u && member v then begin
+      let ru = find u and rv = find v in
+      if ru < rv then parent.(rv) <- ru else if rv < ru then parent.(ru) <- rv
+    end
+  done;
+  let label = Array.make t.node_count (-1) in
+  let count = ref 0 in
+  for node = 0 to t.node_count - 1 do
+    if member node then begin
+      let root = find node in
+      if root = node then begin
+        label.(node) <- !count;
+        incr count
+      end
+      else label.(node) <- label.(root)
+    end
+  done;
+  label
+
+let is_connected t = Array.for_all (fun c -> c = 0) (components t ~member:(fun _ -> true))

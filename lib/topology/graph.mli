@@ -43,4 +43,9 @@ val link_between : t -> int -> int -> int option
 val end_hosts : t -> int array
 (** Nodes with degree exactly 1 — the paper's definition of an end host. *)
 
+val components : t -> member:(int -> bool) -> int array
+(** Connected components of the subgraph induced by the [member] nodes:
+    component ids 0, 1, ... numbered in order of each component's smallest
+    node, and -1 for nodes outside the subgraph. *)
+
 val is_connected : t -> bool

@@ -608,6 +608,26 @@ let test_world_overlay_matches_oracle () =
       World.small_config ~seed:2L;
     ]
 
+(* World routes with the hierarchical router; every peer path must be the
+   whole-graph BFS route. *)
+let test_world_peer_paths_match_bfs () =
+  List.iter
+    (fun config ->
+      let world = World.build config in
+      let graph = world.World.generated.World.Generate.graph in
+      Array.iteri
+        (fun v peers ->
+          let targets = Array.map (fun peer -> world.World.host_router.(peer)) peers in
+          let oracle =
+            World.Routes.shortest_paths graph ~source:world.World.host_router.(v) ~targets
+          in
+          if world.World.peer_paths.(v) <> oracle then
+            Alcotest.failf "world seed %Ld: node %d's peer paths differ from BFS"
+              config.World.seed v)
+        world.World.peers)
+    (List.map (fun seed -> World.tiny_config ~seed) [ 1L; 2L; 3L; 4L; 5L ]
+    @ List.map (fun seed -> World.small_config ~seed) [ 1L; 2L ])
+
 let test_world_tree_roots () =
   let world = Lazy.force world_fixture in
   for v = 0 to World.node_count world - 1 do
@@ -851,5 +871,6 @@ let suites =
         Alcotest.test_case "forest contains own tree" `Quick test_world_forest_includes_own_tree;
         Alcotest.test_case "overlay matches the list-based oracle" `Quick
           test_world_overlay_matches_oracle;
+        Alcotest.test_case "peer paths equal BFS routes" `Quick test_world_peer_paths_match_bfs;
       ] );
   ]

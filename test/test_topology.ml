@@ -35,6 +35,18 @@ let test_graph_dedup_and_self_loops () =
   check Alcotest.int "one link" 1 (Graph.link_count g);
   check Alcotest.bool "disconnected" false (Graph.is_connected g)
 
+let test_graph_components () =
+  (* 0-1-2 and 3-4 in the whole graph; without node 1, 0 and 2 split. *)
+  let b = Graph.Builder.create 5 in
+  Graph.Builder.add_link b 0 1;
+  Graph.Builder.add_link b 2 1;
+  Graph.Builder.add_link b 4 3;
+  let g = Graph.build b in
+  check (Alcotest.array Alcotest.int) "whole graph" [| 0; 0; 0; 1; 1 |]
+    (Graph.components g ~member:(fun _ -> true));
+  check (Alcotest.array Alcotest.int) "without node 1" [| 0; -1; 1; 2; 2 |]
+    (Graph.components g ~member:(fun node -> node <> 1))
+
 let test_graph_link_lookup () =
   let g = diamond () in
   (match Graph.link_between g 0 1 with
@@ -171,6 +183,121 @@ let prop_bfs_triangle_inequality =
       in
       distance a c <= distance a b + distance b c)
 
+(* ---------- Hierarchical routes ---------- *)
+
+(* Random transit-stub parameters, each field at its degenerate bound about
+   a third of the time: one transit domain, one router per transit domain,
+   one router per stub, no stubs, no end hosts, no chords. *)
+let gen_params =
+  let open QCheck.Gen in
+  let field lo hi = frequency [ (1, return lo); (2, int_range lo hi) ] in
+  map
+    (fun ((seed, td, rt, tc), (ie, sd, rs), (sc, eh)) ->
+      {
+        Generate.seed = Int64.of_int seed;
+        transit_domains = td;
+        routers_per_transit = rt;
+        transit_chords_per_domain = tc;
+        interdomain_extra_links = ie;
+        stub_domains_per_transit_router = sd;
+        routers_per_stub = rs;
+        stub_chords_per_domain = sc;
+        end_hosts_per_stub = eh;
+      })
+    (triple
+       (quad (int_range 0 1_000_000) (field 1 4) (field 1 5) (field 0 3))
+       (triple (field 0 3) (field 0 3) (field 1 8))
+       (pair (field 0 4) (field 0 4)))
+
+let print_params p =
+  Printf.sprintf
+    "seed %Ld, %d transit domains x %d routers (+%d chords, +%d interdomain), %d stubs per \
+     router x %d routers (+%d chords), %d end hosts per stub"
+    p.Generate.seed p.Generate.transit_domains p.Generate.routers_per_transit
+    p.Generate.transit_chords_per_domain p.Generate.interdomain_extra_links
+    p.Generate.stub_domains_per_transit_router p.Generate.routers_per_stub
+    p.Generate.stub_chords_per_domain p.Generate.end_hosts_per_stub
+
+(* One source of each kind present: a transit router, a stub router of
+   degree above 1, a degree-1 leaf stub router and an attached end host. *)
+let sources_by_class world rng =
+  let g = world.Generate.graph in
+  let pick keep =
+    let members = List.filter keep (List.init (Graph.node_count g) Fun.id) in
+    if members = [] then [] else [ Prng.choose rng (Array.of_list members) ]
+  in
+  let cls node = Generate.class_of world node in
+  pick (fun node -> cls node = Generate.Transit)
+  @ pick (fun node -> cls node = Generate.Stub && Graph.degree g node > 1)
+  @ pick (fun node -> cls node = Generate.Stub && Graph.degree g node = 1)
+  @ pick (fun node -> cls node = Generate.End_host)
+
+let prop_hierarchy_matches_bfs =
+  QCheck.Test.make ~name:"hierarchical routes = whole-graph BFS on generated worlds" ~count:150
+    (QCheck.make ~print:print_params gen_params)
+    (fun params ->
+      let world = Generate.generate params in
+      let g = world.Generate.graph in
+      let router = Routes.Hierarchy.create g ~classes:world.Generate.classes in
+      let targets = Array.init (Graph.node_count g) Fun.id in
+      let rng = Prng.of_seed params.Generate.seed in
+      List.iter
+        (fun source ->
+          let oracle = Routes.shortest_paths g ~source ~targets in
+          let routed = Routes.Hierarchy.shortest_paths router ~source ~targets in
+          Array.iteri
+            (fun target expected ->
+              if routed.(target) <> expected then
+                QCheck.Test.fail_reportf "route %d -> %d differs from the BFS oracle" source target)
+            oracle)
+        (sources_by_class world rng);
+      true)
+
+(* Nodes 0 and 1 are transit routers; the rest are stub routers. *)
+let hand_built ~nodes ~links =
+  let b = Graph.Builder.create nodes in
+  List.iter (fun (u, v) -> Graph.Builder.add_link b u v) links;
+  let classes =
+    Array.init nodes (fun node -> if node < 2 then Generate.Transit else Generate.Stub)
+  in
+  (Graph.build b, classes)
+
+let test_hierarchy_rejects_two_gateway_links () =
+  let rejects ~nodes ~links =
+    let g, classes = hand_built ~nodes ~links in
+    match Routes.Hierarchy.create g ~classes with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  (* Stub domain {2, 3} reaches the core from both of its routers. *)
+  check Alcotest.bool "two gateways" true
+    (rejects ~nodes:4 ~links:[ (0, 1); (2, 3); (2, 0); (3, 1) ]);
+  (* One gateway router with two links into the core. *)
+  check Alcotest.bool "two uplinks from one gateway" true
+    (rejects ~nodes:4 ~links:[ (0, 1); (2, 3); (2, 0); (2, 1) ]);
+  (* Stub domain {3} never reaches the core. *)
+  check Alcotest.bool "no uplink" true (rejects ~nodes:4 ~links:[ (0, 1); (2, 0) ]);
+  check Alcotest.bool "one uplink each" false
+    (rejects ~nodes:4 ~links:[ (0, 1); (2, 0); (3, 1) ])
+
+let test_hierarchy_split_core () =
+  (* Two unlinked transit routers, each with a two-router stub domain: routes
+     across the split are None, as in the BFS oracle. *)
+  let g, classes = hand_built ~nodes:6 ~links:[ (2, 0); (3, 2); (4, 1); (5, 4) ] in
+  let router = Routes.Hierarchy.create g ~classes in
+  let targets = Array.init 6 Fun.id in
+  for source = 0 to 5 do
+    let routed = Routes.Hierarchy.shortest_paths router ~source ~targets in
+    check Alcotest.bool
+      (Printf.sprintf "routes from %d equal the oracle's" source)
+      true
+      (routed = Routes.shortest_paths g ~source ~targets);
+    check Alcotest.bool
+      (Printf.sprintf "routes from %d reach across the split" source)
+      false
+      (Array.for_all Option.is_some routed)
+  done
+
 
 (* ---------- Serialize ---------- *)
 
@@ -215,6 +342,7 @@ let suites =
         Alcotest.test_case "link lookup" `Quick test_graph_link_lookup;
         Alcotest.test_case "end hosts" `Quick test_graph_end_hosts;
         Alcotest.test_case "add node" `Quick test_graph_add_node;
+        Alcotest.test_case "components" `Quick test_graph_components;
       ] );
     ( "topology.generate",
       [
@@ -235,5 +363,12 @@ let suites =
         Alcotest.test_case "link depth fraction" `Quick test_link_depth_fraction;
         qtest prop_bfs_paths_consistent;
         qtest prop_bfs_triangle_inequality;
+      ] );
+    ( "topology.hierarchy",
+      [
+        Alcotest.test_case "rejects a stub domain without exactly one uplink" `Quick
+          test_hierarchy_rejects_two_gateway_links;
+        Alcotest.test_case "split core routes are None" `Quick test_hierarchy_split_core;
+        qtest prop_hierarchy_matches_bfs;
       ] );
   ]

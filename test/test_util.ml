@@ -1,5 +1,4 @@
 module Prng = Concilium_util.Prng
-module Heap = Concilium_util.Heap
 module Bitset = Concilium_util.Bitset
 module Sorted = Concilium_util.Sorted
 module Ring_buffer = Concilium_util.Ring_buffer
@@ -110,72 +109,6 @@ let prop_shuffle_is_permutation =
       let array = Array.of_list list in
       Prng.shuffle rng array;
       List.sort Int.compare (Array.to_list array) = List.sort Int.compare list)
-
-(* ---------- Heap ---------- *)
-
-module Int_heap = Heap.Make (Int)
-
-let test_heap_basic () =
-  let h = Int_heap.create () in
-  check Alcotest.bool "empty" true (Int_heap.is_empty h);
-  List.iter (Int_heap.add h) [ 5; 1; 4; 2; 3 ];
-  check Alcotest.int "length" 5 (Int_heap.length h);
-  check (Alcotest.option Alcotest.int) "peek" (Some 1) (Int_heap.peek_min h);
-  check (Alcotest.list Alcotest.int) "sorted drain" [ 1; 2; 3; 4; 5 ] (Int_heap.to_sorted_list h);
-  check Alcotest.int "non-destructive" 5 (Int_heap.length h)
-
-let test_heap_pop_empty () =
-  let h = Int_heap.create () in
-  check (Alcotest.option Alcotest.int) "pop empty" None (Int_heap.pop_min h);
-  Alcotest.check_raises "pop_min_exn" (Invalid_argument "Heap.pop_min_exn: empty heap")
-    (fun () -> ignore (Int_heap.pop_min_exn h))
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:300
-    QCheck.(list int)
-    (fun list ->
-      let h = Int_heap.create () in
-      List.iter (Int_heap.add h) list;
-      let drained = ref [] in
-      let rec drain () =
-        match Int_heap.pop_min h with
-        | Some x ->
-            drained := x :: !drained;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      List.rev !drained = List.sort Int.compare list)
-
-let test_heap_capacity_shrinks () =
-  let h = Int_heap.create () in
-  for i = 1 to 4096 do
-    Int_heap.add h i
-  done;
-  let full = Int_heap.capacity h in
-  check Alcotest.bool "grew" true (full >= 4096);
-  for _ = 1 to 4000 do
-    ignore (Int_heap.pop_min h)
-  done;
-  check Alcotest.bool "shrank after draining"
-    true
-    (Int_heap.capacity h < full / 4);
-  (* Draining completely releases the backing array. *)
-  for _ = 1 to 96 do
-    ignore (Int_heap.pop_min h)
-  done;
-  check Alcotest.int "empty heap holds nothing" 0 (Int_heap.capacity h)
-
-let prop_heap_filter_in_place =
-  QCheck.Test.make ~name:"filter_in_place keeps exactly the survivors, sorted" ~count:200
-    QCheck.(pair (list int) (int_bound 7))
-    (fun (list, modulus) ->
-      let keep x = x mod (modulus + 2) <> 0 in
-      let h = Int_heap.create () in
-      List.iter (Int_heap.add h) list;
-      Int_heap.filter_in_place h ~keep;
-      let expected = List.sort Int.compare (List.filter keep list) in
-      Int_heap.to_sorted_list h = expected)
 
 (* ---------- Bitset ---------- *)
 
@@ -388,14 +321,6 @@ let suites =
         Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
         Alcotest.test_case "sample full population" `Quick test_sample_full_population;
         qtest prop_shuffle_is_permutation;
-      ] );
-    ( "util.heap",
-      [
-        Alcotest.test_case "basic operations" `Quick test_heap_basic;
-        Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
-        Alcotest.test_case "capacity shrinks" `Quick test_heap_capacity_shrinks;
-        qtest prop_heap_sorts;
-        qtest prop_heap_filter_in_place;
       ] );
     ( "util.bitset",
       [
