@@ -135,9 +135,16 @@ let blame_eq2_bench =
     (Staged.stage @@ fun () ->
      let store = Lazy.force observation_fixture in
      for i = 1 to 10 do
+       let selection =
+         Blame.select Blame.paper_config store
+           ~visible:(fun _ -> true)
+           ~exclude_prober:0 ~one_vote_per_prober:false ~links:[| 1; 2; 3; 4; 5 |]
+           ~drop_time:(600. *. float_of_int i)
+       in
        ignore
-         (Blame.blame Blame.paper_config ~observations:store ~links:[| 1; 2; 3; 4; 5 |]
-            ~drop_time:(600. *. float_of_int i) ~exclude_prober:0 ())
+         (Blame.blame_of_groups Blame.paper_config
+            ~up:(fun obs -> obs.Observation.up)
+            selection.Blame.counted)
      done)
 
 let minc_bench =

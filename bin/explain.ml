@@ -6,7 +6,7 @@
 
    Replay is bit-exact: a verdict node's probe children are the precise
    votes the judge counted (post defense knobs), in counting order, so
-   grouping them by link and feeding them to Blame.blame_of_observations
+   grouping them by link and folding them through Blame.blame_of_groups
    must reproduce the recorded blame to the last IEEE bit and the recorded
    verdict exactly. Any divergence means the protocol's provenance lies
    about what it did -- a bug, not a tolerance. The --inject-bug flag
@@ -185,7 +185,7 @@ let group_votes votes =
 let replay g vnode ~flip =
   let config = config_of g in
   let grouped = group_votes (probe_votes g vnode ~flip) in
-  let replayed = Blame.blame_of_observations config ~grouped in
+  let replayed = Blame.blame_of_groups config ~up:snd grouped in
   let recorded = float_field vnode "blame" in
   let verdict = string_field vnode "verdict" in
   let exonerated = bool_field vnode "exonerated" in

@@ -2,9 +2,7 @@
 
    Take one host's real probe tree from a generated world, give a few links
    known loss rates, run heavyweight striped probing, and compare the MINC
-   maximum-likelihood estimates with the ground truth. Then let one leaf
-   suppress acknowledgments and show the feedback-verification test
-   (Section 3.3) catching it.
+   maximum-likelihood estimates with the ground truth.
 
        dune exec examples/tomography_demo.exe *)
 
@@ -13,7 +11,6 @@ module Tree = Concilium_tomography.Tree
 module Logical_tree = Concilium_tomography.Logical_tree
 module Probing = Concilium_tomography.Probing
 module Minc = Concilium_tomography.Minc
-module Feedback_verify = Concilium_tomography.Feedback_verify
 module Prng = Concilium_util.Prng
 
 let () =
@@ -50,30 +47,4 @@ let () =
       (100. *. Minc.link_loss estimate node)
       (100. *. true_chain_loss)
       (if node = lossy_chain then "   <-- injected fault" else "")
-  done;
-
-  (* A suppressing leaf: drops 40% of its acknowledgments. *)
-  let victim = 0 in
-  let behavior i = if i = victim then Probing.Suppress_acks 0.4 else Probing.Honest in
-  let rounds =
-    Probing.probe_rounds ~rng ~loss_of_link:(fun _ -> 0.005) ~tree ~behavior ~count:2000 ()
-  in
-  let estimate = Minc.infer_from_rounds logical rounds in
-  let suspicions =
-    Feedback_verify.suspect_leaves estimate
-      ~expected_chain_success:(fun node ->
-        let chain = Logical_tree.chain logical node in
-        0.995 ** float_of_int (Array.length chain))
-      ~significance:0.001
-  in
-  print_endline "\nfeedback verification with leaf 0 suppressing 40% of acks:";
-  if suspicions = [] then print_endline "  nobody flagged (unexpected)"
-  else
-    List.iter
-      (fun s ->
-        Printf.printf "  leaf %d flagged: acked %.1f%% of rounds, %.1f%% expected (z = %.1f)\n"
-          s.Feedback_verify.leaf_index
-          (100. *. s.Feedback_verify.observed_rate)
-          (100. *. s.Feedback_verify.expected_rate)
-          s.Feedback_verify.z)
-      suspicions
+  done

@@ -70,21 +70,17 @@ let serialize_body b =
     b.config.Blame.guilt_threshold (serialize_evidence b.evidence)
     (String.concat "&" (List.map serialize_evidence b.supporting))
 
-(* Votes grouped per path link, excluding the accused's own contributions —
-   the layout Blame.blame_of_observations expects. *)
-let grouped_votes ~accused ~config:_ evidence =
-  Array.map
-    (fun link ->
-      match List.find_opt (fun le -> le.link = link) evidence.link_votes with
-      | None -> []
-      | Some le ->
-          List.filter_map
-            (fun v -> if Id.equal v.prober accused then None else Some (0, v.up))
-            le.votes)
-    evidence.path_links
-
+(* Votes grouped per path link, excluding the accused's own contributions,
+   folded through the judge's own Equation 3. *)
 let compute_blame ~accused ~config evidence =
-  Blame.blame_of_observations config ~grouped:(grouped_votes ~accused ~config evidence)
+  Blame.blame_of_groups config
+    ~up:(fun v -> v.up)
+    (Array.map
+       (fun link ->
+         match List.find_opt (fun le -> le.link = link) evidence.link_votes with
+         | None -> []
+         | Some le -> List.filter (fun v -> not (Id.equal v.prober accused)) le.votes)
+       evidence.path_links)
 
 let make ~accuser ~secret ~public ~accused ~config ~evidence ~supporting ~now =
   let blame = compute_blame ~accused ~config evidence in

@@ -19,57 +19,67 @@ let link_bad_confidence ~accuracy ~up_votes ~down_votes =
     ((up *. (1. -. accuracy)) +. (down *. accuracy)) /. float_of_int total
   end
 
-let confidence_of_votes config votes =
-  (* votes: (prober, up) pairs for one link. *)
-  let up_votes = List.length (List.filter snd votes) in
-  let down_votes = List.length votes - up_votes in
-  link_bad_confidence ~accuracy:config.accuracy ~up_votes ~down_votes
+type selection = {
+  counted : Observation.observation list array;
+  excluded : int;
+  deduped : int;
+}
 
-let dedup_votes votes =
-  (* One vote per prober, the prober's latest in the list winning (votes
-     arrive oldest-first from [Observation.on_link]). The in-place update
-     keeps each prober at its first-occurrence position, so the result is
-     independent of any hash order. *)
-  let rec update acc prober up =
+(* One vote per prober, the prober's latest winning (a window arrives
+   oldest-first). The in-place update keeps each prober at its
+   first-occurrence position, so the result is independent of any hash
+   order. *)
+let latest_per_prober window =
+  let rec update acc (obs : Observation.observation) =
     match acc with
-    | [] -> [ (prober, up) ]
-    | (p, _) :: rest when p = prober -> (p, up) :: rest
-    | pair :: rest -> pair :: update rest prober up
+    | [] -> [ obs ]
+    | (o : Observation.observation) :: rest when o.prober = obs.prober -> obs :: rest
+    | o :: rest -> o :: update rest obs
   in
-  List.fold_left (fun acc (prober, up) -> update acc prober up) [] votes
+  List.fold_left update [] window
 
-let path_bad_confidence config ~observations ~links ~drop_time ~exclude_prober
-    ?(visible = fun _ -> true) ?(one_vote_per_prober = false) () =
+let select config observations ~visible ~exclude_prober ~one_vote_per_prober ~links ~drop_time =
   check_config config;
   let lo = drop_time -. config.delta and hi = drop_time +. config.delta in
-  Array.fold_left
-    (fun best link ->
-      let votes =
-        List.filter_map
-          (fun obs ->
-            if obs.Observation.prober = exclude_prober || not (visible obs.Observation.prober)
-            then None
-            else Some (obs.Observation.prober, obs.Observation.up))
-          (Observation.on_link observations ~link ~lo ~hi)
-      in
-      let votes = if one_vote_per_prober then dedup_votes votes else votes in
-      if votes = [] then best else max best (confidence_of_votes config votes))
-    0. links
-
-let blame config ~observations ~links ~drop_time ~exclude_prober ?(visible = fun _ -> true)
-    ?(one_vote_per_prober = false) () =
-  1.
-  -. path_bad_confidence config ~observations ~links ~drop_time ~exclude_prober ~visible
-       ~one_vote_per_prober ()
-
-let blame_of_observations config ~grouped =
-  check_config config;
-  let worst =
-    Array.fold_left
-      (fun best votes -> if votes = [] then best else max best (confidence_of_votes config votes))
-      0. grouped
+  let excluded = ref 0 and deduped = ref 0 in
+  let counted =
+    Array.map
+      (fun link ->
+        let kept =
+          List.filter
+            (fun (obs : Observation.observation) ->
+              if not (visible obs.prober) then false
+              else if obs.prober = exclude_prober then begin
+                incr excluded;
+                false
+              end
+              else true)
+            (Observation.on_link observations ~link ~lo ~hi)
+        in
+        if not one_vote_per_prober then kept
+        else begin
+          let votes = latest_per_prober kept in
+          deduped := !deduped + (List.length kept - List.length votes);
+          votes
+        end)
+      links
   in
-  1. -. worst
+  { counted; excluded = !excluded; deduped = !deduped }
+
+let bad_confidence config ~up groups =
+  check_config config;
+  Array.fold_left
+    (fun best votes ->
+      match votes with
+      | [] -> best
+      | _ :: _ ->
+          let up_votes = List.length (List.filter up votes) in
+          max best
+            (link_bad_confidence ~accuracy:config.accuracy ~up_votes
+               ~down_votes:(List.length votes - up_votes)))
+    0. groups
+
+let blame_of_groups config ~up groups = 1. -. bad_confidence config ~up groups
 
 type verdict = Guilty | Innocent
 

@@ -10,7 +10,11 @@
 
     where a is probe accuracy and max is fuzzy-logic OR. Blame for B is the
     complement: Pr(B faulty) = 1 - Pr(B->C bad). B's own probe results are
-    excluded so B cannot exculpate itself with fabricated data. *)
+    excluded so B cannot exculpate itself with fabricated data.
+
+    The votes a judge counts are also the evidence it signs: {!select}
+    reads the window once, and the judge, an accusation's verifier and the
+    provenance replay all fold their votes through {!bad_confidence}. *)
 
 module Observation = Concilium_tomography.Observation
 
@@ -27,49 +31,40 @@ val link_bad_confidence : accuracy:float -> up_votes:int -> down_votes:int -> fl
 (** The inner average of Equation 3 for one link: each "up" probe
     contributes (1 - a), each "down" probe contributes a. *)
 
-val dedup_votes : (int * bool) list -> (int * bool) list
-(** One vote per prober: each prober keeps its latest vote in the list
-    (votes are oldest-first as produced by [Observation.on_link]), at its
-    first-occurrence position. This is the ballot-stuffing defense — a
-    compromised prober that floods duplicate corroborating reports into a
-    judgment window collapses back to a single voice. *)
+type selection = {
+  counted : Observation.observation list array;
+      (** one entry per path link, in path order (a repeated link appears
+          once per occurrence): the votes counted, in counting order *)
+  excluded : int;  (** visible votes removed because their prober was excluded *)
+  deduped : int;  (** votes collapsed by one-vote-per-prober, after exclusion *)
+}
 
-val path_bad_confidence :
+val select :
   config ->
-  observations:Observation.t ->
+  Observation.t ->
+  visible:(int -> bool) ->
+  exclude_prober:int ->
+  one_vote_per_prober:bool ->
   links:int array ->
   drop_time:float ->
-  exclude_prober:int ->
-  ?visible:(int -> bool) ->
-  ?one_vote_per_prober:bool ->
-  unit ->
-  float
-(** Equation 3 over a full path: the fuzzy OR (max) across links of the
-    per-link confidence. Links with no probe results in the window are
-    skipped; if no link has any result the confidence is 0 (nothing
-    suggests the network failed, so the forwarder absorbs the blame).
-    [visible] restricts the probers whose snapshots the judge actually
-    holds (default: everyone); the judged node is excluded regardless.
-    [one_vote_per_prober] (default false) applies {!dedup_votes} per link
-    before averaging. *)
+  selection
+(** The votes a judge counts for a drop at [drop_time] over [links]: each
+    link's observations in [drop_time - delta, drop_time + delta], oldest
+    first, from probers the judge can see ([visible]), minus those of
+    [exclude_prober]. With [one_vote_per_prober], each prober keeps only
+    its latest vote on a link, at its first-occurrence position: the
+    ballot-stuffing defense, under which a prober that floods duplicate
+    reports into a window collapses back to a single voice. *)
 
-val blame :
-  config ->
-  observations:Observation.t ->
-  links:int array ->
-  drop_time:float ->
-  exclude_prober:int ->
-  ?visible:(int -> bool) ->
-  ?one_vote_per_prober:bool ->
-  unit ->
-  float
-(** Equation 2: 1 - {!path_bad_confidence}. *)
+val bad_confidence : config -> up:('v -> bool) -> 'v list array -> float
+(** Equation 3 over per-link vote groups, [up] reading a vote's polarity:
+    the fuzzy OR (max) across groups of {!link_bad_confidence}. Empty
+    groups are skipped; if every group is empty the confidence is 0
+    (nothing suggests the network failed, so the forwarder absorbs the
+    blame). *)
 
-val blame_of_observations :
-  config -> grouped:(int * bool) list array -> float
-(** Pure form used by accusation verification: [grouped.(i)] lists
-    (prober, up) votes for the i-th link; returns 1 - max-link confidence.
-    The caller has already applied windowing and prober exclusion. *)
+val blame_of_groups : config -> up:('v -> bool) -> 'v list array -> float
+(** Equation 2: 1 - {!bad_confidence}. *)
 
 type verdict = Guilty | Innocent
 

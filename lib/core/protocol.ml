@@ -549,22 +549,19 @@ let window_for t ~judge ~suspect =
       Hashtbl.replace t.windows (judge, suspect) w;
       w
 
-let visible_to t judge prober =
-  prober = judge || Array.exists (( = ) prober) t.world.World.peers.(judge)
+(* The votes [judge] counts against [suspect] for a drop, read once from
+   the store: its forest's in-window observations of each path link. The
+   Section 3.4 self-exculpation defense drops the suspect's own reports;
+   [-1] never matches a real prober, so the defense-off soak canary can
+   observe the attack. *)
+let select_votes t ~judge ~suspect ~links ~drop_time =
+  Blame.select t.config.blame t.observations
+    ~visible:(fun prober ->
+      prober = judge || Array.exists (( = ) prober) t.world.World.peers.(judge))
+    ~exclude_prober:(if t.config.exclude_suspect_probes then suspect else -1)
+    ~one_vote_per_prober:t.config.one_vote_per_prober ~links ~drop_time
 
-(* Mirror of [Blame.dedup_votes] over raw observations: one observation per
-   prober, the prober's latest winning, first-occurrence positions
-   preserved. The archived evidence must count exactly the votes the
-   verdict counted, or [Accusation.make]'s recomputation would diverge
-   from the judge's own arithmetic. *)
-let dedup_observations obs_list =
-  let rec update acc obs =
-    match acc with
-    | [] -> [ obs ]
-    | o :: rest when o.Observation.prober = obs.Observation.prober -> obs :: rest
-    | o :: rest -> o :: update rest obs
-  in
-  List.fold_left update [] obs_list
+let counted_up (obs : Observation.observation) = obs.up
 
 (* Provenance of one judgment's evidence: the arena nodes of the exact
    votes that were counted (post defense filtering, in vote order), and
@@ -575,78 +572,42 @@ type prov_evidence = {
   deduped : int;  (** collapsed by [one_vote_per_prober] *)
 }
 
-(* Collect the signed per-link votes a judge can present as evidence: the
-   window-relevant observations of its own forest, re-signed here as they
-   would appear inside the provers' archived snapshots. Also returns the
-   evidence's provenance so the verdict node can cite the exact votes. *)
-let gather_evidence t ~judge ~suspect ~links ~drop_time ~commitment =
-  let lo = drop_time -. t.config.blame.Blame.delta in
-  let hi = drop_time +. t.config.blame.Blame.delta in
-  let excluded = ref 0 in
-  let deduped = ref 0 in
-  let probes = ref [] in
-  let link_votes =
-    Array.to_list links
-    |> List.filter_map (fun link ->
-           let visible =
-             List.filter
-               (fun obs -> visible_to t judge obs.Observation.prober)
-               (Observation.on_link t.observations ~link ~lo ~hi)
-           in
-           let kept =
-             List.filter
-               (fun obs ->
-                 let keep =
-                   not (t.config.exclude_suspect_probes && obs.Observation.prober = suspect)
-                 in
-                 if not keep then incr excluded;
-                 keep)
-               visible
-           in
-           let usable = if t.config.one_vote_per_prober then dedup_observations kept else kept in
-           deduped := !deduped + (List.length kept - List.length usable);
-           if Prov.enabled t.obs.Obs.prov then
-             List.iter
-               (fun obs ->
-                 match prov_probe_of t obs with
-                 | Some node -> probes := node :: !probes
-                 | None -> ())
-               usable;
-           let votes =
-             List.map
-               (fun obs ->
-                 let prober = obs.Observation.prober in
-                 Accusation.make_vote ~prober:(World.id_of t.world prober)
-                   ~secret:t.world.World.secrets.(prober)
-                   ~public:(World.public_key_of t.world prober)
-                   ~link ~time:obs.Observation.time ~up:obs.Observation.up)
-               usable
-           in
-           if votes = [] then None else Some { Accusation.link; votes })
-  in
-  ( { Accusation.path_links = links; link_votes; drop_time; commitment },
-    { probes = List.rev !probes; excluded = !excluded; deduped = !deduped } )
-
 (* Phase A of a judgment: compute the verdict and archive-ready evidence
    without touching any window. Windows are only charged (phase B, below)
    after the revision chain has had its say, so a downstream exoneration
    reaches the judge's books instead of silently accruing guilt against an
-   honest forwarder. *)
+   honest forwarder. The evidence is the selection the verdict counted,
+   re-signed as the votes would appear inside the provers' archived
+   snapshots, and its provenance cites the same votes. *)
 let evaluate_suspect t ~judge ~suspect ~links ~drop_time ~commitment =
-  (* The Section 3.4 self-exculpation defense: the suspect's own probe
-     reports never count towards its own judgment. [-1] never matches a
-     real prober, so the defense-off soak canary can observe the attack. *)
-  let exclude = if t.config.exclude_suspect_probes then suspect else -1 in
-  let blame =
-    Blame.blame t.config.blame ~observations:t.observations ~links ~drop_time
-      ~exclude_prober:exclude ~visible:(visible_to t judge)
-      ~one_vote_per_prober:t.config.one_vote_per_prober ()
-  in
+  let selection = select_votes t ~judge ~suspect ~links ~drop_time in
+  let blame = Blame.blame_of_groups t.config.blame ~up:counted_up selection.Blame.counted in
   let verdict = Blame.verdict_of_blame t.config.blame blame in
   Log.debug (fun m ->
       m "node %d judges %d: blame %.3f -> %a" judge suspect blame Blame.pp_verdict verdict);
-  let evidence, prov_info = gather_evidence t ~judge ~suspect ~links ~drop_time ~commitment in
-  (verdict, blame, evidence, prov_info)
+  let sign (obs : Observation.observation) =
+    Accusation.make_vote ~prober:(World.id_of t.world obs.prober)
+      ~secret:t.world.World.secrets.(obs.prober)
+      ~public:(World.public_key_of t.world obs.prober)
+      ~link:obs.link ~time:obs.time ~up:obs.up
+  in
+  let counted = Array.to_list selection.Blame.counted in
+  let link_votes =
+    List.filter_map
+      (function
+        | [] -> None
+        | (obs : Observation.observation) :: _ as votes ->
+            Some { Accusation.link = obs.link; votes = List.map sign votes })
+      counted
+  in
+  let probes =
+    if Prov.enabled t.obs.Obs.prov then List.concat_map (List.filter_map (prov_probe_of t)) counted
+    else []
+  in
+  ( verdict,
+    blame,
+    { Accusation.path_links = links; link_votes; drop_time; commitment },
+    { probes; excluded = selection.Blame.excluded; deduped = selection.Blame.deduped } )
 
 (* Hang a verdict node's evidence under it: defense interventions first,
    then the counted votes in vote order, then episode-scoped events (tap
@@ -1075,12 +1036,9 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                       | Some path -> path.Routes.links
                       | None -> [||]
                     in
-                    let exclude = if t.config.exclude_suspect_probes then b else -1 in
                     let confidence =
-                      Blame.path_bad_confidence t.config.blame ~observations:t.observations
-                        ~links ~drop_time ~exclude_prober:exclude
-                        ~visible:(visible_to t a)
-                        ~one_vote_per_prober:t.config.one_vote_per_prober ()
+                      Blame.bad_confidence t.config.blame ~up:counted_up
+                        (select_votes t ~judge:a ~suspect:b ~links ~drop_time).Blame.counted
                     in
                     if confidence >= 1. -. t.config.blame.Blame.guilt_threshold then
                       Hashtbl.replace judgments a

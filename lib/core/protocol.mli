@@ -58,9 +58,9 @@ type config = {
           adversarial soaks disable it to demonstrate self-exculpation *)
   one_vote_per_prober : bool;
       (** the ballot-stuffing defense: per link, each prober's latest
-          in-window observation is its only vote ({!Blame.dedup_votes}),
-          applied identically to verdicts and archived evidence. Default
-          [true]; disabling lets forged duplicate reports stack *)
+          in-window observation is its only vote ({!Blame.select}, the one
+          selection both a verdict and its archived evidence come from).
+          Default [true]; disabling lets forged duplicate reports stack *)
   validation_gamma_jump : float;
       (** jump-table density slack used when validating routing-state
           advertisements (Section 3.1); [infinity] disables the density

@@ -1,4 +1,5 @@
 module World = Concilium_core.World
+module Blame = Concilium_core.Blame
 module Prng = Concilium_util.Prng
 module Hashing = Concilium_util.Hashing
 module Sorted = Concilium_util.Sorted
@@ -177,15 +178,10 @@ let judge t ~judge:a ~suspect:b ~next_hop:c ~time =
                 done
               end)
             (World.vouchers t.world ~link);
-          let total = !up_votes + !down_votes in
-          if total > 0 then begin
-            let confidence =
-              ((float_of_int !up_votes *. (1. -. t.config.accuracy))
-              +. (float_of_int !down_votes *. t.config.accuracy))
-              /. float_of_int total
-            in
-            if confidence > !worst then worst := confidence
-          end)
+          worst :=
+            Float.max !worst
+              (Blame.link_bad_confidence ~accuracy:t.config.accuracy ~up_votes:!up_votes
+                 ~down_votes:!down_votes))
         links;
       let path_actually_good =
         Link_history.path_is_good_at t.failures.Failures.history ~links ~time

@@ -17,7 +17,7 @@
 
     Replay contract: a [verdict] node's [probe] children carry exactly
     the votes the protocol counted (post defense filtering), so grouping
-    them by link and replaying through [Blame.blame_of_observations]
+    them by link and replaying through [Blame.blame_of_groups]
     must reproduce the recorded blame and verdict bit-for-bit.
     [bin/explain.exe --validate-all] enforces this; a divergence is a
     bug in either the recorder or the protocol. *)

@@ -21,11 +21,6 @@ let on_link t ~link ~lo ~hi =
       List.rev
         (List.filter (fun obs -> obs.time >= lo && obs.time <= hi) !cell)
 
-let latest_on_link t ~link =
-  match Hashtbl.find_opt t.table link with
-  | None | Some { contents = [] } -> None
-  | Some { contents = newest :: _ } -> Some newest
-
 let prune_before t horizon =
   (* Each cell is filtered independently; the visit order cannot change the
      outcome.  lint: allow hashtbl-order *)

@@ -21,8 +21,6 @@ val count : t -> int
 val on_link : t -> link:int -> lo:float -> hi:float -> observation list
 (** Observations of [link] with [lo <= time <= hi], oldest first. *)
 
-val latest_on_link : t -> link:int -> observation option
-
 val prune_before : t -> float -> unit
 (** Discard observations older than the horizon, bounding memory in long
     runs. *)

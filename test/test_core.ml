@@ -44,13 +44,21 @@ let store_with observations =
     observations;
   store
 
+let select ?(visible = fun _ -> true) ?(one_vote_per_prober = false) ~exclude_prober ~links
+    ~drop_time store =
+  Blame.select blame_config store ~visible ~exclude_prober ~one_vote_per_prober ~links ~drop_time
+
+let counted_up obs = obs.Observation.up
+
+let selection_blame selection =
+  Blame.blame_of_groups blame_config ~up:counted_up selection.Blame.counted
+
 let test_blame_excludes_judged_node () =
   (* Only the suspect (prober 7) claims the link was down; its vote must be
      ignored, leaving an all-up view and full blame. *)
   let store = store_with [ (100., 7, 1, false); (100., 3, 1, true); (101., 4, 1, true) ] in
   let blame =
-    Blame.blame blame_config ~observations:store ~links:[| 1 |] ~drop_time:100.
-      ~exclude_prober:7 ()
+    selection_blame (select store ~links:[| 1 |] ~drop_time:100. ~exclude_prober:7)
   in
   checkf 1e-9 "self-exculpation ignored" 0.9 blame
 
@@ -58,8 +66,7 @@ let test_blame_window_filtering () =
   let store = store_with [ (10., 1, 2, false); (500., 2, 2, false) ] in
   (* At drop time 500 only the second observation is in [440, 560]. *)
   let blame =
-    Blame.blame blame_config ~observations:store ~links:[| 2 |] ~drop_time:500.
-      ~exclude_prober:(-1) ()
+    selection_blame (select store ~links:[| 2 |] ~drop_time:500. ~exclude_prober:(-1))
   in
   checkf 1e-9 "one down vote" (1. -. 0.9) blame
 
@@ -68,18 +75,39 @@ let test_blame_fuzzy_or_takes_worst_link () =
     store_with [ (100., 1, 0, true); (100., 2, 1, false); (100., 3, 2, true) ]
   in
   let confidence =
-    Blame.path_bad_confidence blame_config ~observations:store ~links:[| 0; 1; 2 |]
-      ~drop_time:100. ~exclude_prober:(-1) ()
+    Blame.bad_confidence blame_config ~up:counted_up
+      (select store ~links:[| 0; 1; 2 |] ~drop_time:100. ~exclude_prober:(-1)).Blame.counted
   in
   checkf 1e-9 "max over links" 0.9 confidence
 
 let test_blame_visibility_filter () =
   let store = store_with [ (100., 5, 1, false) ] in
   let blame =
-    Blame.blame blame_config ~observations:store ~links:[| 1 |] ~drop_time:100.
-      ~exclude_prober:(-1) ~visible:(fun prober -> prober <> 5) ()
+    selection_blame
+      (select store ~links:[| 1 |] ~drop_time:100. ~exclude_prober:(-1)
+         ~visible:(fun prober -> prober <> 5))
   in
   checkf 1e-9 "invisible prober ignored" 1. blame
+
+let test_blame_one_vote_per_prober () =
+  (* Prober 3 reports the link down, prober 4 up, then prober 3 re-reports
+     it up: 3's later vote replaces its earlier one at the earlier
+     position, so both counted votes are "up". *)
+  let store = store_with [ (90., 3, 1, false); (95., 4, 1, true); (100., 3, 1, true) ] in
+  let selection =
+    select store ~links:[| 1 |] ~drop_time:100. ~exclude_prober:(-1) ~one_vote_per_prober:true
+  in
+  check
+    Alcotest.(list (triple int (float 0.) bool))
+    "latest vote at first position"
+    [ (3, 100., true); (4, 95., true) ]
+    (List.map
+       (fun obs -> (obs.Observation.prober, obs.Observation.time, obs.Observation.up))
+       selection.Blame.counted.(0));
+  check Alcotest.int "one vote collapsed" 1 selection.Blame.deduped;
+  checkf 1e-9 "two up votes" 0.9 (selection_blame selection);
+  checkf 1e-9 "without dedup the stale down vote counts" (1. -. (1.1 /. 3.))
+    (selection_blame (select store ~links:[| 1 |] ~drop_time:100. ~exclude_prober:(-1)))
 
 let test_verdict_threshold () =
   check Alcotest.bool "guilty" true
@@ -95,10 +123,89 @@ let prop_blame_in_unit_interval =
         store_with (List.map (fun (prober, link, up) -> (100., prober, link, up)) raw)
       in
       let blame =
-        Blame.blame blame_config ~observations:store ~links:[| 0; 1; 2; 3 |] ~drop_time:100.
-          ~exclude_prober:0 ()
+        selection_blame (select store ~links:[| 0; 1; 2; 3 |] ~drop_time:100. ~exclude_prober:0)
       in
       blame >= 0. && blame <= 1.)
+
+(* Random windows around a drop at t = 100: six probers, five stored links
+   (a sixth path link has no votes), times that include drop +/- Delta
+   exactly and the nearest floats outside it, and a prefix of the reports
+   recorded twice (identical re-reports). The judge (prober 0) sees its
+   forest plus itself; the suspect is any prober, the judge included. *)
+let arbitrary_window =
+  let delta = blame_config.Blame.delta in
+  let times =
+    [| 100. -. delta; 100. +. delta; Float.pred (100. -. delta); Float.succ (100. +. delta);
+       100.; 45.; 155.; 10.; 190. |]
+  in
+  let observation =
+    QCheck.Gen.(
+      map
+        (fun (prober, link, time, up) -> (times.(time), prober, link, up))
+        (quad (int_bound 5) (int_bound 4) (int_bound (Array.length times - 1)) bool))
+  in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((reports, repeated), (forest, suspect, links)) ->
+          let rec prefix n = function
+            | x :: rest when n > 0 -> x :: prefix (n - 1) rest
+            | _ -> []
+          in
+          (reports @ prefix repeated reports, forest, suspect, Array.of_list links))
+        (pair
+           (pair (list_size (int_bound 30) observation) (int_bound 6))
+           (triple (list_repeat 6 bool) (int_bound 5) (list_size (int_range 1 6) (int_bound 5)))))
+  in
+  let print (reports, forest, suspect, links) =
+    Printf.sprintf "reports=[%s] forest=[%s] suspect=%d links=[%s]"
+      (String.concat "; "
+         (List.map
+            (fun (time, prober, link, up) -> Printf.sprintf "(%h,%d,%d,%b)" time prober link up)
+            reports))
+      (String.concat ";" (List.map string_of_bool forest))
+      suspect
+      (String.concat ";" (Array.to_list (Array.map string_of_int links)))
+  in
+  QCheck.make ~print gen
+
+let prop_select_matches_oracles =
+  QCheck.Test.make ~name:"one selection counts what both oracle selections counted" ~count:500
+    arbitrary_window (fun (reports, forest, suspect, links) ->
+      let store = store_with reports in
+      let visible prober = prober = 0 || List.nth forest prober in
+      let drop_time = 100. in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun (exclude_suspect_probes, one_vote_per_prober) ->
+          let exclude_prober = if exclude_suspect_probes then suspect else -1 in
+          let selection =
+            select store ~visible ~one_vote_per_prober ~exclude_prober ~links ~drop_time
+          in
+          let evidence =
+            Blame_oracle.gather_evidence blame_config ~observations:store ~visible ~suspect
+              ~exclude_suspect_probes ~one_vote_per_prober ~links ~drop_time
+          in
+          let counted =
+            List.filter_map
+              (function [] -> None | obs :: _ as votes -> Some (obs.Observation.link, votes))
+              (Array.to_list selection.Blame.counted)
+          in
+          let oracle_confidence =
+            Blame_oracle.path_bad_confidence blame_config ~observations:store ~links ~drop_time
+              ~exclude_prober ~visible ~one_vote_per_prober ()
+          in
+          let oracle_blame =
+            Blame_oracle.blame blame_config ~observations:store ~links ~drop_time
+              ~exclude_prober ~visible ~one_vote_per_prober ()
+          in
+          counted = evidence.Blame_oracle.link_votes
+          && selection.Blame.excluded = evidence.Blame_oracle.excluded
+          && selection.Blame.deduped = evidence.Blame_oracle.deduped
+          && bits (Blame.bad_confidence blame_config ~up:counted_up selection.Blame.counted)
+             = bits oracle_confidence
+          && bits (selection_blame selection) = bits oracle_blame)
+        [ (true, true); (true, false); (false, true); (false, false) ])
 
 (* ---------- Verdict window ---------- *)
 
@@ -797,8 +904,10 @@ let suites =
         Alcotest.test_case "time window" `Quick test_blame_window_filtering;
         Alcotest.test_case "fuzzy OR over links" `Quick test_blame_fuzzy_or_takes_worst_link;
         Alcotest.test_case "visibility filter" `Quick test_blame_visibility_filter;
+        Alcotest.test_case "one vote per prober" `Quick test_blame_one_vote_per_prober;
         Alcotest.test_case "verdict threshold" `Quick test_verdict_threshold;
         qtest prop_blame_in_unit_interval;
+        qtest prop_select_matches_oracles;
       ] );
     ( "core.verdict_window",
       [

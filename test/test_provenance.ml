@@ -239,7 +239,7 @@ let test_protocol_verdicts_replay_bit_exactly () =
   List.iter
     (fun vnode ->
       let kind, exonerated, recorded = verdict_fields prov vnode in
-      let replayed = Blame.blame_of_observations config ~grouped:(grouped_votes prov vnode) in
+      let replayed = Blame.blame_of_groups config ~up:snd (grouped_votes prov vnode) in
       check Alcotest.bool
         (Printf.sprintf "verdict %d blame replays bit-exactly" vnode)
         true

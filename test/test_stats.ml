@@ -5,7 +5,6 @@ module Beta = Concilium_stats.Beta
 module Poisson_binomial = Concilium_stats.Poisson_binomial
 module Descriptive = Concilium_stats.Descriptive
 module Histogram = Concilium_stats.Histogram
-module Hypothesis = Concilium_stats.Hypothesis
 module Prng = Concilium_util.Prng
 
 let check = Alcotest.check
@@ -180,22 +179,6 @@ let test_histogram_fraction_at_least () =
   List.iter (Histogram.add h) [ 0.05; 0.15; 0.55; 0.95 ];
   checkf 1e-9 "fraction >= 0.5" 0.5 (Histogram.fraction_at_least h 0.5)
 
-(* ---------- Hypothesis ---------- *)
-
-let test_two_proportion_z () =
-  let z = Hypothesis.two_proportion_z ~successes1:80 ~trials1:100 ~successes2:50 ~trials2:100 in
-  check Alcotest.bool "sign" true (z > 0.);
-  (* pooled p = 0.65, se = sqrt(0.65*0.35*0.02), z = 0.3/se. *)
-  checkf 0.01 "magnitude" 4.4475 z;
-  checkf 1e-9 "identical proportions" 0.
-    (Hypothesis.two_proportion_z ~successes1:50 ~trials1:100 ~successes2:50 ~trials2:100)
-
-let test_one_proportion_z () =
-  let z = Hypothesis.one_proportion_z ~successes:30 ~trials:100 ~p0:0.5 in
-  checkf 0.001 "z" (-4.) z;
-  let p = Hypothesis.one_proportion_p_value_upper ~successes:70 ~trials:100 ~p0:0.5 in
-  check Alcotest.bool "significant" true (p < 0.01)
-
 let suites =
   [
     ( "stats.special",
@@ -240,10 +223,5 @@ let suites =
       [
         Alcotest.test_case "binning and pdf" `Quick test_histogram_binning;
         Alcotest.test_case "fraction_at_least" `Quick test_histogram_fraction_at_least;
-      ] );
-    ( "stats.hypothesis",
-      [
-        Alcotest.test_case "two-proportion z" `Quick test_two_proportion_z;
-        Alcotest.test_case "one-proportion z" `Quick test_one_proportion_z;
       ] );
   ]

@@ -6,7 +6,6 @@ module Probing = Concilium_tomography.Probing
 module Minc = Concilium_tomography.Minc
 module Observation = Concilium_tomography.Observation
 module Snapshot = Concilium_tomography.Snapshot
-module Feedback_verify = Concilium_tomography.Feedback_verify
 module Freshness = Concilium_overlay.Freshness
 module Id = Concilium_overlay.Id
 module Pki = Concilium_crypto.Pki
@@ -214,9 +213,6 @@ let test_observation_window_queries () =
   let window = Observation.on_link store ~link:5 ~lo:15. ~hi:30. in
   check Alcotest.int "windowed" 2 (List.length window);
   check (Alcotest.float 1e-9) "oldest first" 20. (List.hd window).Observation.time;
-  (match Observation.latest_on_link store ~link:5 with
-  | Some obs -> check (Alcotest.float 1e-9) "latest" 30. obs.Observation.time
-  | None -> Alcotest.fail "expected latest");
   Observation.prune_before store 25.;
   check Alcotest.int "pruned" 1 (Observation.count store)
 
@@ -261,61 +257,6 @@ let test_snapshot_wire_size () =
   let _, snapshot = snapshot_fixture () in
   (* 1 entry: header 20 + 145 + signature 128. *)
   check Alcotest.int "wire bytes" (20 + 145 + 128) (Snapshot.wire_bytes snapshot)
-
-(* ---------- Feedback verification ---------- *)
-
-let test_feedback_flags_suppressor () =
-  let _, tree = fixture_tree () in
-  let logical = Logical_tree.of_tree tree in
-  let rng = Prng.of_seed 80L in
-  let behavior i = if i = 1 then Probing.Suppress_acks 0.5 else Probing.Honest in
-  let rounds =
-    Probing.probe_rounds ~rng ~loss_of_link:(fun _ -> 0.01) ~tree ~behavior ~count:800 ()
-  in
-  let estimate = Minc.infer_from_rounds logical rounds in
-  let suspicions =
-    Feedback_verify.suspect_leaves estimate
-      ~expected_chain_success:(fun _ -> 0.99)
-      ~significance:0.001
-  in
-  check (Alcotest.list Alcotest.int) "suppressor flagged" [ 1 ]
-    (List.map (fun s -> s.Feedback_verify.leaf_index) suspicions)
-
-let test_feedback_accepts_honest_world () =
-  let _, tree = fixture_tree () in
-  let logical = Logical_tree.of_tree tree in
-  let rng = Prng.of_seed 81L in
-  let rounds = Probing.probe_rounds ~rng ~loss_of_link:(fun _ -> 0.01) ~tree ~count:800 () in
-  let estimate = Minc.infer_from_rounds logical rounds in
-  let suspicions =
-    Feedback_verify.suspect_leaves estimate
-      ~expected_chain_success:(fun _ -> 0.97)
-      ~significance:0.001
-  in
-  check (Alcotest.list Alcotest.int) "nobody flagged" []
-    (List.map (fun s -> s.Feedback_verify.leaf_index) suspicions)
-
-let test_feedback_flags_colluding_suppressors () =
-  (* Two leaves suppressing in concert corrupt the MLE they are measured
-     against, yet each still falls significantly below its own predicted
-     ack rate — mutual corroboration does not hide either of them. *)
-  let _, tree = fixture_tree () in
-  let logical = Logical_tree.of_tree tree in
-  let rng = Prng.of_seed 82L in
-  let behavior i = if i = 0 || i = 2 then Probing.Suppress_acks 0.5 else Probing.Honest in
-  let rounds =
-    Probing.probe_rounds ~rng ~loss_of_link:(fun _ -> 0.01) ~tree ~behavior ~count:800 ()
-  in
-  let estimate = Minc.infer_from_rounds logical rounds in
-  let suspicions =
-    Feedback_verify.suspect_leaves estimate
-      ~expected_chain_success:(fun _ -> 0.99)
-      ~significance:0.001
-  in
-  let flagged =
-    List.sort Int.compare (List.map (fun s -> s.Feedback_verify.leaf_index) suspicions)
-  in
-  check (Alcotest.list Alcotest.int) "both suppressors flagged" [ 0; 2 ] flagged
 
 (* ---------- Probe sharing (Section 3.7) ---------- *)
 
@@ -614,12 +555,5 @@ let suites =
       ] );
     ( "tomography.snapshot_diff",
       [ Alcotest.test_case "incremental advertisements" `Quick test_snapshot_diff ] );
-    ( "tomography.feedback_verify",
-      [
-        Alcotest.test_case "flags a suppressing leaf" `Quick test_feedback_flags_suppressor;
-        Alcotest.test_case "flags colluding suppressors" `Quick
-          test_feedback_flags_colluding_suppressors;
-        Alcotest.test_case "accepts honest leaves" `Quick test_feedback_accepts_honest_world;
-      ] );
   ]
 
