@@ -78,6 +78,39 @@ let observation_fixture =
      done;
      store)
 
+(* Stores of probe reports arriving 8 a second over 10 links, each stamped
+   up to a minute behind its insertion, as a heavy burst's drop + Delta
+   stamp can be, and pruned as Protocol prunes its store: once per Delta,
+   behind the window of a judgment whose drop was Delta ago. The short
+   store sees 5k reports (10 minutes), the long one 100 times that
+   history. A 2 Delta window holds about 100 reports per link on either,
+   so the two queries cost the same unless a query comes to cost what the
+   run has recorded rather than what its window holds. *)
+let window_fixture records =
+  lazy
+    (let store = Observation.create () in
+     let rng = Prng.of_seed 15L in
+     let spacing = 600. /. 5_000. and delta = Blame.paper_config.Blame.delta in
+     let next_prune = ref delta in
+     for i = 1 to records do
+       let now = float_of_int i *. spacing in
+       if now >= !next_prune then begin
+         Observation.prune_before store (now -. (2. *. delta));
+         next_prune := now +. delta
+       end;
+       Observation.record store
+         {
+           Observation.time = now -. Prng.float rng 60.;
+           prober = Prng.int rng 50;
+           link = Prng.int rng 10;
+           up = Prng.bool rng;
+         }
+     done;
+     (store, float_of_int records *. spacing))
+
+let window_short_fixture = window_fixture 5_000
+let window_long_fixture = window_fixture 500_000
+
 let fig1_bench =
   Test.make ~name:"fig1:occupancy-model+monte-carlo"
     (Staged.stage @@ fun () ->
@@ -146,6 +179,25 @@ let blame_eq2_bench =
             ~up:(fun obs -> obs.Observation.up)
             selection.Blame.counted)
      done)
+
+(* The latest 2 Delta window on every link, as a judgment reads it. The
+   guard below keeps the long store's query within 2x of the short one's:
+   a judgment must cost what its window holds, not what the run has
+   recorded. *)
+let observation_window_bench name fixture =
+  Test.make ~name
+    (Staged.stage @@ fun () ->
+     let store, now = Lazy.force fixture in
+     let lo = now -. (2. *. Blame.paper_config.Blame.delta) in
+     for link = 0 to 9 do
+       ignore (Observation.on_link store ~link ~lo ~hi:now)
+     done)
+
+let observation_window_short_bench =
+  observation_window_bench "tomography:observation-window-short" window_short_fixture
+
+let observation_window_long_bench =
+  observation_window_bench "tomography:observation-window-long" window_long_fixture
 
 let minc_bench =
   Test.make ~name:"tomography:minc-inference-100-rounds"
@@ -346,6 +398,8 @@ let force_fixtures () =
       ignore (Lazy.force blame_world);
       ignore (Lazy.force minc_fixture);
       ignore (Lazy.force observation_fixture);
+      ignore (Lazy.force window_short_fixture);
+      ignore (Lazy.force window_long_fixture);
       ignore (Lazy.force minc_large_fixture);
       ignore (Lazy.force chord_fixture);
       ignore (Lazy.force shared_pool))
@@ -362,6 +416,8 @@ let benchmark () =
       fig6_bench;
       bandwidth_bench;
       blame_eq2_bench;
+      observation_window_short_bench;
+      observation_window_long_bench;
       minc_bench;
       minc_large_bench;
       minc_reference_bench;
@@ -473,7 +529,9 @@ let render_flags rows =
       (List.length flagged) (List.length rows)
 
 (* Regression guards: relationships between benchmarks that must hold
-   regardless of absolute host speed. *)
+   regardless of absolute host speed. Each compares a per-operation cost
+   ([per_run] operations per measured run) with a reference bench and fails
+   above [limit] times it, unless either fit is low-confidence. *)
 let render_guards rows =
   let find suffix =
     List.find_map
@@ -482,24 +540,33 @@ let render_guards rows =
         if n >= s && String.sub name (n - s) s = suffix then Some (ns, r2) else None)
       rows
   in
-  match (find "overlay:chord-route-x16", find "overlay:chord-route-reference") with
-  | Some (batch, fast_r2), Some (reference, ref_r2) ->
-      (* The fast bench routes 16 times per run (batched for fit quality),
-         the reference routes once: compare amortised per-route cost. The
-         O(log n) jump table must beat the linear-scan baseline. *)
-      let fast = batch /. 16. in
-      let ratio = if reference > 0. then fast /. reference else Float.infinity in
-      let confident = not (low_confidence fast_r2 || low_confidence ref_r2) in
-      let ok = ratio <= 1.0 || not confident in
-      Printf.printf "guard chord-route-x16 <= reference: %.1f vs %.1f ns/run (%.2fx) %s\n" fast
-        reference ratio
-        (if ratio <= 1.0 then if confident then "ok" else "ok (low confidence)"
-         else if not confident then "skipped (low confidence)"
-         else "FAILED");
-      ok
-  | _ ->
-      print_endline "guard chord-route-x16 <= reference: benchmarks missing, FAILED";
-      false
+  let guard label ~bench ~per_run ~reference ~limit =
+    match (find bench, find reference) with
+    | Some (batch, bench_r2), Some (baseline, ref_r2) ->
+        let cost = batch /. per_run in
+        let ratio = if baseline > 0. then cost /. baseline else Float.infinity in
+        let confident = not (low_confidence bench_r2 || low_confidence ref_r2) in
+        Printf.printf "guard %s: %.1f vs %.1f ns/run (%.2fx) %s\n" label cost baseline ratio
+          (if ratio <= limit then if confident then "ok" else "ok (low confidence)"
+           else if not confident then "skipped (low confidence)"
+           else "FAILED");
+        ratio <= limit || not confident
+    | _ ->
+        Printf.printf "guard %s: benchmarks missing, FAILED\n" label;
+        false
+  in
+  (* The chord bench routes 16 times per run (batched for fit quality), the
+     reference once: the O(log n) jump table must beat the linear scan. *)
+  let chord =
+    guard "chord-route-x16 <= reference" ~bench:"overlay:chord-route-x16" ~per_run:16.
+      ~reference:"overlay:chord-route-reference" ~limit:1.0
+  in
+  (* A blame window must cost what it holds, not the store's history. *)
+  let window =
+    guard "observation-window-long <= 2x short" ~bench:"tomography:observation-window-long"
+      ~per_run:1. ~reference:"tomography:observation-window-short" ~limit:2.0
+  in
+  chord && window
 
 (* A negative r² is worse than low confidence: the fit is anti-correlated
    with the run count, i.e. the benchmark harness itself is broken (cold

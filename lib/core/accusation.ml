@@ -64,11 +64,21 @@ let serialize_evidence e =
   Printf.sprintf "%s|%s|%.6f|%s" links votes e.drop_time
     (Commitment.serialize_body (Signed.payload e.commitment))
 
-let serialize_body b =
+(* The body around its already serialized evidence. *)
+let serialize_body_around ~evidence ~supporting b =
   Printf.sprintf "accusation|%s|%s|%.6f|%.9f|%f,%f,%f|%s|%s" (Id.to_hex b.accuser)
     (Id.to_hex b.accused) b.issued_at b.blame b.config.Blame.accuracy b.config.Blame.delta
-    b.config.Blame.guilt_threshold (serialize_evidence b.evidence)
-    (String.concat "&" (List.map serialize_evidence b.supporting))
+    b.config.Blame.guilt_threshold evidence (String.concat "&" supporting)
+
+let serialize_body b =
+  serialize_body_around b ~evidence:(serialize_evidence b.evidence)
+    ~supporting:(List.map serialize_evidence b.supporting)
+
+(* An evidence value with its serialization, computed at most once however
+   many accusations carry it. *)
+type archived = { archived : evidence; serialized : string Lazy.t }
+
+let archive evidence = { archived = evidence; serialized = lazy (serialize_evidence evidence) }
 
 (* Votes grouped per path link, excluding the accused's own contributions,
    folded through the judge's own Equation 3. *)
@@ -82,12 +92,29 @@ let compute_blame ~accused ~config evidence =
          | Some le -> List.filter (fun v -> not (Id.equal v.prober accused)) le.votes)
        evidence.path_links)
 
-let make ~accuser ~secret ~public ~accused ~config ~evidence ~supporting ~now =
-  let blame = compute_blame ~accused ~config evidence in
+let make_archived ~accuser ~secret ~public ~accused ~config ~evidence ~supporting ~now =
+  let blame = compute_blame ~accused ~config evidence.archived in
   if blame < config.Blame.guilt_threshold then
     invalid_arg "Accusation.make: evidence does not support a guilty verdict";
-  Signed.make ~serialize:serialize_body ~signer:public ~secret
-    { accuser; accused; issued_at = now; blame; config; evidence; supporting }
+  let serialized a = Lazy.force a.serialized in
+  Signed.make
+    ~serialize:
+      (serialize_body_around ~evidence:(serialized evidence)
+         ~supporting:(List.map serialized supporting))
+    ~signer:public ~secret
+    {
+      accuser;
+      accused;
+      issued_at = now;
+      blame;
+      config;
+      evidence = evidence.archived;
+      supporting = List.map (fun a -> a.archived) supporting;
+    }
+
+let make ~accuser ~secret ~public ~accused ~config ~evidence ~supporting ~now =
+  make_archived ~accuser ~secret ~public ~accused ~config ~evidence:(archive evidence)
+    ~supporting:(List.map archive supporting) ~now
 
 type rejection =
   | Bad_signature

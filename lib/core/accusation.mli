@@ -76,6 +76,28 @@ val make :
     @raise Invalid_argument if the blame falls below the guilt threshold —
     an accusation one's own evidence does not support must not be issued. *)
 
+type archived
+(** Evidence as a verdict window archives it: the record plus its
+    serialization, computed the first time an accusation carries it and
+    reused by every later one. *)
+
+val archive : evidence -> archived
+
+val make_archived :
+  accuser:Id.t ->
+  secret:Pki.secret_key ->
+  public:Pki.public_key ->
+  accused:Id.t ->
+  config:Blame.config ->
+  evidence:archived ->
+  supporting:archived list ->
+  now:float ->
+  t
+(** {!make} over archived evidence: the signed bytes are exactly
+    {!serialize_body}'s, assembled from each evidence's cached
+    serialization. Only signing reads the cache; {!verify} always
+    re-serializes from the record fields. *)
+
 type rejection =
   | Bad_signature
   | Bad_commitment

@@ -25,18 +25,23 @@ type selection = {
   deduped : int;
 }
 
-(* One vote per prober, the prober's latest winning (a window arrives
-   oldest-first). The in-place update keeps each prober at its
-   first-occurrence position, so the result is independent of any hash
-   order. *)
+(* One vote per prober, the prober's latest in insertion order winning, at
+   the prober's first-occurrence position. One pass finds each prober's
+   latest vote; a second emits it where the prober first appears. Both
+   passes follow the list, never the table, so no hash order leaks. *)
 let latest_per_prober window =
-  let rec update acc (obs : Observation.observation) =
-    match acc with
-    | [] -> [ obs ]
-    | (o : Observation.observation) :: rest when o.prober = obs.prober -> obs :: rest
-    | o :: rest -> o :: update rest obs
-  in
-  List.fold_left update [] window
+  let latest = Hashtbl.create 16 in
+  List.iter
+    (fun (obs : Observation.observation) -> Hashtbl.replace latest obs.prober obs)
+    window;
+  List.filter_map
+    (fun (obs : Observation.observation) ->
+      match Hashtbl.find_opt latest obs.prober with
+      | Some vote ->
+          Hashtbl.remove latest obs.prober;
+          Some vote
+      | None -> None)
+    window
 
 let select config observations ~visible ~exclude_prober ~one_vote_per_prober ~links ~drop_time =
   check_config config;

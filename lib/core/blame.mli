@@ -49,12 +49,18 @@ val select :
   drop_time:float ->
   selection
 (** The votes a judge counts for a drop at [drop_time] over [links]: each
-    link's observations in [drop_time - delta, drop_time + delta], oldest
-    first, from probers the judge can see ([visible]), minus those of
-    [exclude_prober]. With [one_vote_per_prober], each prober keeps only
-    its latest vote on a link, at its first-occurrence position: the
+    link's observations in [drop_time - delta, drop_time + delta], in the
+    store's insertion order (not time order: heavy bursts stamp
+    drop + Delta when their judgment runs, which control delay can hold
+    back past later probe rounds), from probers the judge can see
+    ([visible]), minus those of [exclude_prober]. With
+    [one_vote_per_prober], each prober keeps only its latest vote on a
+    link in that order, at its first-occurrence position: the
     ballot-stuffing defense, under which a prober that floods duplicate
-    reports into a window collapses back to a single voice. *)
+    reports into a window collapses back to a single voice. Linear in the
+    window's size.
+    @raise Invalid_argument if the window starts behind the store's pruned
+    horizon ({!Observation.on_link}). *)
 
 val bad_confidence : config -> up:('v -> bool) -> 'v list array -> float
 (** Equation 3 over per-link vote groups, [up] reading a vote's polarity:

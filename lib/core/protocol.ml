@@ -125,6 +125,8 @@ and drop =
   | Ack_lost_on_link of int
   | Hop_offline of int  (** the next hop was churned out when the message arrived *)
 
+type pending_judgment = { pending_drop : float; mutable judged : bool }
+
 type t = {
   world : World.t;
   engine : Engine.t;
@@ -137,7 +139,11 @@ type t = {
   control_latency : time:float -> float;
   put_copies : time:float -> int;
   observations : Observation.t;
-  windows : (int * int, Accusation.evidence Verdict_window.t) Hashtbl.t;
+  (* Judgments scheduled but not yet run, oldest drop first; with [now]
+     they bound the oldest blame window anyone can still read. *)
+  pending_judgments : pending_judgment Queue.t;
+  mutable next_prune : float;
+  windows : (int * int, Accusation.archived Verdict_window.t) Hashtbl.t;
   dht : Dht.t;
   control_bytes : int array;
   (* Previous advertised per-peer path status, for snapshot diffs. *)
@@ -181,6 +187,8 @@ let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> tru
     control_latency;
     put_copies;
     observations = Observation.create ();
+    pending_judgments = Queue.create ();
+    next_prune = Float.neg_infinity;
     windows = Hashtbl.create 256;
     dht = Dht.create ~pastry:world.World.pastry ~replication:config.dht_replication;
     control_bytes = Array.make (World.node_count world) 0;
@@ -216,9 +224,42 @@ let prov_probe_of t obs =
       Int64.bits_of_float obs.Observation.time,
       obs.Observation.up )
 
+(* ---------- Observation horizon ----------
+
+   A judgment reads [drop - Delta, drop + Delta]. A pending judgment's drop
+   sits in [pending_judgments]; any later drop happens at or after [now].
+   So no blame window can start before min(now, oldest pending drop) -
+   Delta, whatever control delay holds a judgment back, and the store and
+   the provenance probe index both forget what lies behind that horizon.
+   It moves at most once per Delta of virtual time, from events that
+   already run (probe rounds and judgments). *)
+
+let rec oldest_pending_drop t =
+  match Queue.peek_opt t.pending_judgments with
+  | Some pending when pending.judged ->
+      ignore (Queue.pop t.pending_judgments : pending_judgment);
+      oldest_pending_drop t
+  | Some pending -> pending.pending_drop
+  | None -> Float.infinity
+
+let prune_behind_horizon t =
+  let now = Engine.now t.engine in
+  if now >= t.next_prune then begin
+    let delta = t.config.blame.Blame.delta in
+    t.next_prune <- now +. delta;
+    let horizon = Float.min now (oldest_pending_drop t) -. delta in
+    Observation.prune_before t.observations horizon;
+    (* Each entry is kept or dropped on its own time, so the visit order
+       cannot change the outcome. *)
+    Hashtbl.filter_map_inplace
+      (fun (_, _, bits, _) node -> if Int64.float_of_bits bits < horizon then None else Some node)
+      t.prov_probes
+  end
+
 (* ---------- Lightweight probing ---------- *)
 
 let run_probe_round t v =
+  prune_behind_horizon t;
   let tree = t.world.World.trees.(v) in
   let logical = t.world.World.logical.(v) in
   let loss_of_link link = Link_state.loss_rate t.link_state link in
@@ -637,7 +678,8 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
   if vnode <> Prov.none then
     Hashtbl.replace t.prov_verdicts (judge, suspect, Int64.bits_of_float drop_time) vnode;
   let window = window_for t ~judge ~suspect in
-  Verdict_window.record window { Verdict_window.verdict; blame; drop_time; evidence };
+  let archived = Accusation.archive evidence in
+  Verdict_window.record window { Verdict_window.verdict; blame; drop_time; evidence = archived };
   if Float.is_finite t.config.evidence_ttl then
     Verdict_window.expire window ~before:(drop_time -. t.config.evidence_ttl);
   Metrics.observe metrics "verdict_window.occupancy"
@@ -664,17 +706,17 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
         (fun entry ->
           (* Identity (not structural) comparison is the point: exclude the
              exact evidence value being filed.  lint: allow physical-equality *)
-          if entry.Verdict_window.evidence == evidence then None
+          if entry.Verdict_window.evidence == archived then None
           else Some entry.Verdict_window.evidence)
         (Verdict_window.guilty_entries window)
     in
     match
-      Accusation.make
+      Accusation.make_archived
         ~accuser:(World.id_of t.world judge)
         ~secret:t.world.World.secrets.(judge)
         ~public:(World.public_key_of t.world judge)
         ~accused:(World.id_of t.world suspect)
-        ~config:t.config.blame ~evidence ~supporting ~now:drop_time
+        ~config:t.config.blame ~evidence:archived ~supporting ~now:drop_time
     with
     | accusation ->
         Log.info (fun m ->
@@ -719,7 +761,7 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
             (fun entry ->
               (* Skip the evidence value being filed, by identity, exactly
                  as the [supporting] filter above.  lint: allow physical-equality *)
-              if not (entry.Verdict_window.evidence == evidence) then begin
+              if not (entry.Verdict_window.evidence == archived) then begin
                 match
                   Hashtbl.find_opt t.prov_verdicts
                     (judge, suspect, Int64.bits_of_float entry.Verdict_window.drop_time)
@@ -974,6 +1016,8 @@ let send_message t ~from ~dest ~payload ~on_outcome =
       ~args:[ ("drop", Trace.String (drop_label drop)) ]
       "episode.detect";
     Metrics.incr metrics "episode.started";
+    let awaiting = { pending_drop = drop_time; judged = false } in
+    Queue.push awaiting t.pending_judgments;
     let judge_at =
       drop_time +. t.config.blame.Blame.delta +. t.control_latency ~time:drop_time
     in
@@ -1104,6 +1148,9 @@ let send_message t ~from ~dest ~payload ~on_outcome =
             end
           end
         done;
+        (* Every selection of this judgment has read the store. *)
+        awaiting.judged <- true;
+        prune_behind_horizon t;
         (* Steward failover: when the sender itself crashed or abstained,
            the revision walk anchors at the most upstream hop that holds a
            judgment, so surviving stewards still deliver a diagnosis. *)

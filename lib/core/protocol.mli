@@ -205,6 +205,11 @@ val send_message :
     (or immediately after the ack returns). *)
 
 val observations : t -> Observation.t
+(** The runtime's observation store. The runtime prunes it behind
+    min(now, oldest pending drop) - Delta, the start of the oldest blame
+    window a pending or later judgment can read, so its
+    {!Observation.count} stays bounded however long the run. *)
+
 val dht : t -> Dht.t
 val world : t -> World.t
 

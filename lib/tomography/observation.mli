@@ -3,7 +3,10 @@
     Blame attribution (paper Section 3.4) consumes the set probes(l) of
     results covering link l initiated within a +/- Delta window around the
     drop time; this store indexes observations by link and time to answer
-    exactly that query. *)
+    exactly that query. Each link keeps its observations as columns in
+    insertion order, with a running maximum of their times, so a window
+    query binary-searches to the first slot that can fall inside it and
+    costs what the window holds rather than the link's whole history. *)
 
 type observation = {
   time : float;
@@ -16,11 +19,21 @@ type t
 
 val create : unit -> t
 val record : t -> observation -> unit
+
 val count : t -> int
+(** Live observations: recorded and not yet pruned. *)
 
 val on_link : t -> link:int -> lo:float -> hi:float -> observation list
-(** Observations of [link] with [lo <= time <= hi], oldest first. *)
+(** Observations of [link] with [lo <= time <= hi], in insertion order.
+    That is not time order: a heavyweight burst stamps its observations at
+    drop + Delta when the judgment runs, and chaos-injected control delay
+    can hold that judgment back past later lightweight rounds.
+    @raise Invalid_argument if [lo] lies behind the pruned horizon (the
+    largest [prune_before] argument so far): such a window may have lost
+    votes, so it fails loudly rather than answering short. *)
 
 val prune_before : t -> float -> unit
-(** Discard observations older than the horizon, bounding memory in long
-    runs. *)
+(** [prune_before t h] raises the pruned horizon to [h] and frees, on each
+    link, the prefix of observations whose running maximum time is below
+    [h]. Every window with [lo >= h] answers exactly as before. A horizon
+    at or below the current one does nothing. *)

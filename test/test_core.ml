@@ -469,6 +469,69 @@ let test_accusation_rejects_tampered_votes () =
   check Alcotest.bool "vote signatures catch tampering" true
     (Accusation.verify pki reissued = Error Accusation.Bad_vote_signature)
 
+(* Random evidence shapes (empty and repeated links, votes by several
+   probers at awkward times, any commitment) signed through archived
+   evidence: the cached serializations must produce exactly the bytes the
+   field serializer does, on the call that fills the cache and on a later
+   one that reuses it, so a verifier re-serializing from the fields accepts
+   the signature. A zero guilt threshold makes every shape accusable. *)
+let prop_archived_evidence_signs_field_bytes =
+  QCheck.Test.make ~name:"archived evidence signs the field serializer's bytes" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let pki, alice, bob, _ = accusation_fixture () in
+      let probers = [| alice; bob; principal pki 97L "carol"; principal pki 98L "dave" |] in
+      let rng = Prng.of_seed (Int64.of_int seed) in
+      let awkward_time () =
+        match Prng.int rng 4 with
+        | 0 -> float_of_int (Prng.int rng 10_000)
+        | 1 -> Prng.float rng 1e-5
+        | 2 -> -.Prng.float rng 1e4
+        | _ -> Prng.float rng 1e7
+      in
+      let random_evidence () =
+        let link_votes =
+          List.init (Prng.int rng 4) (fun _ ->
+              let link = Prng.int rng 6 in
+              {
+                Accusation.link;
+                votes =
+                  List.init (Prng.int rng 4) (fun _ ->
+                      let prober = probers.(Prng.int rng (Array.length probers)) in
+                      Accusation.make_vote ~prober:prober.id ~secret:prober.secret
+                        ~public:prober.key ~link ~time:(awkward_time ()) ~up:(Prng.bool rng));
+              })
+        in
+        {
+          Accusation.path_links = Array.init (Prng.int rng 5) (fun _ -> Prng.int rng 6);
+          link_votes;
+          drop_time = awkward_time ();
+          commitment =
+            Commitment.issue ~forwarder:bob.id ~secret:bob.secret ~public:bob.key ~sender:alice.id
+              ~destination:alice.id
+              ~message_id:(string_of_int (Prng.int rng 1000))
+              ~now:(awkward_time ());
+        }
+      in
+      let evidence = Accusation.archive (random_evidence ()) in
+      let supporting = List.init (Prng.int rng 4) (fun _ -> Accusation.archive (random_evidence ())) in
+      let config = { Blame.paper_config with Blame.guilt_threshold = 0. } in
+      let now = awkward_time () in
+      let sign () =
+        Accusation.make_archived ~accuser:alice.id ~secret:alice.secret ~public:alice.key
+          ~accused:bob.id ~config ~evidence ~supporting ~now
+      in
+      List.for_all
+        (fun accusation ->
+          let from_fields =
+            Signed.make ~serialize:Accusation.serialize_body ~signer:alice.key
+              ~secret:alice.secret (Signed.payload accusation)
+          in
+          Pki.signature_to_string accusation.Signed.signature
+          = Pki.signature_to_string from_fields.Signed.signature
+          && Signed.check ~serialize:Accusation.serialize_body pki accusation)
+        [ sign (); sign () ])
+
 (* ---------- DHT ---------- *)
 
 let dht_fixture () =
@@ -934,6 +997,7 @@ let suites =
         Alcotest.test_case "tampered votes rejected" `Quick test_accusation_rejects_tampered_votes;
         Alcotest.test_case "supporting evidence verified" `Quick
           test_accusation_supporting_evidence;
+        qtest prop_archived_evidence_signs_field_bytes;
       ] );
     ( "core.dht",
       [

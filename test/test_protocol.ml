@@ -314,6 +314,55 @@ let test_sparse_advertiser_caught () =
     true
     (flags_for attacker > honest_max)
 
+let test_pending_judgments_hold_horizon () =
+  (* A control delay of 500 s (more than 2 Delta) keeps each judgment
+     pending long after its drop. The store's horizon must wait for the
+     oldest pending drop, or that judgment's window would start behind it
+     and the store's guard would raise. Drops come every Delta/2 for the
+     first 10 Delta, so at 5 Delta nothing can be pruned yet; by 20 Delta
+     every judgment has run and the store is back to a Delta or two of
+     history. Without pruning it would hold four times its 5 Delta size. *)
+  let session0 = make_session () in
+  let from, dest, route = route_with_intermediate session0 in
+  let culprit = List.nth route 1 in
+  let world = Lazy.force world_fixture in
+  let engine = Engine.create () in
+  let graph = world.World.generated.World.Generate.graph in
+  let link_state =
+    Link_state.create ~link_count:(Graph.link_count graph) ~good_loss:0. ~bad_loss:1.
+  in
+  let config = { Protocol.default_config with Protocol.retry_limit = 0 } in
+  let protocol =
+    Protocol.create ~world ~engine ~link_state ~rng:(Prng.of_seed 5L)
+      ~control_latency:(fun ~time:_ -> 500.)
+      config
+      ~behavior:(fun v -> if v = culprit then Protocol.Message_dropper 1.0 else Protocol.Honest)
+  in
+  let delta = config.Protocol.blame.Concilium_core.Blame.delta in
+  let count_at k =
+    Engine.run_until engine (k *. delta);
+    Concilium_tomography.Observation.count (Protocol.observations protocol)
+  in
+  Protocol.start_probing protocol ~horizon:(20. *. delta);
+  let sent = ref 0 and diagnosed = ref 0 in
+  let rec send engine =
+    incr sent;
+    Protocol.send_message protocol ~from ~dest ~payload:"x" ~on_outcome:(fun outcome ->
+        match outcome.Protocol.diagnosis with
+        | Some (Protocol.Diagnosed _) -> incr diagnosed
+        | Some (Protocol.Insufficient_evidence _) | None -> ());
+    if Engine.now engine +. (delta /. 2.) < 10. *. delta then
+      Engine.schedule engine ~delay:(delta /. 2.) send
+  in
+  Engine.schedule engine ~delay:1. send;
+  let early = count_at 5. in
+  let late = count_at 20. in
+  check Alcotest.int "every drop diagnosed" !sent !diagnosed;
+  check Alcotest.bool
+    (Printf.sprintf "store bounded: %d live at 20 Delta vs %d at 5 Delta" late early)
+    true
+    (late < 2 * early)
+
 let suites =
   [
     ( "protocol.integration",
@@ -333,5 +382,7 @@ let suites =
           test_heavyweight_burst_improves_evidence;
         Alcotest.test_case "sparse advertiser caught by density tests" `Quick
           test_sparse_advertiser_caught;
+        Alcotest.test_case "pending judgments hold the horizon back" `Quick
+          test_pending_judgments_hold_horizon;
       ] );
   ]

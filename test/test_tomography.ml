@@ -212,9 +212,118 @@ let test_observation_window_queries () =
   check Alcotest.int "count" 4 (Observation.count store);
   let window = Observation.on_link store ~link:5 ~lo:15. ~hi:30. in
   check Alcotest.int "windowed" 2 (List.length window);
-  check (Alcotest.float 1e-9) "oldest first" 20. (List.hd window).Observation.time;
+  check (Alcotest.float 1e-9) "insertion order" 20. (List.hd window).Observation.time;
   Observation.prune_before store 25.;
   check Alcotest.int "pruned" 1 (Observation.count store)
+
+let observation_times store ~link ~lo ~hi =
+  List.map (fun obs -> obs.Observation.time) (Observation.on_link store ~link ~lo ~hi)
+
+let test_observation_late_stamps () =
+  (* A heavy burst judged after later probe rounds stamps drop + Delta, so
+     a window holds its votes in insertion order, not time order; pruning
+     cuts only the prefix whose running maximum is behind the horizon. *)
+  let store = Observation.create () in
+  List.iter
+    (fun time -> Observation.record store { Observation.time; prober = 1; link = 2; up = true })
+    [ 10.; 100.; 50.; 120.; 60. ];
+  check
+    Alcotest.(list (float 0.))
+    "insertion order" [ 100.; 50.; 60. ]
+    (observation_times store ~link:2 ~lo:40. ~hi:110.);
+  Observation.prune_before store 55.;
+  check Alcotest.int "only the prefix behind 55 is cut" 4 (Observation.count store);
+  check
+    Alcotest.(list (float 0.))
+    "window at the horizon unchanged" [ 100.; 60. ]
+    (observation_times store ~link:2 ~lo:55. ~hi:110.)
+
+let test_observation_guard () =
+  let store = Observation.create () in
+  Observation.record store { Observation.time = 30.; prober = 1; link = 5; up = true };
+  Observation.prune_before store 25.;
+  let behind = Invalid_argument "Observation.on_link: window starts behind the pruned horizon" in
+  Alcotest.check_raises "window behind the horizon" behind (fun () ->
+      ignore (Observation.on_link store ~link:5 ~lo:(Float.pred 25.) ~hi:30.));
+  check Alcotest.int "window at the horizon" 1
+    (List.length (Observation.on_link store ~link:5 ~lo:25. ~hi:30.));
+  (* A lower horizon prunes nothing and does not reopen the pruned past. *)
+  Observation.prune_before store 10.;
+  Alcotest.check_raises "horizon never moves back" behind (fun () ->
+      ignore (Observation.on_link store ~link:5 ~lo:20. ~hi:30.))
+
+(* Random interleavings of the protocol's store traffic: probe records
+   stamped now, records stamped behind now (a heavy burst's drop + Delta
+   under control delay), prunes at non-decreasing horizons and window
+   queries at or above the horizon. The columns must answer every query
+   exactly as the list oracle does, in the same order, and never hold
+   fewer live observations than it. *)
+type store_op =
+  | Advance of float
+  | Record of float * int * int * bool  (** lag behind now, prober, link, up *)
+  | Prune of float  (** horizon step *)
+  | Query of int * float * float  (** link, lo above the horizon, window width *)
+
+let arbitrary_store_ops =
+  let open QCheck.Gen in
+  let halves n = map (fun k -> float_of_int k /. 2.) (int_bound n) in
+  let op =
+    frequency
+      [
+        (3, map (fun step -> Advance step) (halves 20));
+        ( 8,
+          map
+            (fun (lag, prober, link, up) -> Record (lag, prober, link, up))
+            (quad (frequency [ (3, return 0.); (1, halves 400) ]) (int_bound 5) (int_bound 3) bool)
+        );
+        (1, map (fun step -> Prune step) (halves 60));
+        ( 2,
+          map
+            (fun (link, offset, width) -> Query (link, offset, width))
+            (triple (int_bound 4) (halves 200) (halves 200)) );
+      ]
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (function
+           | Advance step -> Printf.sprintf "advance %g" step
+           | Record (lag, prober, link, up) ->
+               Printf.sprintf "record lag=%g prober=%d link=%d up=%b" lag prober link up
+           | Prune step -> Printf.sprintf "prune +%g" step
+           | Query (link, offset, width) ->
+               Printf.sprintf "query link=%d lo=horizon+%g width=%g" link offset width)
+         ops)
+  in
+  QCheck.make ~print (list_size (int_range 1 300) op)
+
+let prop_observation_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"columns answer every window as the list oracle" ~count:300
+       arbitrary_store_ops (fun ops ->
+         let store = Observation.create () and oracle = Observation_oracle.create () in
+         let now = ref 0. and horizon = ref 0. in
+         List.for_all
+           (function
+             | Advance step ->
+                 now := !now +. step;
+                 true
+             | Record (lag, prober, link, up) ->
+                 let observation = { Observation.time = !now -. lag; prober; link; up } in
+                 Observation.record store observation;
+                 Observation_oracle.record oracle observation;
+                 true
+             | Prune step ->
+                 horizon := !horizon +. step;
+                 Observation.prune_before store !horizon;
+                 Observation_oracle.prune_before oracle !horizon;
+                 Observation.count store >= Observation_oracle.count oracle
+             | Query (link, offset, width) ->
+                 let lo = !horizon +. offset in
+                 let hi = lo +. width in
+                 Observation.on_link store ~link ~lo ~hi
+                 = Observation_oracle.on_link oracle ~link ~lo ~hi)
+           ops))
 
 (* ---------- Snapshot ---------- *)
 
@@ -532,8 +641,12 @@ let suites =
         Alcotest.test_case "rejects empty input" `Quick test_minc_rejects_empty;
       ] );
     ( "tomography.observation",
-      [ Alcotest.test_case "window queries and pruning" `Quick test_observation_window_queries ]
-    );
+      [
+        Alcotest.test_case "window queries and pruning" `Quick test_observation_window_queries;
+        Alcotest.test_case "late stamps keep insertion order" `Quick test_observation_late_stamps;
+        Alcotest.test_case "query behind the horizon raises" `Quick test_observation_guard;
+        prop_observation_matches_oracle;
+      ] );
     ( "tomography.snapshot",
       [
         Alcotest.test_case "sign and verify" `Quick test_snapshot_sign_verify;
