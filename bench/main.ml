@@ -309,42 +309,37 @@ let sha256_bench =
   Test.make ~name:"crypto:sha256-1KiB"
     (Staged.stage @@ fun () -> ignore (Concilium_crypto.Sha256.digest (String.make 1024 'x')))
 
+(* The same 500 ids as a ring (for [Chord]) and as the stored-finger
+   overlay of test/chord_oracle.ml (for the reference); the ring's
+   position [start] is the overlay's node 0. *)
 let chord_fixture =
   lazy
     (let rng = Prng.of_seed 10L in
      let ids = Array.init 500 (fun _ -> Id.random rng) in
-     Concilium_overlay.Chord.build ids)
+     let ring = Concilium_overlay.Ring.of_ids ids in
+     (ring, Concilium_overlay.Ring.insertion_point ring ids.(0), Chord_oracle.build ids))
 
-(* Batched x16 over a fixed dest sequence: one jump-table route is a few
+(* Batched x16 over a fixed dest sequence: one route is a few
    microseconds, short enough that the un-batched fit measured r² < 0. *)
 let chord_route_bench =
   Test.make ~name:"overlay:chord-route-x16"
     (Staged.stage @@ fun () ->
-     let overlay = Lazy.force chord_fixture in
+     let ring, start, _ = Lazy.force chord_fixture in
      let rng = Prng.of_seed 11L in
      for _ = 1 to 16 do
-       ignore (Concilium_overlay.Chord.route overlay ~from:0 ~dest:(Id.random rng))
+       ignore (Concilium_overlay.Chord.route ring ~src:start ~dest:(Id.random rng))
      done)
 
 let chord_route_reference_bench =
   Test.make ~name:"overlay:chord-route-reference"
     (Staged.stage @@ fun () ->
-     (* The retained linear-scan forwarding, driven through the same route
-        shape as overlay:chord-route: the guard below checks the O(log n)
-        jump-table path never regresses past this baseline. *)
-     let overlay = Lazy.force chord_fixture in
+     (* The stored overlay's linear-scan forwarding, driven through the
+        same route shape as overlay:chord-route: the guard below checks
+        that deriving the tables from the ring never costs more than
+        scanning them. *)
+     let _, _, oracle = Lazy.force chord_fixture in
      let rng = Prng.of_seed 11L in
-     let dest = Id.random rng in
-     let owner = Concilium_overlay.Chord.successor_of_key overlay dest in
-     let rec loop current remaining =
-       if current = owner || remaining = 0 then ()
-       else begin
-         match Concilium_overlay.Chord.next_hop_reference overlay ~from:current ~dest with
-         | None -> ()
-         | Some next -> loop next (remaining - 1)
-       end
-     in
-     loop 0 756)
+     ignore (Chord_oracle.route oracle ~from:0 ~dest:(Id.random rng)))
 
 let secure_routing_bench =
   Test.make ~name:"overlay:redundant-route"
@@ -556,7 +551,7 @@ let render_guards rows =
         false
   in
   (* The chord bench routes 16 times per run (batched for fit quality), the
-     reference once: the O(log n) jump table must beat the linear scan. *)
+     reference once: a route on the derived tables must beat the scan. *)
   let chord =
     guard "chord-route-x16 <= reference" ~bench:"overlay:chord-route-x16" ~per_run:16.
       ~reference:"overlay:chord-route-reference" ~limit:1.0

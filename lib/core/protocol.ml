@@ -256,6 +256,40 @@ let prune_behind_horizon t =
       t.prov_probes
   end
 
+(* ---------- Probe observations ---------- *)
+
+(* Per leaf index of [tree]: whether the routing peer behind the leaf's
+   router is offline at [time]. Offline peers cannot acknowledge (churn
+   looks like total ack suppression from the prober's vantage), and the
+   paper's disambiguation rule (Section 3.2) — a few follow-up probes to
+   tell "truly offline" from "behind a lossy link" — confirms them, so
+   their chains carry no last-mile information. *)
+let offline_leaves t tree ~time =
+  let module Tree = Concilium_tomography.Tree in
+  Array.map
+    (fun leaf ->
+      match World.node_of_router t.world (Tree.router_of tree leaf) with
+      | Some peer -> not (t.availability ~time peer)
+      | None -> false)
+    (Tree.leaves tree)
+
+let leaf_behavior offline leaf_index =
+  if offline.(leaf_index) then Probing.Suppress_acks 1.0 else Probing.Honest
+
+(* Prober [v]'s verdict [up] on a logical node, recorded at [time] for
+   every physical link of the node's chain: inverted by a probe flipper,
+   then passed through the adversary's observation tap. *)
+let record_chain t v ~logical ~time node up =
+  let up = match t.behavior v with Probe_flipper -> not up | _ -> up in
+  Array.iter
+    (fun link ->
+      let reported = t.taps.tap_observation ~time ~prober:v ~link ~up in
+      if reported <> up then Metrics.incr t.obs.Obs.metrics "adversary.lies";
+      Observation.record t.observations { Observation.time; prober = v; link; up = reported };
+      prov_record_probe t ~prober:v ~link ~time ~up:reported ~tapped:(reported <> up)
+        ~forged:false)
+    (Logical_tree.chain logical node)
+
 (* ---------- Lightweight probing ---------- *)
 
 let run_probe_round t v =
@@ -264,49 +298,20 @@ let run_probe_round t v =
   let logical = t.world.World.logical.(v) in
   let loss_of_link link = Link_state.loss_rate t.link_state link in
   let now = Engine.now t.engine in
-  (* Offline routing peers cannot acknowledge (churn looks like total ack
-     suppression from the prober's vantage). Leaf indices map to overlay
-     nodes through the leaf's router. *)
-  let leaves = Concilium_tomography.Tree.leaves tree in
-  let behavior leaf_index =
-    let router = Concilium_tomography.Tree.router_of tree leaves.(leaf_index) in
-    match World.node_of_router t.world router with
-    | Some peer when not (t.availability ~time:now peer) -> Probing.Suppress_acks 1.0
-    | Some _ | None -> Probing.Honest
+  let offline = offline_leaves t tree ~time:now in
+  let round =
+    Probing.probe_round ~rng:t.rng ~loss_of_link ~tree ~behavior:(leaf_behavior offline) ()
   in
-  let round = Probing.probe_round ~rng:t.rng ~loss_of_link ~tree ~behavior () in
   let verdicts = Probing.classify_round logical round.Probing.acked in
-  (* The paper's disambiguation rule (Section 3.2): silent peers get a few
-     follow-up probes to distinguish "truly offline" from "behind a lossy
-     link". A leaf confirmed offline yields no last-mile observation — its
-     chain must not be probed "down" when the links are fine. *)
-  let logical_leaves = Logical_tree.leaves logical in
   Array.iteri
     (fun leaf_index logical_node ->
-      let router = Concilium_tomography.Tree.router_of tree leaves.(leaf_index) in
-      match World.node_of_router t.world router with
-      | Some peer when not (t.availability ~time:now peer) ->
-          verdicts.(logical_node) <- Probing.Indeterminate
-      | Some _ | None -> ())
-    logical_leaves;
-  let flip = match t.behavior v with Probe_flipper -> true | _ -> false in
+      if offline.(leaf_index) then verdicts.(logical_node) <- Probing.Indeterminate)
+    (Logical_tree.leaves logical);
   Array.iteri
     (fun node verdict ->
-      let record up =
-        let up = if flip then not up else up in
-        Array.iter
-          (fun link ->
-            let reported = t.taps.tap_observation ~time:now ~prober:v ~link ~up in
-            if reported <> up then Metrics.incr t.obs.Obs.metrics "adversary.lies";
-            Observation.record t.observations
-              { Observation.time = now; prober = v; link; up = reported };
-            prov_record_probe t ~prober:v ~link ~time:now ~up:reported
-              ~tapped:(reported <> up) ~forged:false)
-          (Logical_tree.chain logical node)
-      in
       match verdict with
-      | Probing.Probed_up -> record true
-      | Probing.Probed_down -> record false
+      | Probing.Probed_up -> record_chain t v ~logical ~time:now node true
+      | Probing.Probed_down -> record_chain t v ~logical ~time:now node false
       | Probing.Indeterminate -> ())
     verdicts;
   (* Forged corroboration rides the same round: a compromised prober may
@@ -324,7 +329,7 @@ let run_probe_round t v =
   (* Bandwidth accounting (Section 4.4): the probe stripe itself, plus the
      snapshot advertisement to every routing peer — the full table on first
      exchange, a diff of changed path summaries after. *)
-  let leaf_count = Array.length leaves in
+  let leaf_count = Array.length offline in
   let peer_count = Array.length t.world.World.peers.(v) in
   let advert_entries =
     match t.last_advertised.(v) with
@@ -382,13 +387,8 @@ let run_heavyweight_burst t v ~stamp ~parent =
         "probe.heavy_burst"
     in
     let loss_of_link link = Link_state.loss_rate t.link_state link in
-    let leaves = Concilium_tomography.Tree.leaves tree in
-    let behavior leaf_index =
-      let router = Concilium_tomography.Tree.router_of tree leaves.(leaf_index) in
-      match World.node_of_router t.world router with
-      | Some peer when not (t.availability ~time:now peer) -> Probing.Suppress_acks 1.0
-      | Some _ | None -> Probing.Honest
-    in
+    let offline = offline_leaves t tree ~time:now in
+    let behavior = leaf_behavior offline in
     let rounds = ref [] in
     for r = 0 to t.config.heavyweight_rounds - 1 do
       let round_time = now +. (float_of_int r *. heavyweight_round_spacing) in
@@ -397,7 +397,7 @@ let run_heavyweight_burst t v ~stamp ~parent =
     done;
     let usable = List.length !rounds in
     let burst_bytes =
-      Bandwidth.heavy_burst_bytes ~rounds:usable ~leaves:(Array.length leaves)
+      Bandwidth.heavy_burst_bytes ~rounds:usable ~leaves:(Array.length offline)
     in
     t.control_bytes.(v) <- t.control_bytes.(v) + burst_bytes;
     Metrics.incr t.obs.Obs.metrics ~by:burst_bytes "bytes.heavy_probe";
@@ -409,38 +409,20 @@ let run_heavyweight_burst t v ~stamp ~parent =
         Concilium_tomography.Minc.infer_from_rounds ~trace ~parent:burst_span ~time:now
           logical rounds
       in
-      let flip = match t.behavior v with Probe_flipper -> true | _ -> false in
-      (* Offline leaves' chains carry no information (Section 3.2's
-         disambiguation): skip them. *)
+      (* Offline leaves' chains carry no information: skip them. *)
       let skip = Array.make (Logical_tree.node_count logical) false in
       Array.iteri
-        (fun leaf_index logical_node ->
-          let router = Concilium_tomography.Tree.router_of tree leaves.(leaf_index) in
-          match World.node_of_router t.world router with
-          | Some peer when not (t.availability ~time:now peer) -> skip.(logical_node) <- true
-          | Some _ | None -> ())
+        (fun leaf_index logical_node -> if offline.(leaf_index) then skip.(logical_node) <- true)
         (Logical_tree.leaves logical);
       for node = 1 to Logical_tree.node_count logical - 1 do
         (* Only chains the estimator actually saw data for. *)
         if
           (not skip.(node))
           && estimate.Concilium_tomography.Minc.gamma.(Logical_tree.parent logical node) > 0.
-        then begin
-          let up =
-            Concilium_tomography.Minc.link_loss estimate node
-            < t.config.heavyweight_loss_threshold
-          in
-          let up = if flip then not up else up in
-          Array.iter
-            (fun link ->
-              let reported = t.taps.tap_observation ~time:stamp ~prober:v ~link ~up in
-              if reported <> up then Metrics.incr t.obs.Obs.metrics "adversary.lies";
-              Observation.record t.observations
-                { Observation.time = stamp; prober = v; link; up = reported };
-              prov_record_probe t ~prober:v ~link ~time:stamp ~up:reported
-                ~tapped:(reported <> up) ~forged:false)
-            (Logical_tree.chain logical node)
-        end
+        then
+          record_chain t v ~logical ~time:stamp node
+            (Concilium_tomography.Minc.link_loss estimate node
+            < t.config.heavyweight_loss_threshold)
       done
     end;
     Trace.span_close trace ~time:now

@@ -1,5 +1,6 @@
 module Chord = Concilium_overlay.Chord
 module Id = Concilium_overlay.Id
+module Ring = Concilium_overlay.Ring
 module Density_test = Concilium_overlay.Density_test
 module Prng = Concilium_util.Prng
 module Descriptive = Concilium_stats.Descriptive
@@ -22,13 +23,15 @@ let run ?pool ~seed ~sizes ~trials () =
          let model = Chord.Model.occupancy_model ~n in
          let samples = Chord.Model.monte_carlo_occupancy ~rng ~n ~trials in
          let ids = Array.init n (fun _ -> Id.random rng) in
-         let overlay = Chord.build ids in
+         let ring = Ring.of_ids ids in
+         (* Routes start at members drawn in the ids' draw order. *)
+         let sources = Array.map (Ring.insertion_point ring) ids in
          {
            n;
            analytic_mean =
              model.Concilium_stats.Poisson_binomial.mu_phi /. float_of_int Chord.finger_count;
            monte_carlo_mean = Descriptive.mean samples;
-           route_length = Chord.mean_route_length overlay ~trials:100 ~rng;
+           route_length = Chord.mean_route_length ring ~sources ~trials:100 ~rng;
          }))
 
 let occupancy_table points =

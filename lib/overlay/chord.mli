@@ -1,13 +1,13 @@
 (** A Chord overlay (Stoica et al.), the paper's other canonical structured
-    overlay, with the Concilium density test generalised to finger tables.
+    overlay, routed over a {!Ring} universe, with the Concilium density
+    test generalised to finger tables.
 
-    Each node keeps a successor list (the leaf-set analogue) and 128
-    fingers; finger k targets the point id + 2^k. In the [Secure] variant a
-    finger must be the *first* node clockwise of its target — the unique,
-    verifiable choice analogous to Castro's constrained tables. The
-    [Standard] variant may pick any node in the finger's interval
-    [id + 2^k, id + 2^(k+1)), modelling proximity-driven freedom an
-    adversary can exploit.
+    A node knows its first {!successor_count} alive successors (the
+    leaf-set analogue) and 128 fingers; finger k is the first alive node
+    clockwise at or after id + 2^k — the unique, verifiable choice
+    analogous to Castro's constrained tables. Nothing is stored per node:
+    both are answered on demand from the sorted universe and the alive
+    bitset, so churn is a bitset flip. Positions are {!Ring} positions.
 
     The occupancy measure for the density test is the number of non-empty
     finger intervals: interval k contains another node with probability
@@ -17,52 +17,35 @@
 
 module Poisson_binomial = Concilium_stats.Poisson_binomial
 
-type entry = { peer : Id.t; node : int }
-
-type node = {
-  index : int;
-  id : Id.t;
-  successors : entry array;  (** ascending clockwise from the node *)
-  fingers : entry option array;  (** 128 slots; [None] = empty interval *)
-}
-
-type t
-
-type style = Secure | Standard of Concilium_util.Prng.t
-
 val finger_count : int
 (** 128. *)
 
-val build : ?successor_count:int -> ?style:style -> Id.t array -> t
-(** Default 8 successors, [Secure] fingers. Duplicate ids rejected. *)
+val successor_count : int
+(** 8 (fewer when fewer other nodes are alive). *)
 
-val node_count : t -> int
-val node : t -> int -> node
+val owner_of_key : Ring.t -> Id.t -> int
+(** The key's owner: the first alive position at or after the key
+    clockwise, or -1 when nothing is alive. *)
 
-val successor_of_key : t -> Id.t -> int
-(** The key's owner: the first node clockwise at-or-after the key. *)
+val next_hop : Ring.t -> here:int -> dest:Id.t -> int option
+(** Chord forwarding from the alive position [here]: [None] when here's
+    id is [dest]; the first alive successor when it owns [dest]; otherwise
+    the closest node preceding [dest] among the fingers and the successor
+    list. *)
 
-val next_hop : t -> from:int -> dest:Id.t -> int option
-(** Chord forwarding: the destination's owner if it is the immediate
-    successor, otherwise the closest finger/successor preceding [dest].
-    [None] when [from] already owns the key. O(log n) via a per-node jump
-    table sorted by clockwise distance. *)
+val route : Ring.t -> src:int -> dest:Id.t -> int * int * int64
+(** Forward from [src] until the key's owner: (final position, hop count,
+    FNV digest of the hop sequence). *)
 
-val next_hop_reference : t -> from:int -> dest:Id.t -> int option
-(** The retained linear-scan implementation; agrees with {!next_hop} on
-    every input (property-tested) and exists as its oracle/bench
-    baseline. *)
+val interval_occupancy : Ring.t -> int -> int
+(** Number of the position's finger intervals [id + 2^k, id + 2^(k+1))
+    that contain another alive node — the quantity the generalised density
+    test compares. *)
 
-val route : t -> from:int -> dest:Id.t -> int list
-(** Hops from [from] to the key's owner.
-    @raise Failure on livelock (guarded; cannot occur on well-formed
-    rings). *)
-
-val interval_occupancy : node -> int
-(** Number of finger intervals [id + 2^k, id + 2^(k+1)) that contain a
-    peer — the quantity the generalised density test compares. *)
-
-val mean_route_length : t -> trials:int -> rng:Concilium_util.Prng.t -> float
+val mean_route_length :
+  Ring.t -> sources:int array -> trials:int -> rng:Concilium_util.Prng.t -> float
+(** Mean hops of [trials] routes, each from a position drawn uniformly
+    from [sources] to a random key. *)
 
 module Model : sig
   val interval_probability : n:int -> index:int -> float

@@ -3,7 +3,7 @@
    A scale world is the flat-array core end to end: a fixed sorted id
    universe ([Ring]), an alive bitset driven by a churn timeline, and —
    for Pastry — incrementally maintained constrained routing tables
-   ([Inc_table]); Chord derives its state on demand ([Flat_chord]).
+   ([Inc_table]); Chord derives its state on demand from the ring.
    Everything here is deterministic in (config, seed): all timing lives in
    bin/scale.ml, and transcripts contain only replayable content
    (checksums, digests, counts), so d1-vs-d2 runs diff byte-identical. *)
@@ -18,7 +18,7 @@ module Churn = Concilium_netsim.Churn
 module Id = Concilium_overlay.Id
 module Ring = Concilium_overlay.Ring
 module Inc_table = Concilium_overlay.Inc_table
-module Flat_chord = Concilium_overlay.Flat_chord
+module Chord = Concilium_overlay.Chord
 
 type protocol = Pastry | Chord
 
@@ -43,7 +43,6 @@ type t = {
   config : config;
   ring : Ring.t;
   table : Inc_table.t option;
-  chord : Flat_chord.t option;
   events : (float * int) array;
   mutable cursor : int;
   mutable clock : float;
@@ -99,14 +98,10 @@ let build ?pool config =
     | Pastry -> Some (Inc_table.build ?pool ?rows:config.rows ring)
     | Chord -> None
   in
-  let chord =
-    match config.protocol with Chord -> Some (Flat_chord.create ring) | Pastry -> None
-  in
   {
     config;
     ring;
     table;
-    chord;
     events = Churn.events churn;
     cursor = 0;
     clock = 0.;
@@ -117,7 +112,6 @@ let build ?pool config =
 
 let ring t = t.ring
 let table t = t.table
-let chord t = t.chord
 let clock t = t.clock
 let events_total t = Array.length t.events
 let events_applied t = t.applied
@@ -186,20 +180,18 @@ let pick_source ring rng =
 
 let route_once t rng =
   let dest = Id.random rng in
-  match (t.table, t.chord) with
-  | Some table, _ ->
-      let src = pick_source t.ring rng in
+  let src = pick_source t.ring rng in
+  match t.table with
+  | Some table ->
       let root = Inc_table.numerically_closest table dest in
       let final, hops, digest =
         Inc_table.route table ~leaf_half:t.config.leaf_half ~src ~dest
       in
       (hops, final = root, digest)
-  | None, Some chord ->
-      let src = pick_source t.ring rng in
-      let owner = Flat_chord.owner_of_key chord dest in
-      let final, hops, digest = Flat_chord.route chord ~src ~dest in
+  | None ->
+      let owner = Chord.owner_of_key t.ring dest in
+      let final, hops, digest = Chord.route t.ring ~src ~dest in
       (hops, final = owner, digest)
-  | None, None -> (0, false, 0L)
 
 (* Task [i] writes only slot [i] and draws only from rngs.(i), pre-split
    before dispatch: bit-identical across domain counts. The per-route

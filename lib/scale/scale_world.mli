@@ -10,7 +10,6 @@
 module Churn = Concilium_netsim.Churn
 module Ring = Concilium_overlay.Ring
 module Inc_table = Concilium_overlay.Inc_table
-module Flat_chord = Concilium_overlay.Flat_chord
 
 type protocol = Pastry | Chord
 
@@ -49,7 +48,6 @@ val build : ?pool:Concilium_util.Pool.t -> config -> t
 
 val ring : t -> Ring.t
 val table : t -> Inc_table.t option
-val chord : t -> Flat_chord.t option
 
 val clock : t -> float
 val events_total : t -> int

@@ -1,14 +1,8 @@
 module Prng = Concilium_util.Prng
 
-type leaf_behavior = Honest | Suppress_acks of float | Spurious_acks of float
+type leaf_behavior = Honest | Suppress_acks of float
 
-type round = {
-  received : bool array;
-  acked : bool array;
-  forged_detected : int list;
-}
-
-let nonce_guess_probability = 1. /. 65536.
+type round = { received : bool array; acked : bool array }
 
 let probe_round ~rng ~loss_of_link ~tree ?(behavior = fun _ -> Honest) () =
   let leaves = Tree.leaves tree in
@@ -26,7 +20,6 @@ let probe_round ~rng ~loss_of_link ~tree ?(behavior = fun _ -> Honest) () =
   in
   let received = Array.make leaf_count false in
   let acked = Array.make leaf_count false in
-  let forged = ref [] in
   Array.iteri
     (fun leaf_index leaf_node ->
       let links = Tree.path_links_to tree leaf_node in
@@ -34,16 +27,9 @@ let probe_round ~rng ~loss_of_link ~tree ?(behavior = fun _ -> Honest) () =
       received.(leaf_index) <- got_it;
       match behavior leaf_index with
       | Honest -> acked.(leaf_index) <- got_it
-      | Suppress_acks p -> acked.(leaf_index) <- got_it && not (Prng.bernoulli rng p)
-      | Spurious_acks p ->
-          if got_it then acked.(leaf_index) <- true
-          else if Prng.bernoulli rng p then begin
-            (* Forged ack: without the probe it cannot echo the nonce. *)
-            if Prng.bernoulli rng nonce_guess_probability then acked.(leaf_index) <- true
-            else forged := leaf_index :: !forged
-          end)
+      | Suppress_acks p -> acked.(leaf_index) <- got_it && not (Prng.bernoulli rng p))
     leaves;
-  { received; acked; forged_detected = List.rev !forged }
+  { received; acked }
 
 let probe_rounds ~rng ~loss_of_link ~tree ?(behavior = fun _ -> Honest) ~count () =
   Array.init count (fun _ -> probe_round ~rng ~loss_of_link ~tree ~behavior ())

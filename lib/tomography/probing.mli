@@ -6,20 +6,17 @@
     multicast packet, which is exactly how the simulation draws it: one
     Bernoulli trial per physical link per round.
 
-    Leaves may misbehave (Section 3.3): suppress acknowledgments for probes
-    they received, or fabricate acknowledgments for probes they did not.
-    Fabrication requires echoing the probe's nonce, so it is detected with
-    probability 1 - 2^-16 per forged ack. *)
+    A leaf may withhold acknowledgments for probes it received: the
+    protocol models an offline routing peer this way, since from the
+    prober's vantage it never acks. *)
 
 type leaf_behavior =
   | Honest
   | Suppress_acks of float  (** drop the ack with this probability *)
-  | Spurious_acks of float  (** when the probe was lost, forge an ack with this probability *)
 
 type round = {
   received : bool array;  (** ground truth per leaf index *)
   acked : bool array;  (** what the prober observed *)
-  forged_detected : int list;  (** leaf indices caught by the nonce check this round *)
 }
 
 val probe_round :

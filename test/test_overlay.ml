@@ -364,6 +364,7 @@ let test_freshness_validate () =
 (* ---------- Chord ---------- *)
 
 module Chord = Concilium_overlay.Chord
+module Ring = Concilium_overlay.Ring
 
 let test_id_add_power_of_two () =
   let zero = Id.zero in
@@ -394,74 +395,62 @@ let test_id_clockwise_interval () =
 let chord_fixture n seed =
   let rng = Prng.of_seed seed in
   let ids = Array.init n (fun _ -> Id.random rng) in
-  (ids, Chord.build ids)
+  (ids, Ring.of_ids ids)
 
 let test_chord_successors_ascend () =
-  let _, overlay = chord_fixture 64 140L in
+  let ids, _ = chord_fixture 64 140L in
+  let oracle = Chord_oracle.build ids in
   for v = 0 to 63 do
-    let node = Chord.node overlay v in
-    let previous = ref node.Chord.id in
+    let node = Chord_oracle.node oracle v in
+    let previous = ref node.Chord_oracle.id in
     Array.iter
       (fun entry ->
         (* Each successor is strictly clockwise of the previous one. *)
-        let step = Id.clockwise_distance !previous entry.Chord.peer in
+        let step = Id.clockwise_distance !previous entry.Chord_oracle.peer in
         check Alcotest.bool "strict clockwise order" true (Id.compare step Id.zero > 0);
-        previous := entry.Chord.peer)
-      node.Chord.successors
+        previous := entry.Chord_oracle.peer)
+      node.Chord_oracle.successors
   done
 
 let test_chord_route_reaches_owner () =
-  let _, overlay = chord_fixture 200 141L in
+  let ids, ring = chord_fixture 200 141L in
+  let oracle = Chord_oracle.build ids in
   let rng = Prng.of_seed 142L in
   for _ = 1 to 50 do
-    let from = Prng.int rng 200 in
+    let src = Prng.int rng 200 in
     let dest = Id.random rng in
-    let route = Chord.route overlay ~from ~dest in
-    check Alcotest.int "terminates at the key's successor"
-      (Chord.successor_of_key overlay dest)
-      (List.nth route (List.length route - 1))
+    let final, hops, _ = Chord.route ring ~src ~dest in
+    check Alcotest.string "terminates at the key's successor"
+      (Id.to_hex ids.(Chord_oracle.successor_of_key oracle dest))
+      (Id.to_hex (Ring.id ring final));
+    check Alcotest.bool (Printf.sprintf "%d hops" hops) true (hops <= Chord.finger_count)
   done
 
 let test_chord_logarithmic_routing () =
-  let _, overlay = chord_fixture 1024 143L in
-  let mean = Chord.mean_route_length overlay ~trials:100 ~rng:(Prng.of_seed 144L) in
+  let _, ring = chord_fixture 1024 143L in
+  let mean =
+    Chord.mean_route_length ring ~sources:(Array.init 1024 Fun.id) ~trials:100
+      ~rng:(Prng.of_seed 144L)
+  in
   (* Chord averages ~(1/2) log2 N = 5 hops; allow generous slack. *)
   check Alcotest.bool (Printf.sprintf "mean hops %.2f in [2.5, 8]" mean) true
     (mean > 2.5 && mean < 8.)
 
 let test_chord_secure_fingers_are_first_successors () =
-  let _, overlay = chord_fixture 128 145L in
-  let node = Chord.node overlay 0 in
+  let ids, _ = chord_fixture 128 145L in
+  let oracle = Chord_oracle.build ids in
+  let node = Chord_oracle.node oracle 0 in
   Array.iteri
     (fun k finger ->
       match finger with
       | None -> ()
       | Some entry ->
-          let target = Id.add_power_of_two node.Chord.id k in
+          let target = Id.add_power_of_two node.Chord_oracle.id k in
           (* No member may lie strictly between the target and the finger. *)
           check Alcotest.int "finger is the target's successor"
-            (Chord.successor_of_key overlay target)
-            entry.Chord.node)
-    node.Chord.fingers
-
-let test_chord_standard_fingers_stay_in_interval () =
-  let rng = Prng.of_seed 146L in
-  let ids = Array.init 128 (fun _ -> Id.random rng) in
-  let overlay = Chord.build ~style:(Chord.Standard (Prng.of_seed 147L)) ids in
-  let node = Chord.node overlay 5 in
-  Array.iteri
-    (fun k finger ->
-      match finger with
-      | None -> ()
-      | Some entry ->
-          let target = Id.add_power_of_two node.Chord.id k in
-          let upper =
-            if k = Chord.finger_count - 1 then node.Chord.id
-            else Id.add_power_of_two node.Chord.id (k + 1)
-          in
-          check Alcotest.bool "inside the finger interval" true
-            (Id.in_clockwise_interval entry.Chord.peer ~lo:target ~hi:upper))
-    node.Chord.fingers
+            (Chord_oracle.successor_of_key oracle target)
+            entry.Chord_oracle.node)
+    node.Chord_oracle.fingers
 
 let test_chord_occupancy_model_tracks_mc () =
   let rng = Prng.of_seed 148L in
@@ -568,9 +557,7 @@ let test_id_floor_log2 () =
 
 (* ---------- Incremental secure tables vs the full-rebuild oracle ---------- *)
 
-module Ring = Concilium_overlay.Ring
 module Inc_table = Concilium_overlay.Inc_table
-module Flat_chord = Concilium_overlay.Flat_chord
 module Chaos = Concilium_netsim.Chaos
 
 let distinct_ids ~rng n =
@@ -740,7 +727,6 @@ let prop_flat_chord_routes_to_owner =
         let v = Prng.int rng n in
         if Ring.alive_count ring > 2 then Ring.set_dead ring v
       done;
-      let chord = Flat_chord.create ring in
       let ok = ref true in
       for _ = 1 to 30 do
         let dest = Id.random rng in
@@ -748,8 +734,8 @@ let prop_flat_chord_routes_to_owner =
         while not (Ring.is_alive ring !src) do
           src := Prng.int rng n
         done;
-        let owner = Flat_chord.owner_of_key chord dest in
-        let final, hops, _ = Flat_chord.route chord ~src:!src ~dest in
+        let owner = Chord.owner_of_key ring dest in
+        let final, hops, _ = Chord.route ring ~src:!src ~dest in
         if final <> owner || hops > 64 then ok := false
       done;
       !ok)
@@ -824,27 +810,52 @@ let prop_pastry_matches_oracle =
         (Pastry.build ~leaf_half_size:leaf_half ids);
       true)
 
-(* ---------- Chord O(log n) forwarding vs the linear reference ---------- *)
+(* ---------- Chord = the stored-finger oracle ---------- *)
 
-let prop_chord_next_hop_matches_reference =
-  QCheck.Test.make ~name:"chord next_hop = linear-scan reference" ~count:12
-    QCheck.(pair (int_bound 1000) (int_range 2 120))
-    (fun (seed, n) ->
+(* [Chord] on a ring with a dead minority (or none) against the stored
+   overlay built on the ring's alive ids: oracle node i is the i-th alive
+   position. Keys are random or the id of a universe position, dead ones
+   included. Every hop of every oracle route is compared. *)
+let prop_chord_matches_oracle =
+  QCheck.Test.make ~name:"chord next_hop = linear-scan stored-finger oracle" ~count:30
+    QCheck.(triple (int_bound 10_000) (int_range 2 2001) bool)
+    (fun (seed, n, with_dead) ->
       let rng = Prng.of_seed (Int64.of_int (6000 + seed)) in
-      let ids = distinct_ids ~rng n in
-      let overlay = Chord.build ids in
-      let ok = ref true in
-      for _ = 1 to 60 do
-        let from = Prng.int rng n in
-        let dest =
-          (* Mix arbitrary keys with exact member ids (boundary cases). *)
-          if Prng.bool rng then Id.random rng else ids.(Prng.int rng n)
-        in
-        let fast = Chord.next_hop overlay ~from ~dest in
-        let slow = Chord.next_hop_reference overlay ~from ~dest in
-        if not (Option.equal Int.equal fast slow) then ok := false
+      let ring = Ring.of_ids (distinct_ids ~rng n) in
+      if with_dead then
+        for p = 0 to n - 1 do
+          if Prng.int rng 3 = 0 && Ring.alive_count ring > 2 then Ring.set_dead ring p
+        done;
+      let alive = Array.of_list (List.filter (Ring.is_alive ring) (List.init n Fun.id)) in
+      let oracle = Chord_oracle.build (Array.map (Ring.id ring) alive) in
+      let fail fmt =
+        Alcotest.failf ("n %d (%d alive) seed %d: " ^^ fmt) n (Array.length alive) seed
+      in
+      for _ = 1 to 100 do
+        let src = Prng.int rng (Array.length alive) in
+        let dest = if Prng.bool rng then Id.random rng else Ring.id ring (Prng.int rng n) in
+        if Chord.owner_of_key ring dest <> alive.(Chord_oracle.successor_of_key oracle dest) then
+          fail "owner of %s differs" (Id.to_hex dest);
+        if
+          Chord.interval_occupancy ring alive.(src) <> Chord_oracle.interval_occupancy oracle src
+        then fail "occupancy of position %d differs" alive.(src);
+        let hops = Chord_oracle.route oracle ~from:src ~dest in
+        List.iter
+          (fun v ->
+            let expected =
+              Option.map (fun w -> alive.(w)) (Chord_oracle.next_hop oracle ~from:v ~dest)
+            in
+            let actual = Chord.next_hop ring ~here:alive.(v) ~dest in
+            if not (Option.equal Int.equal actual expected) then
+              fail "next hop from position %d to %s differs" alive.(v) (Id.to_hex dest))
+          hops;
+        let final, hop_count, _ = Chord.route ring ~src:alive.(src) ~dest in
+        let last = List.fold_left (fun _ v -> alive.(v)) alive.(src) hops in
+        if final <> last || hop_count <> List.length hops - 1 then
+          fail "route from position %d to %s: %d after %d hops, oracle %d after %d" alive.(src)
+            (Id.to_hex dest) final hop_count last (List.length hops - 1)
       done;
-      !ok)
+      true)
 
 let suites =
   [
@@ -914,10 +925,8 @@ let suites =
         Alcotest.test_case "logarithmic routing" `Quick test_chord_logarithmic_routing;
         Alcotest.test_case "secure fingers unique" `Quick
           test_chord_secure_fingers_are_first_successors;
-        Alcotest.test_case "standard fingers in interval" `Quick
-          test_chord_standard_fingers_stay_in_interval;
         Alcotest.test_case "occupancy model vs MC" `Quick test_chord_occupancy_model_tracks_mc;
-        qtest prop_chord_next_hop_matches_reference;
+        qtest prop_chord_matches_oracle;
       ] );
     ( "overlay.flat",
       [

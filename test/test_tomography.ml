@@ -120,24 +120,6 @@ let test_suppressing_leaf () =
   check Alcotest.bool "received" true round.Probing.received.(0);
   check Alcotest.bool "ack suppressed" false round.Probing.acked.(0)
 
-let test_spurious_leaf_caught_by_nonce () =
-  let _, tree = fixture_tree () in
-  let rng = Prng.of_seed 63L in
-  let behavior i = if i = 2 then Probing.Spurious_acks 1.0 else Probing.Honest in
-  (* Cut leaf 6's last link so leaf index 2 never receives. *)
-  let g, _ = fixture_tree () in
-  let cut = Option.get (Graph.link_between g 3 6) in
-  let loss_of_link link = if link = cut then 1. else 0. in
-  let caught = ref 0 and sneaked = ref 0 in
-  for _ = 1 to 50 do
-    let round = Probing.probe_round ~rng ~loss_of_link ~tree ~behavior () in
-    if List.mem 2 round.Probing.forged_detected then incr caught;
-    if round.Probing.acked.(2) then incr sneaked
-  done;
-  (* Guessing a 16-bit nonce succeeds ~1/65536 of the time. *)
-  check Alcotest.bool (Printf.sprintf "caught %d, sneaked %d" !caught !sneaked) true
-    (!caught >= 48 && !sneaked <= 2)
-
 let test_classify_round () =
   let _, tree = fixture_tree () in
   let logical = Logical_tree.of_tree tree in
@@ -628,7 +610,6 @@ let suites =
         Alcotest.test_case "striping shares fate" `Quick test_probe_round_shared_fate;
         Alcotest.test_case "perfect network" `Quick test_probe_round_perfect_network;
         Alcotest.test_case "ack suppression" `Quick test_suppressing_leaf;
-        Alcotest.test_case "nonce catches forged acks" `Quick test_spurious_leaf_caught_by_nonce;
         Alcotest.test_case "lightweight classification" `Quick test_classify_round;
       ] );
     ( "tomography.minc",
