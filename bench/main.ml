@@ -158,7 +158,7 @@ let fig6_bench =
 
 let bandwidth_bench =
   Test.make ~name:"sec4.4:bandwidth-model"
-    (Staged.stage @@ fun () -> ignore (Bandwidth.report Bandwidth.paper_params))
+    (Staged.stage @@ fun () -> ignore (Bandwidth.report ~overlay_size:Bandwidth.paper_overlay_size))
 
 (* Batched x10 over spread drop times: one Eq. 2 evaluation is too short
    for a trustworthy per-run fit (the un-batched version measured r² < 0),

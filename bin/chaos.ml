@@ -44,7 +44,7 @@ module Soak = Concilium_adversary.Soak_invariants
 
 type adversary_spec =
   | No_adversary
-  | Sampled of Chaos.adversary_config
+  | Sampled
       (* background pressure: campaigns drawn uniformly; no detection
          assertion since a sampled coalition may never touch a route *)
   | Targeted_collusion of { size : int; drop_probability : float; corroboration : float }
@@ -164,7 +164,7 @@ let adversarial_matrix =
          ~chaos:
            { Chaos.quiet with Chaos.link_flaps_per_hour = 4.; flap_mean_duration = 120. })
       with
-      adversary = Sampled Chaos.default_adversary_config;
+      adversary = Sampled;
     };
   ]
 
@@ -328,8 +328,8 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
     let adversary_plan, framed_links, targeted, sampler_keep =
       match scenario.adversary with
       | No_adversary -> ([], [||], None, None)
-      | Sampled config ->
-          ( Chaos.sample_adversaries ~rng:adv_rng ~config ~nodes:node_count
+      | Sampled ->
+          ( Chaos.sample_adversaries ~rng:adv_rng ~nodes:node_count
               ~peers_of:(fun v -> world.World.peers.(v))
               ~horizon:scenario.duration (),
             [||],
@@ -409,7 +409,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
         plan
         @ [ Chaos.Burst_loss { links = framed_links; start = 60.; duration = scenario.duration } ]
     in
-    let strategy = Strategy.compile ~world ~rng:strategy_rng ~forge_copies:6 adversary_plan in
+    let strategy = Strategy.compile ~world ~rng:strategy_rng adversary_plan in
     let taps = Strategy.taps strategy in
     let compromised_mask = mask_of_nodes node_count (Strategy.compromised strategy) in
     let victim_mask = mask_of_nodes node_count (Strategy.victims strategy) in
@@ -426,8 +426,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
     let churn_timeline =
       if scenario.churn then
         Some
-          (Churn.generate ~rng:(Prng.split rng) ~config:Churn.default_config
-             ~hosts:node_count ~duration:scenario.duration)
+          (Churn.generate ~rng:(Prng.split rng) ~hosts:node_count ~duration:scenario.duration)
       else None
     in
     let availability ~time v =
@@ -570,7 +569,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
     let adversary_detected =
       match scenario.adversary with
       | No_adversary -> false
-      | Sampled _ -> true (* background pressure: no detection criterion *)
+      | Sampled -> true (* background pressure: no detection criterion *)
       | Targeted_collusion _ ->
           (* Episode-level blame alone is too weak a bar: one stray episode
              pinned on a colluder while the rest are shielded would still
@@ -756,38 +755,30 @@ let run matrix seed domains trace_out metrics_out trace_filter provenance_out fl
       trace_out;
     Option.iter (fun path -> Export.write_metrics ~path merged.Collector.metrics) metrics_out;
     Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Prov_graph.jsonl merged.Collector.prov);
-        close_out oc)
+      (fun path -> Export.write_file ~path (Prov_graph.jsonl merged.Collector.prov))
       provenance_out
   end;
   Option.iter
     (fun path ->
-      let merged = Timeseries.merge series in
-      let oc = open_out path in
-      output_string oc (Timeseries.jsonl merged);
-      close_out oc)
+      Export.write_file ~path (Timeseries.jsonl (Timeseries.merge series)))
     timeseries_out;
   (* Flight dumps only materialize on failure: each failed scenario's ring
      (its last trace records and provenance deltas) is appended to the
      artifact, so a red soak ships with its trailing context. *)
   Option.iter
     (fun path ->
-      if List.exists (fun r -> not (scenario_passed r)) results then begin
-        let oc = open_out path in
-        List.iteri
-          (fun i r ->
-            if not (scenario_passed r) then begin
-              let reason =
-                Printf.sprintf "%s: %s" r.scenario.name
-                  (String.concat ", " (Soak.failures (invariant_inputs r)))
-              in
-              output_string oc (Flight.dump ~reason flights.(i))
-            end)
-          results;
-        close_out oc
-      end)
+      if List.exists (fun r -> not (scenario_passed r)) results then
+        List.mapi (fun i r -> (r, flights.(i))) results
+        |> List.filter_map (fun (r, flight) ->
+               if scenario_passed r then None
+               else begin
+                 let reason =
+                   Printf.sprintf "%s: %s" r.scenario.name
+                     (String.concat ", " (Soak.failures (invariant_inputs r)))
+                 in
+                 Some (Flight.dump ~reason flight)
+               end)
+        |> String.concat "" |> Export.write_file ~path)
     flight_out;
   let buf = Buffer.create 4096 in
   emit_json buf ~matrix ~seed ~disable ~expect_failure results;

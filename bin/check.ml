@@ -17,13 +17,9 @@ module Lockstep = Concilium_check.Lockstep
 module Schedule = Concilium_check.Schedule
 module Json = Concilium_util.Json
 module Flight = Concilium_obs.Flight
+module Export = Concilium_obs.Export
 
 let mutation_names = String.concat ", " (List.map Lockstep.mutation_name Lockstep.all_mutations)
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
 
 let read_file path =
   let ic = open_in path in
@@ -58,7 +54,7 @@ let run_budget ~budget ~seed ~domains ~mutation ~expect_divergence ~artifact_pat
   print_string (Harness.render_transcript report);
   (match (report.Harness.counterexample, artifact_path) with
   | Some (schedule, divergence), Some path ->
-      write_file path
+      Export.write_file ~path
         (Json.to_string_pretty (Harness.artifact ~schedule ~mutation ~divergence) ^ "\n")
   | _ -> ());
   (* Flight artifact: the minimized counterexample's schedule rendered as

@@ -68,8 +68,7 @@ let run seed duration messages dropper_fraction drop_probability churn verbose t
     if not churn then fun ~time:_ _ -> true
     else begin
       let timeline =
-        Churn.generate ~rng:(Prng.split rng) ~config:Churn.default_config ~hosts:node_count
-          ~duration
+        Churn.generate ~rng:(Prng.split rng) ~hosts:node_count ~duration
       in
       Printf.printf "churn enabled: mean %.0f%% of hosts online\n%!"
         (100. *. Churn.mean_online_fraction timeline ~duration ~samples:32);

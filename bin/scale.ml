@@ -252,19 +252,12 @@ let run protocol_spec sizes_spec seed domains episodes routes churn_events trans
       sizes
   in
   Option.iter Pool.shutdown pool;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc)
-    transcript;
+  Option.iter (fun path -> Export.write_file ~path (Buffer.contents buf)) transcript;
   Option.iter
     (fun path ->
       let jbuf = Buffer.create 4096 in
       emit_json jbuf ~seed ~domains:(Option.fold ~none:1 ~some:Pool.domain_count pool) results;
-      let oc = open_out path in
-      output_string oc (Buffer.contents jbuf);
-      close_out oc)
+      Export.write_file ~path (Buffer.contents jbuf))
     json_out;
   Option.iter (fun path -> Export.write_metrics ~path obs.Collector.metrics) metrics_out;
   Option.iter (fun path -> Export.write_trace ~path obs.Collector.trace) trace_out;

@@ -56,7 +56,6 @@ type biased = { b_samplers : bool array; b_favored : int; b_start : float; b_sto
 type t = {
   world : World.t;
   rng : Prng.t;
-  forge_copies : int;
   collusions : collusion list;
   lyings : lying list;
   eclipses : eclipse list;
@@ -115,7 +114,11 @@ let mask_of node_count nodes =
   Array.iter (fun v -> if v >= 0 && v < node_count then mask.(v) <- true) nodes;
   mask
 
-let compile ~world ~rng ?(forge_copies = 3) plan =
+(* Duplicate forged reports a compromised prober stuffs per lied-about
+   link per lightweight round. *)
+let forge_copies = 6
+
+let compile ~world ~rng plan =
   let node_count = World.node_count world in
   let link_count = Graph.link_count world.World.generated.World.Generate.graph in
   let collusions = ref []
@@ -225,7 +228,6 @@ let compile ~world ~rng ?(forge_copies = 3) plan =
   {
     world;
     rng;
-    forge_copies = max 1 forge_copies;
     collusions = List.rev !collusions;
     lyings = List.rev !lyings;
     eclipses = List.rev !eclipses;
@@ -370,7 +372,7 @@ let tap_forged_reports t ~time ~prober =
         | Some (_, links) ->
             Array.iter
               (fun link ->
-                for _ = 1 to t.forge_copies do
+                for _ = 1 to forge_copies do
                   out := (link, false) :: !out
                 done)
               links
@@ -383,7 +385,7 @@ let tap_forged_reports t ~time ~prober =
         | Some (_, links) ->
             Array.iter
               (fun link ->
-                for _ = 1 to t.forge_copies do
+                for _ = 1 to forge_copies do
                   out := (link, true) :: !out
                 done)
               links

@@ -38,11 +38,10 @@ module Prng = Concilium_util.Prng
 
 type t
 
-val compile : world:World.t -> rng:Prng.t -> ?forge_copies:int -> Chaos.adversary_plan -> t
-(** Compile a plan's campaigns against [world]. [forge_copies] (default 3)
-    is how many duplicate forged reports a compromised prober stuffs per
-    lied-about link per lightweight round. An empty plan compiles to
-    {!Protocol.no_taps} behaviour. *)
+val compile : world:World.t -> rng:Prng.t -> Chaos.adversary_plan -> t
+(** Compile a plan's campaigns against [world]. A compromised prober stuffs
+    6 duplicate forged reports per lied-about link per lightweight round.
+    An empty plan compiles to {!Protocol.no_taps} behaviour. *)
 
 val taps : t -> Protocol.taps
 (** The tap record to pass to {!Protocol.create}. *)

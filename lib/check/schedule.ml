@@ -286,8 +286,7 @@ let generate ~seed =
       ~nodes ~cuts:[| [| 0; 1; 2 |]; [| 10; 11 |] |] ~horizon
   in
   let adversary_plan =
-    Chaos.sample_adversaries ~rng:(Prng.split rng) ~config:Chaos.default_adversary_config
-      ~nodes ~horizon ()
+    Chaos.sample_adversaries ~rng:(Prng.split rng) ~nodes ~horizon ()
   in
   let from_faults = List.concat_map (ops_of_fault rng ~nodes) plan in
   let from_adversaries = List.concat_map (ops_of_adversary rng ~nodes) adversary_plan in

@@ -125,10 +125,6 @@ type rejection =
   | Below_threshold
   | Weak_supporting_evidence
 
-let recompute_blame t =
-  let b = Signed.payload t in
-  compute_blame ~accused:b.accused ~config:b.config b.evidence
-
 let verify pki t =
   let b = Signed.payload t in
   let e = b.evidence in

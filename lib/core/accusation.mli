@@ -114,9 +114,6 @@ val verify : Pki.t -> t -> (unit, rejection) result
     piece of supporting evidence must independently clear the guilt
     threshold under recomputation. *)
 
-val recompute_blame : t -> float
-(** Equation 2 from the embedded evidence, excluding the accused's votes. *)
-
 val serialize_body : body -> string
 
 val pp_rejection : Format.formatter -> rejection -> unit

@@ -8,20 +8,6 @@
     costs (leaves choose 2) * stripes_per_pair * stripe_size * pkt_size
     outgoing bytes. *)
 
-type params = {
-  overlay_size : int;
-  leaf_set_size : int;
-  entry_bytes : int;  (** id + timestamp + signature *)
-  path_summary_bytes : int;
-  stripes_per_pair : int;
-  packets_per_stripe : int;
-  probe_packet_bytes : int;  (** IP + UDP headers + 16-bit nonce *)
-}
-
-val paper_params : params
-(** 100,000 nodes, 16 leaves, 144 B entries, 1 B summaries, 100 stripes of
-    2 x 30 B probes. *)
-
 (** {2 Per-message wire sizes}
 
     Shared with the protocol's live byte accounting so the simulator and
@@ -48,20 +34,29 @@ val advert_bytes : entries:int -> int
 val heavy_burst_bytes : rounds:int -> leaves:int -> int
 (** Bytes for a heavyweight burst of [rounds] striped rounds. *)
 
-val expected_routing_entries : params -> float
+val paper_overlay_size : int
+(** 100,000 nodes. *)
+
+(** {2 The Section 4.4 model}
+
+    Functions of the overlay size alone: 16-node leaf sets, 145 B
+    advertised entries ({!advert_entry_bytes}), 100 stripes of 2 probe
+    packets ({!probe_packet_bytes}) per pair of tree leaves. *)
+
+val expected_routing_entries : overlay_size:int -> float
 (** mu_phi + leaf-set size (~77 at paper scale). *)
 
-val advertised_state_bytes : params -> float
+val advertised_state_bytes : overlay_size:int -> float
 (** Size of a full advertised routing table (~11.5 KB at paper scale). *)
 
-val heavyweight_probe_bytes : params -> float
+val heavyweight_probe_bytes : overlay_size:int -> float
 (** Outgoing bytes to probe one tree (~16.7 MiB at paper scale). *)
 
-val lightweight_extra_bytes : params -> float
+val lightweight_extra_bytes : float
 (** Additional bandwidth of lightweight probing beyond the availability
     probes the overlay already sends: zero, by construction. *)
 
 type report_row = { label : string; value : float; unit_ : string }
 
-val report : params -> report_row list
+val report : overlay_size:int -> report_row list
 (** The Section 4.4 figures as printable rows. *)

@@ -27,5 +27,3 @@ let covers t ~forwarder ~sender ~destination ~message_id =
   Id.equal body.forwarder forwarder && Id.equal body.sender sender
   && Id.equal body.destination destination
   && String.equal body.message_id message_id
-
-let wire_bytes = (3 * 16) + 4 + 32 + Pki.modeled_signature_bytes

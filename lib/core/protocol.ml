@@ -27,18 +27,6 @@ type behavior =
 
 type config = {
   blame : Blame.config;
-  window_size : int;
-  accusation_m : int;
-  max_probe_time : float;
-  probe_backoff_cap : float;
-  dht_replication : int;
-  heavyweight_rounds : int;
-  heavyweight_loss_threshold : float;
-  min_heavyweight_rounds : int;
-  retry_limit : int;
-  retry_base_delay : float;
-  retry_backoff : float;
-  evidence_ttl : float;
   exclude_suspect_probes : bool;
   one_vote_per_prober : bool;
   validation_gamma_jump : float;
@@ -47,22 +35,32 @@ type config = {
 let default_config =
   {
     blame = Blame.paper_config;
-    window_size = 100;
-    accusation_m = 6;
-    max_probe_time = 120.;
-    probe_backoff_cap = 4.;
-    dht_replication = 4;
-    heavyweight_rounds = 50;
-    heavyweight_loss_threshold = 0.3;
-    min_heavyweight_rounds = 10;
-    retry_limit = 2;
-    retry_base_delay = 1.;
-    retry_backoff = 2.;
-    evidence_ttl = Float.infinity;
     exclude_suspect_probes = true;
     one_vote_per_prober = true;
     validation_gamma_jump = 1.3;
   }
+
+(* The paper's parameters (Section 4): verdict windows of w entries, m
+   guilty verdicts before a formal accusation, lightweight probe
+   inter-arrivals uniform in [0, max_probe_time], DHT replicas per
+   accusation key, and heavyweight bursts of striped rounds recording a
+   link down above the loss threshold. *)
+let window_size = 100
+let accusation_m = 6
+let max_probe_time = 120.
+let dht_replication = 4
+let heavyweight_rounds = 50
+let heavyweight_loss_threshold = 0.3
+
+(* Runtime hardening: a tree that answers nothing is re-probed at most 4x
+   less often; a burst starved below 10 usable rounds records nothing and
+   its judge abstains; an unacknowledged message is retransmitted twice,
+   1 s after the first attempt and 2 s after the second. *)
+let probe_backoff_cap = 4.
+let min_heavyweight_rounds = 10
+let retry_limit = 2
+let retry_base_delay = 1.
+let retry_backoff = 2.
 
 (* ---------- Adversary tap points ----------
 
@@ -190,7 +188,7 @@ let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> tru
     pending_judgments = Queue.create ();
     next_prune = Float.neg_infinity;
     windows = Hashtbl.create 256;
-    dht = Dht.create ~pastry:world.World.pastry ~replication:config.dht_replication;
+    dht = Dht.create ~pastry:world.World.pastry ~replication:dht_replication;
     control_bytes = Array.make (World.node_count world) 0;
     last_advertised = Array.make (World.node_count world) None;
     obs;
@@ -202,7 +200,6 @@ let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> tru
 let observations t = t.observations
 let dht t = t.dht
 let world t = t.world
-let obs t = t.obs
 
 (* ---------- Provenance recording ---------- *)
 
@@ -367,7 +364,7 @@ let run_probe_round t v =
 
    The burst notionally spans [now, now + rounds * spacing): a judge that
    crashes or churns out mid-burst loses the remaining rounds. Returns the
-   number of usable rounds; when that falls below the configured floor, no
+   number of usable rounds; when that falls below min_heavyweight_rounds, no
    observations are recorded at all — a starved estimate is worse than an
    honest abstention. Observations are stamped at [stamp] (the blame-window
    edge), so chaos-injected control delay cannot push the evidence outside
@@ -375,61 +372,56 @@ let run_probe_round t v =
 let heavyweight_round_spacing = 1.0
 
 let run_heavyweight_burst t v ~stamp ~parent =
-  if t.config.heavyweight_rounds <= 0 then 0
-  else begin
-    let tree = t.world.World.trees.(v) in
-    let logical = t.world.World.logical.(v) in
-    let now = Engine.now t.engine in
-    let trace = t.obs.Obs.trace in
-    let burst_span =
-      Trace.span_open trace ~time:now ~cat:"probe" ~parent
-        ~args:[ ("judge", Trace.Int v) ]
-        "probe.heavy_burst"
+  let tree = t.world.World.trees.(v) in
+  let logical = t.world.World.logical.(v) in
+  let now = Engine.now t.engine in
+  let trace = t.obs.Obs.trace in
+  let burst_span =
+    Trace.span_open trace ~time:now ~cat:"probe" ~parent
+      ~args:[ ("judge", Trace.Int v) ]
+      "probe.heavy_burst"
+  in
+  let loss_of_link link = Link_state.loss_rate t.link_state link in
+  let offline = offline_leaves t tree ~time:now in
+  let behavior = leaf_behavior offline in
+  let rounds = ref [] in
+  for r = 0 to heavyweight_rounds - 1 do
+    let round_time = now +. (float_of_int r *. heavyweight_round_spacing) in
+    if t.availability ~time:round_time v then
+      rounds := Probing.probe_round ~rng:t.rng ~loss_of_link ~tree ~behavior () :: !rounds
+  done;
+  let usable = List.length !rounds in
+  let burst_bytes =
+    Bandwidth.heavy_burst_bytes ~rounds:usable ~leaves:(Array.length offline)
+  in
+  t.control_bytes.(v) <- t.control_bytes.(v) + burst_bytes;
+  Metrics.incr t.obs.Obs.metrics ~by:burst_bytes "bytes.heavy_probe";
+  Metrics.incr t.obs.Obs.metrics "probe.heavy_bursts";
+  if usable >= min_heavyweight_rounds then begin
+    let rounds = Array.of_list (List.rev !rounds) in
+    let estimate =
+      Concilium_tomography.Minc.infer_from_rounds ~trace ~parent:burst_span ~time:now
+        logical rounds
     in
-    let loss_of_link link = Link_state.loss_rate t.link_state link in
-    let offline = offline_leaves t tree ~time:now in
-    let behavior = leaf_behavior offline in
-    let rounds = ref [] in
-    for r = 0 to t.config.heavyweight_rounds - 1 do
-      let round_time = now +. (float_of_int r *. heavyweight_round_spacing) in
-      if t.availability ~time:round_time v then
-        rounds := Probing.probe_round ~rng:t.rng ~loss_of_link ~tree ~behavior () :: !rounds
-    done;
-    let usable = List.length !rounds in
-    let burst_bytes =
-      Bandwidth.heavy_burst_bytes ~rounds:usable ~leaves:(Array.length offline)
-    in
-    t.control_bytes.(v) <- t.control_bytes.(v) + burst_bytes;
-    Metrics.incr t.obs.Obs.metrics ~by:burst_bytes "bytes.heavy_probe";
-    Metrics.incr t.obs.Obs.metrics "probe.heavy_bursts";
-    let required = min t.config.min_heavyweight_rounds t.config.heavyweight_rounds in
-    if usable >= required && usable > 0 then begin
-      let rounds = Array.of_list (List.rev !rounds) in
-      let estimate =
-        Concilium_tomography.Minc.infer_from_rounds ~trace ~parent:burst_span ~time:now
-          logical rounds
-      in
-      (* Offline leaves' chains carry no information: skip them. *)
-      let skip = Array.make (Logical_tree.node_count logical) false in
-      Array.iteri
-        (fun leaf_index logical_node -> if offline.(leaf_index) then skip.(logical_node) <- true)
-        (Logical_tree.leaves logical);
-      for node = 1 to Logical_tree.node_count logical - 1 do
-        (* Only chains the estimator actually saw data for. *)
-        if
-          (not skip.(node))
-          && estimate.Concilium_tomography.Minc.gamma.(Logical_tree.parent logical node) > 0.
-        then
-          record_chain t v ~logical ~time:stamp node
-            (Concilium_tomography.Minc.link_loss estimate node
-            < t.config.heavyweight_loss_threshold)
-      done
-    end;
-    Trace.span_close trace ~time:now
-      ~args:[ ("usable_rounds", Trace.Int usable); ("required", Trace.Int required) ]
-      burst_span;
-    usable
-  end
+    (* Offline leaves' chains carry no information: skip them. *)
+    let skip = Array.make (Logical_tree.node_count logical) false in
+    Array.iteri
+      (fun leaf_index logical_node -> if offline.(leaf_index) then skip.(logical_node) <- true)
+      (Logical_tree.leaves logical);
+    for node = 1 to Logical_tree.node_count logical - 1 do
+      (* Only chains the estimator actually saw data for. *)
+      if
+        (not skip.(node))
+        && estimate.Concilium_tomography.Minc.gamma.(Logical_tree.parent logical node) > 0.
+      then
+        record_chain t v ~logical ~time:stamp node
+          (Concilium_tomography.Minc.link_loss estimate node < heavyweight_loss_threshold)
+    done
+  end;
+  Trace.span_close trace ~time:now
+    ~args:[ ("usable_rounds", Trace.Int usable); ("required", Trace.Int min_heavyweight_rounds) ]
+    burst_span;
+  usable
 
 (* ---------- Routing-state advertisement and validation (Section 3.1) ---------- *)
 
@@ -498,9 +490,13 @@ let exchange_advertisements t =
   for advertiser = 0 to World.node_count t.world - 1 do
     if t.availability ~time:now advertiser then begin
       let advertisement = build_advertisement t advertiser in
+      let entries =
+        List.length
+          (Concilium_crypto.Signed.payload advertisement.Validation.snapshot)
+            .Concilium_tomography.Snapshot.summaries
+      in
       let snapshot_bytes =
-        Array.length t.world.World.peers.(advertiser)
-        * Concilium_tomography.Snapshot.wire_bytes advertisement.Validation.snapshot
+        Array.length t.world.World.peers.(advertiser) * Bandwidth.advert_bytes ~entries
       in
       t.control_bytes.(advertiser) <- t.control_bytes.(advertiser) + snapshot_bytes;
       Metrics.incr t.obs.Obs.metrics ~by:snapshot_bytes "bytes.snapshot_exchange";
@@ -516,11 +512,7 @@ let exchange_advertisements t =
             in
             let failures =
               Validation.check t.world.World.pki ~now
-                {
-                  Validation.default_config with
-                  Validation.gamma_jump = t.config.validation_gamma_jump;
-                }
-                ~local advertisement
+                ~gamma_jump:t.config.validation_gamma_jump ~local advertisement
             in
             if failures <> [] then
               reports := { advertiser; validator; failures } :: !reports
@@ -550,15 +542,13 @@ let start_probing t ~horizon =
         (* Offline hosts issue no probes this round but keep their timer. *)
         if t.availability ~time:(Engine.now engine) v then begin
           if run_probe_round t v then backoff := 1.
-          else backoff := Float.min (!backoff *. 2.) (Float.max 1. t.config.probe_backoff_cap)
+          else backoff := Float.min (!backoff *. 2.) probe_backoff_cap
         end;
-        let delay =
-          !backoff *. Probing.schedule_jitter ~rng:t.rng ~max_probe_time:t.config.max_probe_time
-        in
+        let delay = !backoff *. Probing.schedule_jitter ~rng:t.rng ~max_probe_time in
         if Engine.now engine +. delay < horizon then Engine.schedule engine ~delay loop
       end
     in
-    let first = Probing.schedule_jitter ~rng:t.rng ~max_probe_time:t.config.max_probe_time in
+    let first = Probing.schedule_jitter ~rng:t.rng ~max_probe_time in
     Engine.schedule t.engine ~delay:first loop
   done
 
@@ -568,7 +558,7 @@ let window_for t ~judge ~suspect =
   match Hashtbl.find_opt t.windows (judge, suspect) with
   | Some w -> w
   | None ->
-      let w = Verdict_window.create ~window_size:t.config.window_size in
+      let w = Verdict_window.create ~window_size in
       Hashtbl.replace t.windows (judge, suspect) w;
       w
 
@@ -648,9 +638,8 @@ let attach_verdict_evidence prov vnode ~judge ~suspect ~prov_info ~events =
   List.iter (fun event -> Prov.edge prov ~parent:vnode ~child:event) events
 
 (* Phase B: charge the verdict window and escalate to a formal accusation
-   when it crosses m. Evidence past its re-verification TTL is expired
-   first; publication fails over across the accused key's live DHT
-   replicas. *)
+   when it crosses m; publication fails over across the accused key's live
+   DHT replicas. *)
 let verdict_label = function Blame.Guilty -> "guilty" | Blame.Innocent -> "innocent"
 
 let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~episode ~vnode =
@@ -662,8 +651,6 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
   let window = window_for t ~judge ~suspect in
   let archived = Accusation.archive evidence in
   Verdict_window.record window { Verdict_window.verdict; blame; drop_time; evidence = archived };
-  if Float.is_finite t.config.evidence_ttl then
-    Verdict_window.expire window ~before:(drop_time -. t.config.evidence_ttl);
   Metrics.observe metrics "verdict_window.occupancy"
     (float_of_int (Verdict_window.length window));
   (match verdict with
@@ -679,7 +666,7 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
     "episode.verdict";
   if
     (match verdict with Blame.Guilty -> true | Blame.Innocent -> false)
-    && Verdict_window.should_accuse window ~m:t.config.accusation_m
+    && Verdict_window.should_accuse window ~m:accusation_m
   then begin
     (* The formal statement carries the archived evidence of every other
        guilty verdict in the window (the newest IS the primary evidence). *)
@@ -965,11 +952,11 @@ let send_message t ~from ~dest ~payload ~on_outcome =
           diagnosis = None;
           no_commitment_from = None;
         }
-    else if n < t.config.retry_limit then begin
+    else if n < retry_limit then begin
       (* Ack timeout: retransmit after bounded exponential backoff. Any
          chaos-injected control latency stretches the timer too. *)
       let delay =
-        (t.config.retry_base_delay *. (t.config.retry_backoff ** float_of_int n))
+        (retry_base_delay *. (retry_backoff ** float_of_int n))
         +. t.control_latency ~time:now
       in
       Metrics.incr metrics "msg.retransmits";
@@ -1006,11 +993,10 @@ let send_message t ~from ~dest ~payload ~on_outcome =
     Engine.schedule_at t.engine ~time:judge_at (fun _ ->
         let jt = Engine.now t.engine in
         let stamp = drop_time +. t.config.blame.Blame.delta in
-        let required = min t.config.min_heavyweight_rounds t.config.heavyweight_rounds in
         (* A missing ack triggers heavyweight tomography at every steward
            that saw the message (Section 3.2); chaos may starve a burst
            below the usable floor. *)
-        let usable = Array.make hop_count t.config.heavyweight_rounds in
+        let usable = Array.make hop_count heavyweight_rounds in
         for i = 0 to hop_count - 2 do
           if
             fates.(i).received && fates.(i).forwarded
@@ -1110,7 +1096,9 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                       blame_span;
                     result
                   in
-                  if evidence.Accusation.link_votes = [] && usable.(i) < required then begin
+                  if
+                    evidence.Accusation.link_votes = [] && usable.(i) < min_heavyweight_rounds
+                  then begin
                     (* The burst was starved (chaos) and no archived probes
                        cover the window. Zero evidence defaults blame onto
                        the forwarder, so abstaining beats judging: degrade
@@ -1182,7 +1170,8 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                     attach_verdict_evidence prov vnode ~judge ~suspect ~prov_info
                       ~events:episode_events
                   end;
-                  Insufficient_evidence { judge; usable_rounds; required_rounds = required }
+                  Insufficient_evidence
+                    { judge; usable_rounds; required_rounds = min_heavyweight_rounds }
               | _ -> Diagnosed (resolve_with ~first_judge:hops.(0)))
         in
         (* Phase B: charge verdict windows, honoring exonerations from the

@@ -3,10 +3,21 @@
     stewardship, blame attribution, verdict windows, formal accusations and
     DHT publication over a simulated deployment.
 
-    This module drives small-to-medium worlds end to end (examples and
-    integration tests); the paper-scale experiments use the dedicated
-    drivers in [concilium_experiments], which exploit the same building
-    blocks without paying full-protocol cost per judgment. *)
+    It drives every world end to end, from the examples' tiny worlds to the
+    1,310-node paper world (the end-to-end benchmark's paper-scale
+    diagnosis workload). The paper figures' Monte Carlo sweeps
+    ([concilium_experiments]) sample judgments from the same building
+    blocks instead of running whole diagnoses.
+
+    Fixed parameters, the paper's (Section 4): verdict windows of w = 100
+    entries; m = 6 guilty verdicts before a formal accusation; lightweight
+    probe inter-arrivals uniform in [0, 120 s]; 4 DHT replicas per
+    accusation key; heavyweight bursts of 50 striped rounds that record a
+    link down above 30% inferred loss. Runtime hardening: the probe
+    inter-arrival backs off at most 4x while a tree answers nothing; a
+    burst with fewer than 10 usable rounds records nothing; an
+    unacknowledged message is retransmitted twice, after 1 s and then 2 s
+    of backoff. *)
 
 module Id = Concilium_overlay.Id
 module Engine = Concilium_netsim.Engine
@@ -30,28 +41,6 @@ type behavior =
 
 type config = {
   blame : Blame.config;
-  window_size : int;  (** w *)
-  accusation_m : int;  (** guilty verdicts before a formal accusation *)
-  max_probe_time : float;  (** lightweight probe inter-arrival bound *)
-  probe_backoff_cap : float;
-      (** max multiplier on the probe inter-arrival when a tree answers
-          nothing (partition, mass churn); any ack resets the backoff *)
-  dht_replication : int;
-  heavyweight_rounds : int;
-      (** striped rounds a judge fires at its tree when a drop triggers
-          heavyweight tomography (Section 3.2); 0 disables *)
-  heavyweight_loss_threshold : float;
-      (** MINC-inferred loss above which a link is recorded as "down" *)
-  min_heavyweight_rounds : int;
-      (** usable-round floor below which a starved burst records nothing
-          and the judge abstains ({!Insufficient_evidence}) rather than
-          issue a zero-evidence verdict *)
-  retry_limit : int;  (** retransmits after the first unacknowledged attempt *)
-  retry_base_delay : float;  (** seconds before the first retransmit *)
-  retry_backoff : float;  (** multiplier per further retransmit (bounded) *)
-  evidence_ttl : float;
-      (** window entries whose evidence is older than this are expired
-          before accusation checks; [infinity] disables *)
   exclude_suspect_probes : bool;
       (** the Section 3.4 defense: a suspect's own probe reports never
           count towards its own judgment or evidence. Default [true];
@@ -68,12 +57,9 @@ type config = {
 }
 
 val default_config : config
-(** Paper parameters: a=0.9, Delta=60 s, threshold 0.4, w=100, m=6,
-    max_probe_time=120 s, 4 replicas, 50 heavyweight rounds at a 30%%
-    loss threshold; plus runtime hardening defaults: 2 retransmits at
-    1 s/2x backoff, probe backoff capped at 4x, 10-round burst floor, no
-    evidence TTL; all three anti-gaming defenses on
-    ([exclude_suspect_probes], [one_vote_per_prober], gamma_jump 1.3). *)
+(** Paper blame parameters (a=0.9, Delta=60 s, threshold 0.4) and all three
+    anti-gaming defenses on ([exclude_suspect_probes],
+    [one_vote_per_prober], gamma_jump 1.3). *)
 
 type forward_decision = Tap_forward | Tap_drop
 
@@ -188,15 +174,13 @@ val create :
     randomness and schedules no events: results are identical with
     observability on or off. *)
 
-val obs : t -> Concilium_obs.Collector.t
-
 val start_probing : t -> horizon:float -> unit
 (** Schedule every node's lightweight probe loop up to the horizon. *)
 
 val send_message :
   t -> from:int -> dest:Id.t -> payload:string -> on_outcome:(outcome -> unit) -> unit
-(** Route a message; on ack timeout retransmit up to [retry_limit] times
-    with bounded exponential backoff, and only then run the full diagnosis
+(** Route a message; on ack timeout retransmit up to twice with bounded
+    exponential backoff, and only then run the full diagnosis
     (judgments at final drop time + Delta, heavyweight bursts, stewardship
     resolution with failover past dead stewards, accusations). A suspect
     that availability shows offline at judgment time yields an

@@ -1,7 +1,6 @@
 module Id = Concilium_overlay.Id
 module Pki = Concilium_crypto.Pki
 module Signed = Concilium_crypto.Signed
-module Graph = Concilium_provenance.Graph
 
 type archive = { mutable verdicts : Accusation.t list }
 
@@ -31,31 +30,16 @@ type outcome =
   | Blame_shifted of Id.t
   | Accusation_invalid of Accusation.rejection
 
-let adjudicate ?(prov = Concilium_provenance.Graph.noop) ?(accuser = -1) ?(accused = -1) pki
-    ~accusation ~rebuttal =
-  let outcome =
-    match Accusation.verify pki accusation with
-    | Error rejection -> Accusation_invalid rejection
-    | Ok () -> (
-        match rebuttal with
-        | None -> Accusation_stands
-        | Some candidate ->
-            if covers ~accusation candidate && Accusation.verify pki candidate = Ok () then
-              Blame_shifted (Signed.payload candidate).Accusation.accused
-            else Accusation_stands)
-  in
-  (* Adjudications join the provenance DAG as rebuttal nodes; the caller
-     supplies dense node numbers when it knows them (the signed statements
-     themselves carry only overlay identities). *)
-  (if Graph.enabled prov then
-     let kind =
-       match outcome with
-       | Accusation_stands -> Graph.Stands
-       | Blame_shifted _ -> Graph.Shifted
-       | Accusation_invalid _ -> Graph.Invalid
-     in
-     ignore (Graph.rebuttal prov ~accuser ~accused ~outcome:kind : Graph.node));
-  outcome
+let adjudicate pki ~accusation ~rebuttal =
+  match Accusation.verify pki accusation with
+  | Error rejection -> Accusation_invalid rejection
+  | Ok () -> (
+      match rebuttal with
+      | None -> Accusation_stands
+      | Some candidate ->
+          if covers ~accusation candidate && Accusation.verify pki candidate = Ok () then
+            Blame_shifted (Signed.payload candidate).Accusation.accused
+          else Accusation_stands)
 
 let pp_outcome fmt = function
   | Accusation_stands -> Format.pp_print_string fmt "accusation stands"

@@ -34,21 +34,9 @@ type outcome =
   | Accusation_invalid of Accusation.rejection
       (** the original accusation itself fails verification *)
 
-val adjudicate :
-  ?prov:Concilium_provenance.Graph.t ->
-  ?accuser:int ->
-  ?accused:int ->
-  Pki.t ->
-  accusation:Accusation.t ->
-  rebuttal:Accusation.t option ->
-  outcome
+val adjudicate : Pki.t -> accusation:Accusation.t -> rebuttal:Accusation.t option -> outcome
 (** What a third party concludes. A rebuttal counts only if (i) it
     verifies, (ii) its accuser is the accusation's accused, and (iii) its
-    drop time falls within the accusation's probe window.
-
-    When [prov] is a recording graph, the adjudication is recorded as a
-    rebuttal node carrying the outcome; [accuser]/[accused] are the dense
-    node numbers when the caller knows them (default -1: the signed
-    statements only carry overlay identities). *)
+    drop time falls within the accusation's probe window. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -13,9 +13,10 @@ type advertisement = {
   leaf_set : Leaf_set.t;
 }
 
-type config = { gamma_jump : float; gamma_leaf : float; max_stamp_age : float }
-
-let default_config = { gamma_jump = 1.1; gamma_leaf = 1.5; max_stamp_age = 600. }
+(* Slack of Castro's leaf-set spacing test, and the seconds before a
+   freshness stamp goes stale. *)
+let gamma_leaf = 1.5
+let max_stamp_age = 600.
 
 type failure =
   | Bad_snapshot_signature
@@ -25,7 +26,7 @@ type failure =
 
 type local_view = { own_jump_occupancy : int; own_leaf_set : Leaf_set.t }
 
-let check pki ~now config ~local advertisement =
+let check pki ~now ~gamma_jump ~local advertisement =
   let failures = ref [] in
   let push f = failures := f :: !failures in
   if not (Snapshot.verify pki advertisement.snapshot) then push Bad_snapshot_signature;
@@ -35,12 +36,12 @@ let check pki ~now config ~local advertisement =
       let peer = summary.Snapshot.peer in
       if
         not
-          (Freshness.validate pki ~now ~max_age:config.max_stamp_age ~expected_holder:peer
+          (Freshness.validate pki ~now ~max_age:max_stamp_age ~expected_holder:peer
              summary.Snapshot.freshness)
       then push (Stale_or_invalid_stamp peer))
     body.Snapshot.summaries;
   (match
-     Density_test.check ~gamma:config.gamma_jump ~local_occupancy:local.own_jump_occupancy
+     Density_test.check ~gamma:gamma_jump ~local_occupancy:local.own_jump_occupancy
        ~peer_occupancy:advertisement.jump_table_occupancy
    with
   | `Suspicious ->
@@ -49,7 +50,7 @@ let check pki ~now config ~local advertisement =
            { local = local.own_jump_occupancy; advertised = advertisement.jump_table_occupancy })
   | `Acceptable -> ());
   (match
-     Leaf_set.spacing_check ~gamma:config.gamma_leaf ~local:local.own_leaf_set
+     Leaf_set.spacing_check ~gamma:gamma_leaf ~local:local.own_leaf_set
        ~peer:advertisement.leaf_set
    with
   | `Suspicious ->

@@ -19,15 +19,6 @@ type advertisement = {
   leaf_set : Leaf_set.t;  (** the peer's advertised leaf set *)
 }
 
-type config = {
-  gamma_jump : float;  (** slack for the jump-table density test *)
-  gamma_leaf : float;  (** slack for Castro's leaf-set spacing test *)
-  max_stamp_age : float;  (** seconds before a freshness stamp goes stale *)
-}
-
-val default_config : config
-(** gamma 1.1 / 1.5, 10-minute stamp lifetime. *)
-
 type failure =
   | Bad_snapshot_signature
   | Stale_or_invalid_stamp of Id.t  (** the offending entry's peer *)
@@ -40,8 +31,10 @@ type local_view = {
 }
 
 val check :
-  Pki.t -> now:float -> config -> local:local_view -> advertisement -> failure list
+  Pki.t -> now:float -> gamma_jump:float -> local:local_view -> advertisement -> failure list
 (** All failures found, in checking order; [] means the advertisement is
-    accepted. *)
+    accepted. [gamma_jump] is the jump-table density test's slack
+    ([infinity] disables the test); the leaf-set spacing test's slack is
+    1.5, and freshness stamps go stale after 10 minutes. *)
 
 val pp_failure : Format.formatter -> failure -> unit

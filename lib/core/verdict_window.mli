@@ -23,10 +23,10 @@ val entries : 'evidence t -> 'evidence entry list
 val expire : 'evidence t -> before:float -> unit
 (** Drop every entry whose [drop_time] is strictly below the horizon,
     preserving the order of the survivors. The boundary is inclusive-keep:
-    an entry with [drop_time = before] is retained — callers computing the
-    horizon as [now -. evidence_ttl] therefore keep a verdict that is
-    exactly [evidence_ttl] old, and a judge re-checking at the same instant
-    it recorded sees the verdict still counted. Verdicts backed by evidence
+    an entry with [drop_time = before] is retained — a caller computing the
+    horizon as [now -. ttl] keeps a verdict that is exactly [ttl] old, and
+    a judge re-checking at the same instant it recorded sees the verdict
+    still counted. Verdicts backed by evidence
     strictly older than the horizon must not keep counting towards an
     accusation. Runs in one pass over the window; the buffer is rebuilt
     only when at least one entry actually expires. *)

@@ -1,7 +1,7 @@
 module Prng = Concilium_util.Prng
 
 type public_key = string
-type secret_key = { key_public : public_key; key_secret : string }
+type secret_key = { key_secret : string }
 type signature = string
 
 type certificate = {
@@ -29,16 +29,13 @@ let generate_into registry rng =
   let secret = random_token rng in
   let public = Sha256.hex_digest secret in
   Hashtbl.replace registry public secret;
-  (public, { key_public = public; key_secret = secret })
+  (public, { key_secret = secret })
 
 let create ~seed =
   let rng = Prng.of_seed seed in
   let registry = Hashtbl.create 1024 in
   let authority_public, authority_secret = generate_into registry rng in
   { rng; registry; authority_public; authority_secret }
-
-let authority_key t = t.authority_public
-let public_of_secret secret = secret.key_public
 
 let sign secret message = Hmac.sha256_hex ~key:secret.key_secret message
 
@@ -66,11 +63,9 @@ let verify_certificate t certificate =
 
 let public_key_to_string pk = pk
 let public_key_of_string s = s
-let public_key_equal = String.equal
 let signature_to_string s = s
 let signature_of_string s = s
 
 (* RSA-1024 signature is 128 bytes; PSS-R recovers part of the message, and
    the paper budgets 144 bytes for a 20-byte payload plus its signature. *)
 let modeled_signature_bytes = 128
-let modeled_public_key_bytes = 128

@@ -25,14 +25,10 @@ type certificate = {
 }
 
 val create : seed:int64 -> t
-val authority_key : t -> public_key
 
 val issue : t -> address:string -> node_id:string -> certificate * secret_key
 (** Enroll a host: generate its keypair, register it, and return its
     certificate along with the secret only that host should hold. *)
-
-val public_of_secret : secret_key -> public_key
-(** The public half bound to a secret key at generation time. *)
 
 val sign : secret_key -> string -> signature
 val verify : t -> public_key -> string -> signature -> bool
@@ -43,7 +39,6 @@ val verify_certificate : t -> certificate -> bool
 
 val public_key_to_string : public_key -> string
 val public_key_of_string : string -> public_key
-val public_key_equal : public_key -> public_key -> bool
 val signature_to_string : signature -> string
 
 val signature_of_string : string -> signature
@@ -52,5 +47,3 @@ val signature_of_string : string -> signature
 
 val modeled_signature_bytes : int
 (** Wire size of an RSA-1024 PSS-R signature (paper Section 4.4). *)
-
-val modeled_public_key_bytes : int

@@ -118,7 +118,9 @@ let probe_consolidation ?pool ~world ~group_sizes ~seed () =
   let rng = Prng.of_seed seed in
   let node_count = World.node_count world in
   let trees = Array.map Tree.physical_links world.World.trees in
-  let per_tree_bytes = Bandwidth.heavyweight_probe_bytes Bandwidth.paper_params in
+  let per_tree_bytes =
+    Bandwidth.heavyweight_probe_bytes ~overlay_size:Bandwidth.paper_overlay_size
+  in
   (* One pre-split stream per group size (member sampling). *)
   let rows =
     Array.to_list

@@ -18,7 +18,7 @@ let run ?pool ~sizes () =
               Printf.sprintf "%.2f" row.Bandwidth.value;
               row.Bandwidth.unit_;
             ])
-          (Bandwidth.report Bandwidth.paper_params);
+          (Bandwidth.report ~overlay_size:Bandwidth.paper_overlay_size);
     }
   in
   let sweep =
@@ -28,14 +28,13 @@ let run ?pool ~sizes () =
         [ "overlay size"; "routing entries"; "advertised state (KiB)"; "heavy probing (MiB)" ];
       rows =
         Array.to_list
-          (Pool.parallel_map ?pool sizes ~f:(fun n ->
-               let params = { Bandwidth.paper_params with Bandwidth.overlay_size = n } in
+          (Pool.parallel_map ?pool sizes ~f:(fun overlay_size ->
                [
-                 Output.cell_i n;
-                 Printf.sprintf "%.1f" (Bandwidth.expected_routing_entries params);
-                 Printf.sprintf "%.2f" (Bandwidth.advertised_state_bytes params /. 1024.);
+                 Output.cell_i overlay_size;
+                 Printf.sprintf "%.1f" (Bandwidth.expected_routing_entries ~overlay_size);
+                 Printf.sprintf "%.2f" (Bandwidth.advertised_state_bytes ~overlay_size /. 1024.);
                  Printf.sprintf "%.2f"
-                   (Bandwidth.heavyweight_probe_bytes params /. (1024. *. 1024.));
+                   (Bandwidth.heavyweight_probe_bytes ~overlay_size /. (1024. *. 1024.));
                ]));
     }
   in

@@ -1,5 +1,6 @@
 module Prng = Concilium_util.Prng
 module Pool = Concilium_util.Pool
+module Blame = Concilium_core.Blame
 
 type row = {
   label : string;
@@ -23,7 +24,6 @@ type result = {
 let shard_count ~samples = min 256 (max 1 (samples / 64))
 
 let run_shard blame_world ~rng ~quota =
-  let config = Blame_world.config blame_world in
   (* Counters: (says-network when network, says-node when node). *)
   let network_total = ref 0 and node_total = ref 0 in
   let concilium_network = ref 0 and concilium_node = ref 0 in
@@ -35,7 +35,7 @@ let run_shard blame_world ~rng ~quota =
     | Some judgment ->
         incr collected;
         let says_node =
-          judgment.Blame_world.blame >= config.Blame_world.guilt_threshold
+          judgment.Blame_world.blame >= Blame.paper_config.Blame.guilt_threshold
         in
         if judgment.Blame_world.path_actually_good then begin
           (* Ground truth: the forwarder dropped it. *)

@@ -13,9 +13,7 @@ module Pool = Concilium_util.Pool
 type config = {
   duration : float;
   max_probe_time : float;
-  accuracy : float;
   delta : float;
-  guilt_threshold : float;
   colluding_fraction : float;
   corroboration : float;
   exclude_suspect_probes : bool;
@@ -27,9 +25,7 @@ let paper_config ~colluding_fraction ~seed =
   {
     duration = 7200.;
     max_probe_time = 120.;
-    accuracy = 0.9;
     delta = 60.;
-    guilt_threshold = 0.4;
     colluding_fraction;
     corroboration = 1.;
     exclude_suspect_probes = true;
@@ -89,7 +85,6 @@ let create ~world config =
 
 let world t = t.world
 let config t = t.config
-let is_malicious t v = t.malicious.(v)
 
 let mean_bad_fraction t =
   Failures.mean_bad_fraction t.failures ~duration:t.config.duration ~samples:64
@@ -103,7 +98,7 @@ let misclassifies t ~prober ~link ~probe_index =
   let h = Hashing.fnv1a_int h (Int64.of_int probe_index) in
   let h = Hashing.fnv1a_int h t.config.seed in
   let noise_rng = Prng.of_seed h in
-  Prng.uniform noise_rng > t.config.accuracy
+  Prng.uniform noise_rng > Blame.paper_config.Blame.accuracy
 
 (* Whether a colluder actually lies on this observation. At corroboration
    1.0 (the paper's Figure 5(b) setting) the short-circuit keeps the
@@ -180,7 +175,7 @@ let judge t ~judge:a ~suspect:b ~next_hop:c ~time =
             (World.vouchers t.world ~link);
           worst :=
             Float.max !worst
-              (Blame.link_bad_confidence ~accuracy:t.config.accuracy ~up_votes:!up_votes
+              (Blame.link_bad_confidence ~accuracy:Blame.paper_config.Blame.accuracy ~up_votes:!up_votes
                  ~down_votes:!down_votes))
         links;
       let path_actually_good =
@@ -260,7 +255,7 @@ let run_shard t ~rng ~quota =
     match sample_judgment t ~rng with
     | None -> ()
     | Some j ->
-        let guilty = j.blame >= t.config.guilt_threshold in
+        let guilty = j.blame >= Blame.paper_config.Blame.guilt_threshold in
         if j.path_actually_good then begin
           (* The network is exonerated: a drop here means the suspect really
              ate the message. Under collusion the paper's droppers are the

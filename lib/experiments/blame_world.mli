@@ -6,8 +6,8 @@ module World = Concilium_core.World
 
     Each overlay node probes its tree on the paper's lightweight schedule
     (inter-arrival uniform in [0, max_probe_time]); a probe observes every
-    link of the prober's tree, classifying it correctly with probability
-    [accuracy]. A judgment (A, B, C, t) gathers the observations that A
+    link of the prober's tree, classifying it correctly with the paper's
+    probability ({!Concilium_core.Blame.paper_config}: 0.9). A judgment (A, B, C, t) gathers the observations that A
     actually holds — those from A itself and A's routing peers (the trees
     of F_A), excluding B's own — within [t - Delta, t + Delta] over the
     B->C route, and evaluates Equations 2-3. Probe noise is a
@@ -24,9 +24,7 @@ module Histogram = Concilium_stats.Histogram
 type config = {
   duration : float;  (** virtual seconds (paper: 7200) *)
   max_probe_time : float;  (** paper: 120 s *)
-  accuracy : float;  (** paper: 0.9 *)
   delta : float;  (** paper: 60 s *)
-  guilt_threshold : float;  (** paper: 0.4 *)
   colluding_fraction : float;  (** 0 = all honest; paper also studies 0.2 *)
   corroboration : float;
       (** probability a colluder lies on any given observation (1.0 — the
@@ -56,7 +54,6 @@ val create : world:World.t -> config -> t
 
 val world : t -> World.t
 val config : t -> config
-val is_malicious : t -> int -> bool
 val mean_bad_fraction : t -> float
 (** Time-averaged fraction of route-relevant links bad (target: 5%). *)
 

@@ -105,9 +105,10 @@ let run ?pool ~world ~rng ~host_sample () =
           })
     (List.init (max_peers + 1) (fun k -> k))
 
-let table ?(max_rows = 30) points =
+let table points =
   let total = List.length points in
-  let stride = max 1 (total / max_rows) in
+  (* About 30 rows, always ending with the last point. *)
+  let stride = max 1 (total / 30) in
   let rows =
     List.filteri
       (fun i _ -> i mod stride = 0 || i = total - 1)

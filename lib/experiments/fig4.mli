@@ -26,4 +26,5 @@ val run :
     Hosts fan out over the pool, one pre-split PRNG each, and the per-host
     curves are merged in sample order. *)
 
-val table : ?max_rows:int -> point list -> Output.table
+val table : point list -> Output.table
+(** About 30 evenly strided rows, always including the last point. *)

@@ -236,61 +236,19 @@ type adversary =
 
 type adversary_plan = adversary list
 
-type adversary_config = {
-  collusions_per_hour : float;
-  collusion_size : int;
-  collusion_drop_probability : float;
-  collusion_corroboration : float;
-  collusion_mean_duration : float;
-  lying_per_hour : float;
-  lying_size : int;
-  lying_corroboration : float;
-  lying_mean_duration : float;
-  eclipses_per_hour : float;
-  eclipse_size : int;
-  eclipse_mean_duration : float;
-  biased_per_hour : float;
-  biased_size : int;
-  biased_mean_duration : float;
-}
-
-let no_adversaries =
-  {
-    collusions_per_hour = 0.;
-    collusion_size = 0;
-    collusion_drop_probability = 0.;
-    collusion_corroboration = 0.;
-    collusion_mean_duration = 0.;
-    lying_per_hour = 0.;
-    lying_size = 0;
-    lying_corroboration = 0.;
-    lying_mean_duration = 0.;
-    eclipses_per_hour = 0.;
-    eclipse_size = 0;
-    eclipse_mean_duration = 0.;
-    biased_per_hour = 0.;
-    biased_size = 0;
-    biased_mean_duration = 0.;
-  }
-
-let default_adversary_config =
-  {
-    collusions_per_hour = 1.;
-    collusion_size = 3;
-    collusion_drop_probability = 0.8;
-    collusion_corroboration = 1.;
-    collusion_mean_duration = 900.;
-    lying_per_hour = 1.;
-    lying_size = 3;
-    lying_corroboration = 1.;
-    lying_mean_duration = 900.;
-    eclipses_per_hour = 0.5;
-    eclipse_size = 4;
-    eclipse_mean_duration = 900.;
-    biased_per_hour = 0.5;
-    biased_size = 3;
-    biased_mean_duration = 900.;
-  }
+(* Soak pressure: per simulated hour about one coalition and one
+   lying-reporter cell, and half as many eclipse and sampling-bias
+   campaigns; 15-minute mean campaign durations. *)
+let collusions_per_hour = 1.
+let collusion_size = 3
+let collusion_drop_probability = 0.8
+let lying_per_hour = 1.
+let lying_size = 3
+let eclipses_per_hour = 0.5
+let eclipse_size = 4
+let biased_per_hour = 0.5
+let biased_size = 3
+let campaign_mean_duration = 900.
 
 let adversary_start_of = function
   | Collusion { start; _ }
@@ -312,88 +270,74 @@ let pick_nodes_excluding rng ~nodes ~victim k =
   let picks = Prng.sample_without_replacement rng k (nodes - 1) in
   Array.map (fun i -> if i >= victim then i + 1 else i) picks
 
-let sample_adversaries ~rng ~config ~nodes ?peers_of ~horizon () =
+let sample_adversaries ~rng ~nodes ?peers_of ~horizon () =
   if horizon <= 0. then invalid_arg "Chaos.sample_adversaries: non-positive horizon";
   if nodes < 2 then []
   else begin
-    let advs = ref [] in
-    if config.collusion_size > 0 then
-      advs :=
-        arrivals ~rng ~per_hour:config.collusions_per_hour ~horizon
-          ~make:(fun start ->
-            Collusion
-              {
-                members = pick_nodes rng ~nodes config.collusion_size;
-                drop_probability = config.collusion_drop_probability;
-                corroboration = config.collusion_corroboration;
-                start;
-                duration = duration_draw rng ~mean:config.collusion_mean_duration;
-              })
-          !advs;
-    if config.lying_size > 0 then
-      advs :=
-        arrivals ~rng ~per_hour:config.lying_per_hour ~horizon
-          ~make:(fun start ->
-            let victim = Prng.int rng nodes in
-            Lying_reporters
-              {
-                reporters = pick_nodes_excluding rng ~nodes ~victim config.lying_size;
-                victim;
-                corroboration = config.lying_corroboration;
-                start;
-                duration = duration_draw rng ~mean:config.lying_mean_duration;
-              })
-          !advs;
-    if config.eclipse_size > 0 then
-      advs :=
-        arrivals ~rng ~per_hour:config.eclipses_per_hour ~horizon
-          ~make:(fun start ->
-            let victim = Prng.int rng nodes in
-            (* An eclipse wants attackers already adjacent to the victim's
-               routing state; fall back to arbitrary nodes when the caller
-               gives no peer view. *)
-            let attackers =
-              match peers_of with
-              | Some peers when Array.length (peers victim) > 0 ->
-                  let peers = peers victim in
-                  let k = min config.eclipse_size (Array.length peers) in
-                  let picks = Prng.sample_without_replacement rng k (Array.length peers) in
-                  Array.map (fun i -> peers.(i)) picks
-              | _ -> pick_nodes_excluding rng ~nodes ~victim config.eclipse_size
-            in
-            Eclipse
-              {
-                attackers;
-                victim;
-                start;
-                duration = duration_draw rng ~mean:config.eclipse_mean_duration;
-              })
-          !advs;
-    if config.biased_size > 0 then
-      advs :=
-        arrivals ~rng ~per_hour:config.biased_per_hour ~horizon
-          ~make:(fun start ->
-            let favored = Prng.int rng nodes in
-            Biased_sampling
-              {
-                samplers = pick_nodes_excluding rng ~nodes ~victim:favored config.biased_size;
-                favored;
-                start;
-                duration = duration_draw rng ~mean:config.biased_mean_duration;
-              })
-          !advs;
+    let duration () = duration_draw rng ~mean:campaign_mean_duration in
+    let advs =
+      arrivals ~rng ~per_hour:collusions_per_hour ~horizon
+        ~make:(fun start ->
+          Collusion
+            {
+              members = pick_nodes rng ~nodes collusion_size;
+              drop_probability = collusion_drop_probability;
+              corroboration = 1.;
+              start;
+              duration = duration ();
+            })
+        []
+    in
+    let advs =
+      arrivals ~rng ~per_hour:lying_per_hour ~horizon
+        ~make:(fun start ->
+          let victim = Prng.int rng nodes in
+          Lying_reporters
+            {
+              reporters = pick_nodes_excluding rng ~nodes ~victim lying_size;
+              victim;
+              corroboration = 1.;
+              start;
+              duration = duration ();
+            })
+        advs
+    in
+    let advs =
+      arrivals ~rng ~per_hour:eclipses_per_hour ~horizon
+        ~make:(fun start ->
+          let victim = Prng.int rng nodes in
+          (* An eclipse wants attackers already adjacent to the victim's
+             routing state; fall back to arbitrary nodes when the caller
+             gives no peer view. *)
+          let attackers =
+            match peers_of with
+            | Some peers when Array.length (peers victim) > 0 ->
+                let peers = peers victim in
+                let k = min eclipse_size (Array.length peers) in
+                let picks = Prng.sample_without_replacement rng k (Array.length peers) in
+                Array.map (fun i -> peers.(i)) picks
+            | _ -> pick_nodes_excluding rng ~nodes ~victim eclipse_size
+          in
+          Eclipse { attackers; victim; start; duration = duration () })
+        advs
+    in
+    let advs =
+      arrivals ~rng ~per_hour:biased_per_hour ~horizon
+        ~make:(fun start ->
+          let favored = Prng.int rng nodes in
+          Biased_sampling
+            {
+              samplers = pick_nodes_excluding rng ~nodes ~victim:favored biased_size;
+              favored;
+              start;
+              duration = duration ();
+            })
+        advs
+    in
     List.stable_sort
       (fun a b -> Float.compare (adversary_start_of a) (adversary_start_of b))
-      (List.rev !advs)
+      (List.rev advs)
   end
-
-let adversary_active adversary ~time =
-  match adversary with
-  | Collusion { start; duration; _ }
-  | Lying_reporters { start; duration; _ }
-  | Eclipse { start; duration; _ }
-  | Biased_sampling { start; duration; _ } ->
-      time >= start && time < start +. duration
 
 let adversary_counts plan =
   let collusion = ref 0 and lying = ref 0 and eclipse = ref 0 and biased = ref 0 in

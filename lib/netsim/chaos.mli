@@ -126,35 +126,8 @@ type adversary_plan = adversary list
     core by [Concilium_adversary] into protocol tap functions, keeping this
     module below the protocol in the layering. *)
 
-type adversary_config = {
-  collusions_per_hour : float;
-  collusion_size : int;
-  collusion_drop_probability : float;
-  collusion_corroboration : float;
-  collusion_mean_duration : float;
-  lying_per_hour : float;
-  lying_size : int;
-  lying_corroboration : float;
-  lying_mean_duration : float;
-  eclipses_per_hour : float;
-  eclipse_size : int;
-  eclipse_mean_duration : float;
-  biased_per_hour : float;
-  biased_size : int;
-  biased_mean_duration : float;
-}
-
-val no_adversaries : adversary_config
-(** All rates and sizes zero: sampling yields the empty plan. *)
-
-val default_adversary_config : adversary_config
-(** Moderate adversarial pressure for soak runs: roughly one coalition and
-    one lying-reporter cell per simulated hour, occasional eclipse and
-    sampling-bias campaigns, 15-minute mean campaign durations. *)
-
 val sample_adversaries :
   rng:Concilium_util.Prng.t ->
-  config:adversary_config ->
   nodes:int ->
   ?peers_of:(int -> int array) ->
   horizon:float ->
@@ -162,15 +135,16 @@ val sample_adversaries :
   adversary_plan
 (** Draw adversary campaigns over [0, horizon) under the same discipline as
     {!sample}: Poisson arrivals per strategy family, exponential durations,
-    members/victims uniform over [0, nodes). Lying reporters and biased
+    members/victims uniform over [0, nodes). The rates are soak pressure:
+    per simulated hour about one coalition of 3 (drop probability 0.8) and
+    one cell of 3 lying reporters, and half as many eclipses (4 attackers)
+    and sampling-bias campaigns (3 samplers); 15-minute mean durations;
+    every coalition and lie is fully corroborated. Lying reporters and biased
     samplers never include their own victim/favored node. Eclipse attackers
     are drawn from [peers_of victim] when provided (an eclipse needs nodes
     already adjacent to the victim's routing state) and fall back to
     arbitrary non-victim nodes otherwise. Fewer than two nodes yields the
     empty plan. Sorted by start time; equal seeds give equal plans. *)
-
-val adversary_active : adversary -> time:float -> bool
-(** Whether the campaign's [start, start + duration) window covers [time]. *)
 
 val adversary_counts : adversary_plan -> (string * int) list
 (** Strategy-family histogram in a fixed order ("collusion",

@@ -1,13 +1,8 @@
 module Prng = Concilium_util.Prng
 
-type config = {
-  mean_uptime : float;
-  mean_downtime : float;
-  initial_online_fraction : float;
-}
-
-let default_config =
-  { mean_uptime = 7200.; mean_downtime = 600.; initial_online_fraction = 0.95 }
+let mean_uptime = 7200.
+let mean_downtime = 600.
+let initial_online_fraction = 0.95
 
 (* CSR layout: host [h]'s sorted toggle times live in
    [times.(offsets.(h)) .. times.(offsets.(h + 1)) - 1]. A flat pair of
@@ -16,11 +11,9 @@ let default_config =
    toggles equals the initial state. *)
 type t = { initial : bool array; offsets : int array; times : float array }
 
-let generate ~rng ~config ~hosts ~duration =
+let generate ~rng ~hosts ~duration =
   if hosts < 0 then invalid_arg "Churn.generate: negative host count";
-  if config.mean_uptime <= 0. || config.mean_downtime <= 0. then
-    invalid_arg "Churn.generate: mean periods must be positive";
-  let initial = Array.init hosts (fun _ -> Prng.bernoulli rng config.initial_online_fraction) in
+  let initial = Array.init hosts (fun _ -> Prng.bernoulli rng initial_online_fraction) in
   let offsets = Array.make (hosts + 1) 0 in
   (* Growable buffer: draws are host-major, exactly the order of the old
      array-of-arrays representation, so timelines are bit-compatible. *)
@@ -40,7 +33,7 @@ let generate ~rng ~config ~hosts ~duration =
     let clock = ref 0. in
     let continue = ref true in
     while !continue do
-      let mean = if !online then config.mean_uptime else config.mean_downtime in
+      let mean = if !online then mean_uptime else mean_downtime in
       clock := !clock +. Prng.exponential rng ~rate:(1. /. mean);
       if !clock >= duration then continue := false
       else begin

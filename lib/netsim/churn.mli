@@ -10,19 +10,11 @@
     departed peer) and measuring how natural churn inflates the density
     test's suppression-like skew. *)
 
-type config = {
-  mean_uptime : float;  (** seconds *)
-  mean_downtime : float;
-  initial_online_fraction : float;
-}
-
-val default_config : config
-(** 2-hour mean sessions, 10-minute absences, 95% initially online. *)
-
 type t
 
-val generate :
-  rng:Concilium_util.Prng.t -> config:config -> hosts:int -> duration:float -> t
+val generate : rng:Concilium_util.Prng.t -> hosts:int -> duration:float -> t
+(** 2-hour mean sessions, 10-minute mean absences, 95% of hosts initially
+    online. *)
 
 val is_online : t -> host:int -> time:float -> bool
 val online_fraction : t -> time:float -> float

@@ -12,8 +12,7 @@ and t = {
       (* observability hook: queue-depth sampling. One branch when unset. *)
 }
 
-let create ?(start = 0.) () =
-  { clock = start; next_seq = 0; data = [||]; size = 0; on_push = None }
+let create () = { clock = 0.; next_seq = 0; data = [||]; size = 0; on_push = None }
 
 let set_on_push t f = t.on_push <- Some f
 

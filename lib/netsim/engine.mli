@@ -3,7 +3,9 @@
 
 type t
 
-val create : ?start:float -> unit -> t
+val create : unit -> t
+(** A fresh engine, its clock at 0. *)
+
 val now : t -> float
 
 val schedule_at : t -> time:float -> (t -> unit) -> unit

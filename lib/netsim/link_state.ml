@@ -31,11 +31,4 @@ let loss_rate t link = if is_bad t link then t.bad_loss else t.good_loss
 let good_loss t = t.good_loss
 let bad_loss t = t.bad_loss
 
-let bad_links t =
-  let out = ref [] in
-  for link = Bytes.length t.status - 1 downto 0 do
-    if is_bad t link then out := link :: !out
-  done;
-  !out
-
 let path_is_good t links = Array.for_all (fun link -> not (is_bad t link)) links

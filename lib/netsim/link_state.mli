@@ -14,7 +14,6 @@ val bad_count : t -> int
 val loss_rate : t -> int -> float
 val good_loss : t -> float
 val bad_loss : t -> float
-val bad_links : t -> int list
 
 val path_is_good : t -> int array -> bool
 (** No bad link along the given link sequence. *)

@@ -16,6 +16,10 @@ val filter_of_spec : string option -> (string -> bool) option
     ["episode,chaos"] — into a category predicate. [None] or an empty spec
     means no filtering. *)
 
+val write_file : path:string -> string -> unit
+(** Write the string to the path, replacing any earlier file; the channel
+    is closed whether or not the write raises. *)
+
 val trace_to_string : ?filter:(string -> bool) -> format:format -> Trace.t -> string
 
 val write_trace : path:string -> ?filter:(string -> bool) -> Trace.t -> unit

@@ -4,14 +4,10 @@ module Ring_buffer = Concilium_util.Ring_buffer
    finished JSONL), so holding the ring costs only the strings themselves
    and dumping is a plain concatenation — cheap enough to keep attached
    for a whole soak and only pay on failure. *)
-type t = { ring : string Ring_buffer.t; capacity : int; mutable dropped : int; mutable recorded : int }
+type t = { ring : string Ring_buffer.t; mutable dropped : int; mutable recorded : int }
 
-let default_capacity = 4096
-
-let create ?(capacity = default_capacity) () =
-  { ring = Ring_buffer.create capacity; capacity; dropped = 0; recorded = 0 }
-
-let capacity t = t.capacity
+let capacity = 4096
+let create () = { ring = Ring_buffer.create capacity; dropped = 0; recorded = 0 }
 let length t = Ring_buffer.length t.ring
 let dropped t = t.dropped
 let recorded t = t.recorded
@@ -30,7 +26,7 @@ let dump ~reason t =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
     {|{"flight_recorder": {"reason": %s, "entries": %d, "dropped": %d, "capacity": %d}}|}
-    (Concilium_util.Json.quote reason) (length t) t.dropped t.capacity;
+    (Concilium_util.Json.quote reason) (length t) t.dropped capacity;
   Buffer.add_char buf '\n';
   Ring_buffer.fold
     (fun () line ->
@@ -39,7 +35,4 @@ let dump ~reason t =
     () t.ring;
   Buffer.contents buf
 
-let write ~path ~reason t =
-  let oc = open_out path in
-  output_string oc (dump ~reason t);
-  close_out oc
+let write ~path ~reason t = Export.write_file ~path (dump ~reason t)

@@ -15,12 +15,11 @@
 
 type t
 
-val default_capacity : int
+val capacity : int
 (** 4096 lines. *)
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
 
-val capacity : t -> int
 val length : t -> int
 (** Lines currently held (≤ capacity). *)
 

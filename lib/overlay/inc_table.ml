@@ -28,8 +28,8 @@
 
    Tables are maintained for dead owners too (their candidate set is just
    "alive \ {owner}" like everyone else's), so a node that rejoins needs no
-   own-table rebuild. Only the first [rows] rows — ceil(log_base n) + 1 by
-   default, the rows that are ever occupied at density n plus margin — are
+   own-table rebuild. Only the first [rows] rows — ceil(log_base n) + 1, the
+   rows that are ever occupied at density n plus margin — are
    materialised as one flat int array; deeper rows are computed on demand
    with identical semantics. *)
 
@@ -109,10 +109,6 @@ let own_digit_entry t ~s_lo ~s_hi o =
 let entry t ~owner ~row ~col =
   if row < t.rows then t.slots.(slot_index t ~owner ~row ~col)
   else compute_entry t ~owner ~row ~col
-
-let entry_id t ~owner ~row ~col =
-  let e = entry t ~owner ~row ~col in
-  if e < 0 then None else Some (Ring.id t.ring e)
 
 (* Row-major over all [Id.digits] rows. A row past the materialised ones
    that comes out empty ends the walk: no other alive node shares that
@@ -297,16 +293,10 @@ let run_task t scratch = function
   | Classes { row; g_lo; g_hi; c_lo; c_hi } ->
       build_group t scratch ~row ~g_lo ~g_hi ~c_lo ~c_hi
 
-let build ?pool ?rows ring =
+let build ?pool ring =
   let module Pool = Concilium_util.Pool in
   let n = Ring.size ring in
-  let rows =
-    match rows with
-    | None -> default_rows n
-    | Some r ->
-        if r < 1 || r > Id.digits then invalid_arg "Inc_table.build: rows out of range";
-        r
-  in
+  let rows = default_rows n in
   let t =
     {
       ring;

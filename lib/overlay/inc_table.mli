@@ -19,10 +19,10 @@ type maintenance = { writes : int; changed : int; owners : int }
 (** Per-event accounting: slots written, slots whose value actually
     changed, and distinct owners whose table changed. *)
 
-val build : ?pool:Concilium_util.Pool.t -> ?rows:int -> Ring.t -> t
+val build : ?pool:Concilium_util.Pool.t -> Ring.t -> t
 (** Sweep-build all tables over the ring's current alive set, O(n) per
-    materialised row per digit class. [rows] defaults to
-    ceil(log_base n) + 1. The table keeps (and mutates through
+    materialised row per digit class; ceil(log_base n) + 1 rows are
+    materialised. The table keeps (and mutates through
     [apply_join]/[apply_leave]) the ring.
 
     With [?pool] the sweep fans out over the pool as (row, group,
@@ -37,8 +37,6 @@ val materialized_rows : t -> int
 val entry : t -> owner:int -> row:int -> col:int -> int
 (** Universe position of the slot's peer, or -1. Any [row < Id.digits];
     rows beyond [materialized_rows] are computed on demand. *)
-
-val entry_id : t -> owner:int -> row:int -> col:int -> Id.t option
 
 val fold_entries : t -> owner:int -> ('a -> int -> 'a) -> 'a -> 'a
 (** Fold over the universe positions in the owner's filled slots, all

@@ -37,8 +37,6 @@ let build ~owner ~sorted_ids ~half_size =
   in
   { owner; clockwise; counter_clockwise = counter }
 
-let of_members ~owner ~clockwise ~counter_clockwise = { owner; clockwise; counter_clockwise }
-
 let owner t = t.owner
 let clockwise t = Array.copy t.clockwise
 let counter_clockwise t = Array.copy t.counter_clockwise
@@ -62,7 +60,6 @@ let mean_spacing t =
     span /. float_of_int count
   end
 
-let density t = 1. /. mean_spacing t
 let estimate_network_size t = Id.ring_size_float /. mean_spacing t
 
 let spacing_check ~gamma ~local ~peer =

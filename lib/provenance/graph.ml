@@ -24,8 +24,6 @@ type tap_kind = Route_rewrite | Forced_drop | Advert_rewrite
 
 type failover_kind = Dht_put | Dht_get | Steward
 
-type rebuttal_outcome = Stands | Shifted | Invalid
-
 (* Node tags, stored one byte per node. *)
 let tag_probe = 0
 let tag_verdict = 1
@@ -33,8 +31,6 @@ let tag_accusation = 2
 let tag_defense = 3
 let tag_tap = 4
 let tag_failover = 5
-let tag_consolidation = 6
-let tag_rebuttal = 7
 
 type t = {
   recording : bool;
@@ -42,7 +38,7 @@ type t = {
   mutable ia : int array;  (* prober / judge / accuser / knob ... *)
   mutable ib : int array;  (* link / suspect / accused / removed ... *)
   mutable ic : int array;  (* packed flag bits *)
-  mutable id_ : int array;  (* usable_rounds / vote counts *)
+  mutable id_ : int array;  (* usable_rounds / suspect *)
   mutable fa : float array;  (* time / blame *)
   mutable fb : float array;  (* drop_time *)
   mutable count : int;
@@ -135,9 +131,7 @@ let kind_name tag =
   else if tag = tag_accusation then "accusation"
   else if tag = tag_defense then "defense"
   else if tag = tag_tap then "tap"
-  else if tag = tag_failover then "failover"
-  else if tag = tag_consolidation then "consolidation"
-  else "rebuttal"
+  else "failover"
 
 let verdict_name = function
   | Guilty -> "guilty"
@@ -157,11 +151,6 @@ let failover_name = function
   | Dht_put -> "dht-put"
   | Dht_get -> "dht-get"
   | Steward -> "steward"
-
-let rebuttal_name = function
-  | Stands -> "stands"
-  | Shifted -> "shifted"
-  | Invalid -> "invalid"
 
 let verdict_of_bits bits =
   if bits land 3 = 0 then Guilty else if bits land 3 = 1 then Innocent else Insufficient
@@ -202,19 +191,11 @@ let add_node_fields buf t i =
              else if t.ia.(i) = 1 then Forced_drop
              else Advert_rewrite)))
       t.ib.(i) t.fa.(i)
-  else if tag = tag_failover then
+  else
     add {|, "path": %s, "node": %d, "time": %.17g|}
       (Json.quote
          (failover_name (if t.ia.(i) = 0 then Dht_put else if t.ia.(i) = 1 then Dht_get else Steward)))
       t.ib.(i) t.fa.(i)
-  else if tag = tag_consolidation then
-    add {|, "link": %d, "up": %b, "up_votes": %d, "down_votes": %d|} t.ia.(i)
-      (t.ic.(i) land 1 <> 0)
-      t.ib.(i) t.id_.(i)
-  else
-    add {|, "accuser": %d, "accused": %d, "outcome": %s|} t.ia.(i) t.ib.(i)
-      (Json.quote
-         (rebuttal_name (if t.ic.(i) = 0 then Stands else if t.ic.(i) = 1 then Shifted else Invalid)))
 
 let node_line t i =
   let buf = Buffer.create 128 in
@@ -297,15 +278,6 @@ let tap_firing t ~kind ~node ~time =
 let failover t ~kind ~node ~time =
   let k = match kind with Dht_put -> 0 | Dht_get -> 1 | Steward -> 2 in
   add_node t ~tag:tag_failover ~ia:k ~ib:node ~ic:0 ~id_:0 ~fa:time ~fb:0.
-
-let consolidation t ~link ~up ~up_votes ~down_votes =
-  add_node t ~tag:tag_consolidation ~ia:link ~ib:up_votes
-    ~ic:(if up then 1 else 0)
-    ~id_:down_votes ~fa:0. ~fb:0.
-
-let rebuttal t ~accuser ~accused ~outcome =
-  let k = match outcome with Stands -> 0 | Shifted -> 1 | Invalid -> 2 in
-  add_node t ~tag:tag_rebuttal ~ia:accuser ~ib:accused ~ic:k ~id_:0 ~fa:0. ~fb:0.
 
 (* ---------- Queries ---------- *)
 

@@ -1,10 +1,9 @@
 (** Causal-provenance arena for verdicts and their evidence.
 
-    Every accusation, rebuttal, and verdict produced by the protocol can
-    carry a DAG of the evidence that led to it: the probes (and whether
-    an adversary tap touched them), shared-tomography consolidation
-    outcomes, defense-knob interventions, adversary tap firings on the
-    episode path, and steward/DHT failovers. Nodes live in a compact
+    Every verdict and accusation produced by the protocol can carry a
+    DAG of the evidence that led to it: the probes (and whether an
+    adversary tap touched them), defense-knob interventions, adversary
+    tap firings on the episode path, and steward/DHT failovers. Nodes live in a compact
     arena keyed by dense ids — flat arrays, one tag byte plus a few
     scalar operands per node — so recording provenance across a
     million-node soak costs megabytes, not a forest of heap records.
@@ -38,8 +37,6 @@ type defense_kind =
 type tap_kind = Route_rewrite | Forced_drop | Advert_rewrite
 
 type failover_kind = Dht_put | Dht_get | Steward
-
-type rebuttal_outcome = Stands | Shifted | Invalid
 
 type t
 
@@ -94,8 +91,6 @@ val accusation : t -> accuser:int -> accused:int -> blame:float -> time:float ->
 val defense : t -> kind:defense_kind -> removed:int -> judge:int -> suspect:int -> node
 val tap_firing : t -> kind:tap_kind -> node:int -> time:float -> node
 val failover : t -> kind:failover_kind -> node:int -> time:float -> node
-val consolidation : t -> link:int -> up:bool -> up_votes:int -> down_votes:int -> node
-val rebuttal : t -> accuser:int -> accused:int -> outcome:rebuttal_outcome -> node
 
 val edge : t -> parent:node -> child:node -> unit
 (** Record that [child] is evidence for [parent]. Ignored if either end

@@ -24,20 +24,14 @@ type protocol = Pastry | Chord
 
 let protocol_name = function Pastry -> "pastry" | Chord -> "chord"
 
-type config = {
-  protocol : protocol;
-  nodes : int;
-  seed : int64;
-  leaf_half : int;
-  rows : int option;
-  churn : Churn.config;
-  churn_duration : float;
-}
+type config = { protocol : protocol; nodes : int; seed : int64; churn_duration : float }
 
-let config ?(leaf_half = 8) ?rows ?(churn = Churn.default_config)
-    ?(churn_duration = 3600.) ~protocol ~nodes ~seed () =
+let config ?(churn_duration = 3600.) ~protocol ~nodes ~seed () =
   if nodes < 2 then invalid_arg "Scale_world.config: need at least two nodes";
-  { protocol; nodes; seed; leaf_half; rows; churn; churn_duration }
+  { protocol; nodes; seed; churn_duration }
+
+(* Pastry leaf sets hold 8 nodes on each side of their owner. *)
+let leaf_half = 8
 
 type t = {
   config : config;
@@ -75,10 +69,7 @@ let build ?pool config =
   let churn_rng = Prng.split rng in
   let ids = distinct_sorted_ids ~rng:id_rng config.nodes in
   let ring = Ring.of_sorted_ids ids in
-  let churn =
-    Churn.generate ~rng:churn_rng ~config:config.churn ~hosts:config.nodes
-      ~duration:config.churn_duration
-  in
+  let churn = Churn.generate ~rng:churn_rng ~hosts:config.nodes ~duration:config.churn_duration in
   (* Align the ring with the timeline's initial state before building any
      tables, so the build sweeps over the real initial membership. *)
   for host = 0 to config.nodes - 1 do
@@ -95,7 +86,7 @@ let build ?pool config =
      the ring, so the table is byte-identical for any domain count. *)
   let table =
     match config.protocol with
-    | Pastry -> Some (Inc_table.build ?pool ?rows:config.rows ring)
+    | Pastry -> Some (Inc_table.build ?pool ring)
     | Chord -> None
   in
   {
@@ -185,7 +176,7 @@ let route_once t rng =
   | Some table ->
       let root = Inc_table.numerically_closest table dest in
       let final, hops, digest =
-        Inc_table.route table ~leaf_half:t.config.leaf_half ~src ~dest
+        Inc_table.route table ~leaf_half ~src ~dest
       in
       (hops, final = root, digest)
   | None ->

@@ -15,28 +15,14 @@ type protocol = Pastry | Chord
 
 val protocol_name : protocol -> string
 
-type config = {
-  protocol : protocol;
-  nodes : int;
-  seed : int64;
-  leaf_half : int;
-  rows : int option;  (** [None] = {!Inc_table.build}'s default depth *)
-  churn : Churn.config;
-  churn_duration : float;
-}
+type config = { protocol : protocol; nodes : int; seed : int64; churn_duration : float }
 
 val config :
-  ?leaf_half:int ->
-  ?rows:int ->
-  ?churn:Churn.config ->
-  ?churn_duration:float ->
-  protocol:protocol ->
-  nodes:int ->
-  seed:int64 ->
-  unit ->
-  config
-(** Defaults: leaf_half 8, default churn (2h up / 10min down, 95% initially
-    online), one-hour horizon. @raise Invalid_argument when [nodes < 2]. *)
+  ?churn_duration:float -> protocol:protocol -> nodes:int -> seed:int64 -> unit -> config
+(** [churn_duration] (default one hour) is the churn timeline's horizon.
+    Pastry leaf sets hold 8 nodes a side, and churn is {!Churn.generate}'s
+    (2 h up / 10 min down, 95% initially online).
+    @raise Invalid_argument when [nodes < 2]. *)
 
 type t
 

@@ -32,4 +32,3 @@ let pmf_with_continuity t d =
   let d = float_of_int d in
   max 0. (cdf t (d +. 0.5) -. cdf t (d -. 0.5))
 
-let mean_fraction t = t.mu

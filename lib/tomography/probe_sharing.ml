@@ -1,5 +1,3 @@
-module Graph = Concilium_provenance.Graph
-
 type plan = {
   members : int array;
   individual_links : int;
@@ -36,7 +34,7 @@ type consensus = {
   unanimous : bool;
 }
 
-let consolidate ?(prov = Graph.noop) reports =
+let consolidate reports =
   (* One vote per (member, link), latest report winning — so a member
      stuffing duplicate corroborating reports moves nothing. *)
   let votes = Hashtbl.create 64 in
@@ -62,35 +60,15 @@ let consolidate ?(prov = Graph.noop) reports =
   List.map
     (fun link ->
       let up_votes, down_votes = Hashtbl.find by_link link in
-      let consensus =
-        {
-          link;
-          (* Ties resolve down: a split collective treats the link as
-             suspect and re-probes rather than vouching for it. *)
-          up = up_votes > down_votes;
-          up_votes;
-          down_votes;
-          unanimous = up_votes = 0 || down_votes = 0;
-        }
-      in
-      (* Each consensus joins the provenance DAG with the counted votes as
-         probe children (in first-report member order — the counting
-         order), so a verdict leaning on shared tomography can show which
-         member claimed what. *)
-      if Graph.enabled prov then begin
-        let cnode =
-          Graph.consolidation prov ~link ~up:consensus.up ~up_votes ~down_votes
-        in
-        List.iter
-          (fun ((member, l) as key) ->
-            if l = link then
-              Graph.edge prov ~parent:cnode
-                ~child:
-                  (Graph.probe prov ~prober:member ~link ~time:0.
-                     ~up:(Hashtbl.find votes key) ~tapped:false ~forged:false))
-          (List.rev !order)
-      end;
-      consensus)
+      {
+        link;
+        (* Ties resolve down: a split collective treats the link as
+           suspect and re-probes rather than vouching for it. *)
+        up = up_votes > down_votes;
+        up_votes;
+        down_votes;
+        unanimous = up_votes = 0 || down_votes = 0;
+      })
     links
 
 let individual_bytes plan ~per_tree_bytes =

@@ -33,12 +33,9 @@ type consensus = {
   unanimous : bool;
 }
 
-val consolidate : ?prov:Concilium_provenance.Graph.t -> report list -> consensus list
+val consolidate : report list -> consensus list
 (** Majority-vote consolidation of the collective's link reports, one
-    consensus per reported link, sorted by link. When [prov] is a
-    recording graph, each consensus is recorded as a consolidation node
-    whose probe children are the counted votes (one per member, in
-    counting order, at time 0 — shared reports carry no timestamp).
+    consensus per reported link, sorted by link.
 
     Each member gets exactly one vote per link — duplicate reports from
     the same member collapse, latest winning — so a compromised member

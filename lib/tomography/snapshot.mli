@@ -2,10 +2,10 @@
 
     After probing its tree, H advertises to its routing peers: a timestamped
     copy of its routing state (one entry per peer, each carrying the peer's
-    signed freshness stamp) and a per-path loss summary quantised to one of
-    sixteen predefined levels (a few bits per path). The whole snapshot is
-    signed by H, which both prevents spoofing and stops H from later
-    disavowing the probe results it published. *)
+    signed freshness stamp) and a per-path loss summary (a few bits per
+    path). The whole snapshot is signed by H, which both prevents spoofing
+    and stops H from later disavowing the probe results it published. The
+    protocol meters its wire size with the core bandwidth model. *)
 
 module Id = Concilium_overlay.Id
 module Freshness = Concilium_overlay.Freshness
@@ -14,7 +14,9 @@ module Pki = Concilium_crypto.Pki
 
 type path_summary = {
   peer : Id.t;
-  loss_level : int;  (** quantised end-to-end loss, 0..15 *)
+  loss_level : int;
+      (** quantised end-to-end loss, part of the signed bytes; the runtime
+          advertises level 0 *)
   freshness : Freshness.stamp;
 }
 
@@ -25,15 +27,6 @@ type body = {
 }
 
 type t = body Signed.t
-
-val quantize_loss : float -> int
-(** Map a loss rate in [0,1] to the nearest predefined level. *)
-
-val level_to_loss : int -> float
-(** Representative loss rate of a level. *)
-
-val loss_levels : float array
-(** The sixteen predefined levels, ascending. *)
 
 val make :
   origin:Id.t ->
@@ -48,20 +41,3 @@ val verify : Pki.t -> t -> bool
     separately, entry by entry, during routing-state validation). *)
 
 val serialize_body : body -> string
-
-val wire_bytes : t -> int
-(** Modeled wire size (Section 4.4): 16-byte identifier + 4-byte timestamp
-    + signature = 144 bytes per entry, plus one byte of path summary each,
-    plus the snapshot signature and header. *)
-
-val diff_entries : previous:t -> current:t -> path_summary list
-(** Entries of [current] that are new or whose quantised loss level changed
-    since [previous] — what an incremental advertisement must carry.
-    Freshness stamps refresh continuously and piggyback on availability
-    probes regardless, so timestamp-only changes do not count. *)
-
-val diff_wire_bytes : previous:t -> current:t -> int
-(** Modeled size of the incremental advertisement (Section 4.4 notes that
-    "sending diffs for updated entries instead of entire tables" cuts the
-    routing-state overhead): header + signature + only the changed
-    entries. *)

@@ -89,11 +89,6 @@ let iter_neighbors t node f =
     f ~neighbor:t.targets.(i) ~link:t.links.(i)
   done
 
-let fold_neighbors t node ~init ~f =
-  let acc = ref init in
-  iter_neighbors t node (fun ~neighbor ~link -> acc := f !acc ~neighbor ~link);
-  !acc
-
 let link_endpoints t link = (t.endpoints_lo.(link), t.endpoints_hi.(link))
 
 let link_between t u v =

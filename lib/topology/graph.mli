@@ -32,8 +32,6 @@ val mean_degree : t -> float
 val iter_neighbors : t -> int -> (neighbor:int -> link:int -> unit) -> unit
 (** Visit a node's incident links in a fixed deterministic order. *)
 
-val fold_neighbors : t -> int -> init:'a -> f:('a -> neighbor:int -> link:int -> 'a) -> 'a
-
 val link_endpoints : t -> int -> int * int
 (** Endpoints of a link, smaller node id first. *)
 

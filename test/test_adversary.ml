@@ -66,9 +66,9 @@ let test_soak_exit_code () =
 
 (* ---------- Strategy compilation ---------- *)
 
-let compile ?(forge_copies = 3) ?(seed = 5L) plan =
+let compile ?(seed = 5L) plan =
   let world = Lazy.force world_fixture in
-  Strategy.compile ~world ~rng:(Prng.of_seed seed) ~forge_copies plan
+  Strategy.compile ~world ~rng:(Prng.of_seed seed) plan
 
 let test_empty_plan_is_identity () =
   let s = compile [] in
@@ -216,20 +216,16 @@ let test_gap_and_coverage_probes_total () =
 
 let test_sample_adversaries_deterministic () =
   let sample () =
-    Chaos.sample_adversaries ~rng:(Prng.of_seed 21L)
-      ~config:Chaos.default_adversary_config ~nodes:50 ~horizon:7200. ()
+    Chaos.sample_adversaries ~rng:(Prng.of_seed 21L) ~nodes:50 ~horizon:7200. ()
   in
   let a = sample () and b = sample () in
   check Alcotest.bool "equal seeds, equal plans" true (a = b);
-  check Alcotest.bool "pressure config yields campaigns" true (List.length a > 0);
+  check Alcotest.bool "soak pressure yields campaigns" true (List.length a > 0);
   let counted = List.fold_left (fun acc (_, n) -> acc + n) 0 (Chaos.adversary_counts a) in
   check Alcotest.int "histogram accounts for every campaign" (List.length a) counted
 
-let test_no_adversaries_config_is_empty () =
-  let plan =
-    Chaos.sample_adversaries ~rng:(Prng.of_seed 22L) ~config:Chaos.no_adversaries
-      ~nodes:50 ~horizon:7200. ()
-  in
+let test_too_few_nodes_is_empty () =
+  let plan = Chaos.sample_adversaries ~rng:(Prng.of_seed 22L) ~nodes:1 ~horizon:7200. () in
   check (Alcotest.list Alcotest.string) "empty plan" []
     (List.map (fun _ -> "campaign") plan)
 
@@ -263,7 +259,6 @@ let suites =
     ( "adversary.sampling",
       [
         Alcotest.test_case "deterministic plans" `Quick test_sample_adversaries_deterministic;
-        Alcotest.test_case "zero config, empty plan" `Quick
-          test_no_adversaries_config_is_empty;
+        Alcotest.test_case "one node, empty plan" `Quick test_too_few_nodes_is_empty;
       ] );
   ]

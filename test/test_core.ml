@@ -662,17 +662,17 @@ let test_chain_of_route () =
 (* ---------- Bandwidth ---------- *)
 
 let test_bandwidth_paper_numbers () =
-  let p = Bandwidth.paper_params in
-  let entries = Bandwidth.expected_routing_entries p in
+  let overlay_size = Bandwidth.paper_overlay_size in
+  let entries = Bandwidth.expected_routing_entries ~overlay_size in
   check Alcotest.bool (Printf.sprintf "entries %.1f ~ 77" entries) true
     (entries > 74. && entries < 80.);
-  let state_kib = Bandwidth.advertised_state_bytes p /. 1024. in
+  let state_kib = Bandwidth.advertised_state_bytes ~overlay_size /. 1024. in
   check Alcotest.bool (Printf.sprintf "state %.2f KiB ~ 11.5" state_kib) true
     (state_kib > 10. && state_kib < 12.5);
-  let probe_mib = Bandwidth.heavyweight_probe_bytes p /. (1024. *. 1024.) in
+  let probe_mib = Bandwidth.heavyweight_probe_bytes ~overlay_size /. (1024. *. 1024.) in
   check Alcotest.bool (Printf.sprintf "probing %.2f MiB ~ 16.7" probe_mib) true
     (probe_mib > 15.5 && probe_mib < 18.5);
-  checkf 1e-9 "lightweight free" 0. (Bandwidth.lightweight_extra_bytes p)
+  checkf 1e-9 "lightweight free" 0. Bandwidth.lightweight_extra_bytes
 
 (* ---------- Validation ---------- *)
 
@@ -709,12 +709,12 @@ let validation_fixture () =
 let test_validation_accepts_honest () =
   let pki, local, advertisement = validation_fixture () in
   check Alcotest.int "no failures" 0
-    (List.length (Validation.check pki ~now:100. Validation.default_config ~local advertisement))
+    (List.length (Validation.check pki ~now:100. ~gamma_jump:1.1 ~local advertisement))
 
 let test_validation_flags_sparse_table () =
   let pki, local, advertisement = validation_fixture () in
   let sparse = { advertisement with Validation.jump_table_occupancy = 10 } in
-  let failures = Validation.check pki ~now:100. Validation.default_config ~local sparse in
+  let failures = Validation.check pki ~now:100. ~gamma_jump:1.1 ~local sparse in
   check Alcotest.bool "sparse table flagged" true
     (List.exists
        (function Validation.Sparse_jump_table _ -> true | _ -> false)
@@ -722,9 +722,7 @@ let test_validation_flags_sparse_table () =
 
 let test_validation_flags_stale_stamp () =
   let pki, local, advertisement = validation_fixture () in
-  let failures =
-    Validation.check pki ~now:5_000. Validation.default_config ~local advertisement
-  in
+  let failures = Validation.check pki ~now:5_000. ~gamma_jump:1.1 ~local advertisement in
   check Alcotest.bool "stale stamp flagged" true
     (List.exists
        (function Validation.Stale_or_invalid_stamp _ -> true | _ -> false)

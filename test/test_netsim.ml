@@ -52,7 +52,8 @@ let test_engine_nested_scheduling () =
   check (Alcotest.list Alcotest.string) "nested" [ "outer"; "inner" ] (List.rev !log)
 
 let test_engine_rejects_past () =
-  let engine = Engine.create ~start:10. () in
+  let engine = Engine.create () in
+  Engine.run_until engine 10.;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time is in the past")
     (fun () -> Engine.schedule_at engine ~time:5. (fun _ -> ()))
 
@@ -96,9 +97,9 @@ let test_history_queries () =
   check Alcotest.bool "before" false (Link_history.is_bad_at h ~link:1 ~time:9.9);
   check Alcotest.bool "after (half-open)" false (Link_history.is_bad_at h ~link:1 ~time:30.);
   check Alcotest.bool "other link" false (Link_history.is_bad_at h ~link:0 ~time:12.);
-  check (Alcotest.float 1e-9) "merged bad time" 20. (Link_history.total_bad_time h ~link:1 ~horizon:100.);
-  check (Alcotest.float 1e-9) "clipped" 5. (Link_history.total_bad_time h ~link:1 ~horizon:15.);
-  check (Alcotest.list Alcotest.int) "bad at 12" [ 1 ] (Link_history.bad_links_at h ~time:12.);
+  check
+    (Alcotest.list (Alcotest.pair (Alcotest.float 0.) (Alcotest.float 0.)))
+    "merged" [ (10., 30.) ] (Link_history.intervals h ~link:1);
   check (Alcotest.float 1e-9) "fraction" 0.5
     (Link_history.bad_fraction_at h ~time:12. ~relevant:[| 0; 1 |])
 
@@ -213,18 +214,15 @@ module Churn = Concilium_netsim.Churn
 
 let test_churn_steady_state () =
   let rng = Prng.of_seed 50L in
-  let config = { Churn.mean_uptime = 1000.; mean_downtime = 1000.; initial_online_fraction = 0.5 } in
-  let churn = Churn.generate ~rng ~config ~hosts:300 ~duration:20_000. in
-  (* Symmetric on/off periods: steady state is 50% online. *)
+  let churn = Churn.generate ~rng ~hosts:300 ~duration:20_000. in
+  (* 2 h up / 10 min down: steady state is 7200 / 7800 = 92.3% online. *)
   let mean = Churn.mean_online_fraction churn ~duration:20_000. ~samples:40 in
-  check Alcotest.bool (Printf.sprintf "mean online %.2f near 0.5" mean) true
-    (mean > 0.4 && mean < 0.6)
+  check Alcotest.bool (Printf.sprintf "mean online %.3f near 0.923" mean) true
+    (mean > 0.9 && mean < 0.95)
 
 let test_churn_transitions_consistent () =
   let rng = Prng.of_seed 51L in
-  let churn =
-    Churn.generate ~rng ~config:Churn.default_config ~hosts:10 ~duration:50_000.
-  in
+  let churn = Churn.generate ~rng ~hosts:10 ~duration:50_000. in
   for host = 0 to 9 do
     List.iter
       (fun (time, became_online) ->
@@ -237,7 +235,7 @@ let test_churn_transitions_consistent () =
 let test_churn_transitions_chronological_and_alternating () =
   let rng = Prng.of_seed 53L in
   let duration = 40_000. in
-  let churn = Churn.generate ~rng ~config:Churn.default_config ~hosts:20 ~duration in
+  let churn = Churn.generate ~rng ~hosts:20 ~duration in
   let any = ref false in
   for host = 0 to 19 do
     let transitions = Churn.transitions churn ~host in
@@ -285,18 +283,16 @@ let test_failures_target_across_seeds () =
 
 let test_churn_mostly_online_default () =
   let rng = Prng.of_seed 52L in
-  let churn =
-    Churn.generate ~rng ~config:Churn.default_config ~hosts:200 ~duration:36_000.
-  in
+  let churn = Churn.generate ~rng ~hosts:200 ~duration:36_000. in
   let mean = Churn.mean_online_fraction churn ~duration:36_000. ~samples:30 in
   (* 2h up / 10min down: steady state ~92% online. *)
   check Alcotest.bool (Printf.sprintf "mean online %.2f > 0.85" mean) true (mean > 0.85)
 
 
-(* ---------- epoch-bucketed link history vs the old list model ---------- *)
+(* ---------- link history vs an interval-list model ---------- *)
 
-(* The reference model the epoch rewrite must agree with: a bare list of
-   recorded (start, finish) intervals per link. *)
+(* The reference model: a bare list of recorded (start, finish) intervals
+   per link. *)
 let model_is_bad intervals time =
   List.exists (fun (s, f) -> s <= time && time < f) intervals
 
@@ -309,94 +305,81 @@ let model_merged intervals =
   in
   merge sorted
 
+(* Recordings on three links. Half the endpoints sit on a 300 s grid, so
+   recordings often overlap or touch, and multiples of 3600 s fall inside
+   or at the ends of some; lengths include zero. *)
 let arbitrary_intervals =
-  QCheck.(
-    small_list
-      (triple (int_bound 2) (float_bound_inclusive 500.) (float_bound_inclusive 90.)))
+  let open QCheck.Gen in
+  let on_grid bound = map (fun k -> float_of_int (300 * k)) bound in
+  let start = oneof [ on_grid (int_bound 48); float_bound_inclusive 14_400. ] in
+  let length = oneof [ return 0.; on_grid (int_range 1 16); float_bound_inclusive 5_000. ] in
+  QCheck.make
+    ~print:QCheck.Print.(list (triple int float float))
+    (list_size (int_bound 30) (triple (int_bound 2) start length))
 
 let prop_link_history_matches_list_model =
-  QCheck.Test.make
-    ~name:"epoch-bucketed history = interval-list model (queries and merges)" ~count:300
-    QCheck.(pair arbitrary_intervals (small_list (float_bound_inclusive 600.)))
+  QCheck.Test.make ~name:"interval store = interval-list model (queries and merges)" ~count:500
+    QCheck.(pair arbitrary_intervals (small_list (float_bound_inclusive 15_000.)))
     (fun (recorded, probes) ->
-      let history = Link_history.create_with ~epoch_length:50. ~link_count:3 in
+      let history = Link_history.create ~link_count:3 in
       let model = Array.make 3 [] in
       List.iter
         (fun (link, start, length) ->
           Link_history.add_interval history ~link ~start ~finish:(start +. length);
           if length > 0. then model.(link) <- (start, start +. length) :: model.(link))
         recorded;
-      let queries_agree =
-        List.for_all
-          (fun time ->
-            let bad_links =
-              List.filter (fun l -> model_is_bad model.(l) time) [ 0; 1; 2 ]
-            in
-            Link_history.bad_links_at history ~time = bad_links
-            && List.for_all
-                 (fun link ->
-                   Link_history.is_bad_at history ~link ~time = model_is_bad model.(link) time)
-                 [ 0; 1; 2 ])
-          probes
+      let endpoints =
+        List.concat_map (fun (_, start, length) -> [ start; start +. length ]) recorded
       in
-      let intervals_agree =
-        List.for_all
-          (fun link ->
-            Link_history.intervals history ~link = model_merged model.(link))
-          [ 0; 1; 2 ]
-      in
-      queries_agree && intervals_agree)
+      List.for_all
+        (fun time ->
+          List.for_all
+            (fun link ->
+              Link_history.is_bad_at history ~link ~time = model_is_bad model.(link) time)
+            [ 0; 1; 2 ])
+        (endpoints @ probes)
+      && List.for_all
+           (fun link -> Link_history.intervals history ~link = model_merged model.(link))
+           [ 0; 1; 2 ])
 
-let prop_link_history_memory_bounded =
-  QCheck.Test.make ~name:"expire_before frees old epochs; recent queries survive" ~count:200
-    arbitrary_intervals
-    (fun recorded ->
-      let history = Link_history.create_with ~epoch_length:50. ~link_count:3 in
-      List.iter
-        (fun (link, start, length) ->
-          Link_history.add_interval history ~link ~start ~finish:(start +. length))
-        recorded;
-      let before = Link_history.resident_pieces history in
-      let cutoff = 300. in
-      Link_history.expire_before history ~time:cutoff;
-      let after = Link_history.resident_pieces history in
-      (* Memory never grows, and queries at-or-after the cutoff still agree
-         with the list model (expiry only drops epochs strictly below the
-         cutoff's epoch). *)
-      let model = Array.make 3 [] in
-      List.iter
-        (fun (link, start, length) ->
-          if length > 0. then model.(link) <- (start, start +. length) :: model.(link))
-        recorded;
-      let recent_ok =
-        List.for_all
-          (fun time ->
-            List.for_all
-              (fun link ->
-                Link_history.is_bad_at history ~link ~time = model_is_bad model.(link) time)
-              [ 0; 1; 2 ])
-          [ 300.; 333.; 407.; 575. ]
+(* Replaying a failure history onto an engine: once every event of an
+   instant before the horizon has fired, each link's state is the
+   history's verdict at the engine clock. *)
+let prop_replay_tracks_history =
+  QCheck.Test.make ~name:"replayed link state = history at every event time" ~count:20
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      let g, routes = failure_fixture (Int64.of_int seed) in
+      let link_count = Graph.link_count g in
+      let duration = 7_200. in
+      let failures =
+        Failures.generate ~rng:(Prng.of_seed (Int64.of_int (seed + 7))) ~config:Failures.paper_config
+          ~link_count ~routes ~duration
       in
-      after <= before && recent_ok)
-
-let test_link_history_expire_drops_pieces () =
-  let history = Link_history.create_with ~epoch_length:10. ~link_count:1 in
-  Link_history.add_interval history ~link:0 ~start:1. ~finish:4.;
-  Link_history.add_interval history ~link:0 ~start:12. ~finish:14.;
-  Link_history.add_interval history ~link:0 ~start:95. ~finish:99.;
-  check Alcotest.int "three pieces resident" 3 (Link_history.resident_pieces history);
-  Link_history.expire_before history ~time:20.;
-  check Alcotest.int "old epochs dropped" 1 (Link_history.resident_pieces history);
-  check Alcotest.bool "old instant forgotten" false
-    (Link_history.is_bad_at history ~link:0 ~time:2.);
-  check Alcotest.bool "recent instant kept" true
-    (Link_history.is_bad_at history ~link:0 ~time:96.)
+      let history = failures.Failures.history in
+      let engine = Engine.create () in
+      let state = Link_state.create ~link_count ~good_loss:0. ~bad_loss:1. in
+      Link_history.replay history ~engine ~state ~horizon:duration;
+      let times =
+        List.init link_count (fun link -> Link_history.intervals history ~link)
+        |> List.concat_map (List.concat_map (fun (s, f) -> [ s; f ]))
+        |> List.filter (fun time -> time < duration)
+        |> List.sort_uniq Float.compare
+      in
+      List.for_all
+        (fun time ->
+          Engine.run_until engine time;
+          List.for_all
+            (fun link ->
+              Link_state.is_bad state link = Link_history.is_bad_at history ~link ~time)
+            (List.init link_count Fun.id))
+        times)
 
 (* ---------- churn event stream ---------- *)
 
 let test_churn_events_stream_matches_transitions () =
   let rng = Prng.of_seed 54L in
-  let churn = Churn.generate ~rng ~config:Churn.default_config ~hosts:25 ~duration:30_000. in
+  let churn = Churn.generate ~rng ~hosts:25 ~duration:30_000. in
   let events = Churn.events churn in
   (* Chronological, ties by host. *)
   Array.iteri
@@ -470,10 +453,8 @@ let suites =
       [
         Alcotest.test_case "interval queries" `Quick test_history_queries;
         Alcotest.test_case "replay onto engine" `Quick test_history_replay;
-        Alcotest.test_case "expire_before drops old epochs" `Quick
-          test_link_history_expire_drops_pieces;
         QCheck_alcotest.to_alcotest prop_link_history_matches_list_model;
-        QCheck_alcotest.to_alcotest prop_link_history_memory_bounded;
+        QCheck_alcotest.to_alcotest prop_replay_tracks_history;
       ] );
     ( "netsim.failures",
       [

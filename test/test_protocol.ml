@@ -90,8 +90,8 @@ let test_dropper_blamed () =
       check Alcotest.bool "not delivered" false outcome.Protocol.delivered;
       check Alcotest.bool "ground truth is the dropper" true
         (outcome.Protocol.drop = Some (Protocol.Dropped_by_overlay culprit));
-      check Alcotest.bool "all retransmits consumed" true
-        (outcome.Protocol.attempts = Protocol.default_config.Protocol.retry_limit + 1);
+      (* The first attempt and both retransmits. *)
+      check Alcotest.int "all retransmits consumed" 3 outcome.Protocol.attempts;
       (match outcome.Protocol.diagnosis with
       | Some (Protocol.Diagnosed { Stewardship.final = Some (Stewardship.Next_hop blamed); _ })
         ->
@@ -240,10 +240,9 @@ let test_control_bandwidth_accounted () =
     (rate > 0. && rate < 100_000.)
 
 let test_heavyweight_burst_improves_evidence () =
-  (* With lightweight probing disabled-ish (very slow), the heavyweight
-     burst triggered by the drop is the only source of evidence -- the
-     diagnosis must still exonerate the forwarder when its egress path is
-     genuinely dead. *)
+  (* Lightweight probing never starts, so the heavyweight burst triggered
+     by the drop is the only source of evidence -- the diagnosis must still
+     exonerate the forwarder when its egress path is genuinely dead. *)
   let session0 = make_session () in
   let from, dest, route = route_with_intermediate session0 in
   let hop1 = List.nth route 1 and hop2 = List.nth route 2 in
@@ -254,8 +253,7 @@ let test_heavyweight_burst_improves_evidence () =
     Link_state.create ~link_count:(Graph.link_count graph) ~good_loss:0. ~bad_loss:1.
   in
   let protocol =
-    Protocol.create ~world ~engine ~link_state ~rng:(Prng.of_seed 5L)
-      { Protocol.default_config with Protocol.max_probe_time = 100_000. }
+    Protocol.create ~world ~engine ~link_state ~rng:(Prng.of_seed 5L) Protocol.default_config
       ~behavior:(fun _ -> Protocol.Honest)
   in
   let path = Option.get (World.ip_path world ~from_node:hop1 ~to_node:hop2) in
@@ -315,13 +313,17 @@ let test_sparse_advertiser_caught () =
     (flags_for attacker > honest_max)
 
 let test_pending_judgments_hold_horizon () =
-  (* A control delay of 500 s (more than 2 Delta) keeps each judgment
-     pending long after its drop. The store's horizon must wait for the
-     oldest pending drop, or that judgment's window would start behind it
-     and the store's guard would raise. Drops come every Delta/2 for the
-     first 10 Delta, so at 5 Delta nothing can be pruned yet; by 20 Delta
-     every judgment has run and the store is back to a Delta or two of
-     history. Without pruning it would hold four times its 5 Delta size. *)
+  (* A control delay of 500 s (more than 2 Delta) stretches both of a
+     message's retransmit backoffs and then holds its judgment back: a
+     message sent at t is dropped for good at t + 1003 s (1 + 500 and
+     2 + 500 s of backoff) and judged at t + 1563 s. The store's horizon
+     must wait for the oldest pending drop, or that judgment's window
+     would start behind it and the store's guard would raise. Messages go
+     out every Delta/2 for the first 10 Delta, so the drops fall in
+     [16.7, 26.7] Delta and the judgments in [26, 36] Delta. At 26 Delta,
+     with every judgment still pending, the store keeps the ~10 Delta
+     since the oldest drop; by 40 Delta every judgment has run and the
+     store is back to a Delta or two of history. *)
   let session0 = make_session () in
   let from, dest, route = route_with_intermediate session0 in
   let culprit = List.nth route 1 in
@@ -331,19 +333,18 @@ let test_pending_judgments_hold_horizon () =
   let link_state =
     Link_state.create ~link_count:(Graph.link_count graph) ~good_loss:0. ~bad_loss:1.
   in
-  let config = { Protocol.default_config with Protocol.retry_limit = 0 } in
   let protocol =
     Protocol.create ~world ~engine ~link_state ~rng:(Prng.of_seed 5L)
       ~control_latency:(fun ~time:_ -> 500.)
-      config
+      Protocol.default_config
       ~behavior:(fun v -> if v = culprit then Protocol.Message_dropper 1.0 else Protocol.Honest)
   in
-  let delta = config.Protocol.blame.Concilium_core.Blame.delta in
+  let delta = Protocol.default_config.Protocol.blame.Concilium_core.Blame.delta in
   let count_at k =
     Engine.run_until engine (k *. delta);
     Concilium_tomography.Observation.count (Protocol.observations protocol)
   in
-  Protocol.start_probing protocol ~horizon:(20. *. delta);
+  Protocol.start_probing protocol ~horizon:(40. *. delta);
   let sent = ref 0 and diagnosed = ref 0 in
   let rec send engine =
     incr sent;
@@ -355,13 +356,13 @@ let test_pending_judgments_hold_horizon () =
       Engine.schedule engine ~delay:(delta /. 2.) send
   in
   Engine.schedule engine ~delay:1. send;
-  let early = count_at 5. in
-  let late = count_at 20. in
+  let held = count_at 26. in
+  let late = count_at 40. in
   check Alcotest.int "every drop diagnosed" !sent !diagnosed;
   check Alcotest.bool
-    (Printf.sprintf "store bounded: %d live at 20 Delta vs %d at 5 Delta" late early)
+    (Printf.sprintf "store pruned once judged: %d live at 40 Delta vs %d at 26 Delta" late held)
     true
-    (late < 2 * early)
+    (3 * late < held)
 
 let suites =
   [

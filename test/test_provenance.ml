@@ -69,12 +69,18 @@ let sample_graph () =
   let g = Graph.create () in
   Graph.set_param g "guilt_threshold" 0.4;
   let p = Graph.probe g ~prober:1 ~link:2 ~time:3.5 ~up:false ~tapped:false ~forged:true in
-  let c = Graph.consolidation g ~link:2 ~up:false ~up_votes:1 ~down_votes:2 in
-  Graph.edge g ~parent:c ~child:p;
+  let d = Graph.defense g ~kind:Graph.Exclude_suspect ~removed:1 ~judge:1 ~suspect:2 in
+  let v =
+    Graph.verdict g ~judge:1 ~suspect:2 ~kind:Graph.Insufficient ~exonerated:false
+      ~usable_rounds:3 ~blame:0.5 ~drop_time:3.
+  in
+  Graph.edge g ~parent:v ~child:d;
+  Graph.edge g ~parent:v ~child:p;
   let f = Graph.failover g ~kind:Graph.Steward ~node:9 ~time:7. in
   let t = Graph.tap_firing g ~kind:Graph.Forced_drop ~node:4 ~time:6. in
-  let r = Graph.rebuttal g ~accuser:1 ~accused:2 ~outcome:Graph.Shifted in
-  ignore (f, t, r);
+  let a = Graph.accusation g ~accuser:1 ~accused:2 ~blame:0.5 ~time:3. in
+  Graph.edge g ~parent:a ~child:v;
+  ignore (f, t);
   g
 
 let test_jsonl_stable_and_tap_streams_everything () =
@@ -83,8 +89,11 @@ let test_jsonl_stable_and_tap_streams_everything () =
   Graph.set_tap g (fun line -> streamed := line :: !streamed);
   Graph.set_param g "guilt_threshold" 0.4;
   let p = Graph.probe g ~prober:1 ~link:2 ~time:3.5 ~up:false ~tapped:false ~forged:true in
-  let c = Graph.consolidation g ~link:2 ~up:false ~up_votes:1 ~down_votes:2 in
-  Graph.edge g ~parent:c ~child:p;
+  let v =
+    Graph.verdict g ~judge:1 ~suspect:2 ~kind:Graph.Guilty ~exonerated:true ~usable_rounds:50
+      ~blame:0.75 ~drop_time:3.
+  in
+  Graph.edge g ~parent:v ~child:p;
   check Alcotest.int "one line per param, node and edge" 4 (List.length !streamed);
   (* The streamed node lines are exactly the node_line renderings, and the
      full dump is byte-stable across calls. *)
@@ -262,16 +271,17 @@ let test_protocol_verdicts_replay_bit_exactly () =
 (* ---------- Flight recorder ---------- *)
 
 let test_flight_ring_evicts_oldest () =
-  let flight = Flight.create ~capacity:4 () in
-  for i = 1 to 10 do
+  let flight = Flight.create () in
+  let recorded = Flight.capacity + 6 in
+  for i = 1 to recorded do
     Flight.note flight (Printf.sprintf "line-%d" i)
   done;
-  check Alcotest.int "held" 4 (Flight.length flight);
+  check Alcotest.int "held" Flight.capacity (Flight.length flight);
   check Alcotest.int "dropped" 6 (Flight.dropped flight);
-  check Alcotest.int "recorded" 10 (Flight.recorded flight);
+  check Alcotest.int "recorded" recorded (Flight.recorded flight);
   let dump = Flight.dump ~reason:"test" flight in
   let lines = String.split_on_char '\n' dump |> List.filter (fun l -> l <> "") in
-  check Alcotest.int "header plus held lines" 5 (List.length lines);
+  check Alcotest.int "header plus held lines" (Flight.capacity + 1) (List.length lines);
   check Alcotest.bool "header carries reason and counts" true
     (match Json.parse (List.hd lines) with
     | Ok json -> (
@@ -282,7 +292,7 @@ let test_flight_ring_evicts_oldest () =
         | None -> false)
     | Error _ -> false);
   check (Alcotest.list Alcotest.string) "oldest first"
-    [ "line-7"; "line-8"; "line-9"; "line-10" ]
+    (List.init Flight.capacity (fun i -> Printf.sprintf "line-%d" (i + 7)))
     (List.tl lines)
 
 let test_flight_attach_taps_trace_and_provenance () =

@@ -316,7 +316,7 @@ let snapshot_fixture () =
   let origin_cert, origin_secret = Pki.issue pki ~address:"o" ~node_id:(Id.to_hex origin) in
   let peer_cert, peer_secret = Pki.issue pki ~address:"p" ~node_id:(Id.to_hex peer) in
   let stamp = Freshness.issue ~holder:peer ~secret:peer_secret ~public:peer_cert.Pki.subject_key ~now:99. in
-  let summary = { Snapshot.peer; loss_level = Snapshot.quantize_loss 0.05; freshness = stamp } in
+  let summary = { Snapshot.peer; loss_level = 0; freshness = stamp } in
   let snapshot =
     Snapshot.make ~origin ~secret:origin_secret ~public:origin_cert.Pki.subject_key ~now:100.
       ~summaries:[ summary ]
@@ -334,20 +334,12 @@ let test_snapshot_sign_verify () =
   in
   check Alcotest.bool "tampered rejected" false (Snapshot.verify pki tampered)
 
-let test_snapshot_quantization () =
-  check Alcotest.int "zero" 0 (Snapshot.quantize_loss 0.);
-  check Alcotest.int "one" (Array.length Snapshot.loss_levels - 1) (Snapshot.quantize_loss 1.);
-  let level = Snapshot.quantize_loss 0.07 in
-  check (Alcotest.float 0.03) "roundtrip near" 0.07 (Snapshot.level_to_loss level);
-  (* Quantization is idempotent on the level grid. *)
-  Array.iteri
-    (fun level loss -> check Alcotest.int "fixed point" level (Snapshot.quantize_loss loss))
-    Snapshot.loss_levels
-
 let test_snapshot_wire_size () =
   let _, snapshot = snapshot_fixture () in
-  (* 1 entry: header 20 + 145 + signature 128. *)
-  check Alcotest.int "wire bytes" (20 + 145 + 128) (Snapshot.wire_bytes snapshot)
+  let entries = List.length (Signed.payload snapshot).Snapshot.summaries in
+  (* 1 entry: header 20 + 145 + signature 128, as the protocol charges it. *)
+  check Alcotest.int "wire bytes" (20 + 145 + 128)
+    (Concilium_core.Bandwidth.advert_bytes ~entries)
 
 (* ---------- Probe sharing (Section 3.7) ---------- *)
 
@@ -480,45 +472,6 @@ let prop_consolidate_honest_majority_recovers =
            (fun c -> c.Probe_sharing.up = truth c.Probe_sharing.link)
            (Probe_sharing.consolidate reports)))
 
-(* ---------- Snapshot diffs (Section 4.4) ---------- *)
-
-let diff_fixture () =
-  let pki = Pki.create ~seed:170L in
-  let origin = Id.random (Prng.of_seed 171L) in
-  let origin_cert, origin_secret = Pki.issue pki ~address:"o" ~node_id:(Id.to_hex origin) in
-  let make_peer seed =
-    let peer = Id.random (Prng.of_seed seed) in
-    let cert, secret = Pki.issue pki ~address:"p" ~node_id:(Id.to_hex peer) in
-    (peer, cert, secret)
-  in
-  let summary (peer, cert, secret) level now =
-    {
-      Snapshot.peer;
-      loss_level = level;
-      freshness = Freshness.issue ~holder:peer ~secret ~public:cert.Pki.subject_key ~now;
-    }
-  in
-  let p1 = make_peer 172L and p2 = make_peer 173L and p3 = make_peer 174L in
-  let snap summaries now =
-    Snapshot.make ~origin ~secret:origin_secret ~public:origin_cert.Pki.subject_key ~now
-      ~summaries
-  in
-  let before = snap [ summary p1 0 100.; summary p2 3 100. ] 100. in
-  (* p1 unchanged (fresh stamp only), p2's loss level changed, p3 is new. *)
-  let after = snap [ summary p1 0 200.; summary p2 7 200.; summary p3 1 200. ] 200. in
-  (before, after)
-
-let test_snapshot_diff () =
-  let before, after = diff_fixture () in
-  let changed = Snapshot.diff_entries ~previous:before ~current:after in
-  check Alcotest.int "two changed entries" 2 (List.length changed);
-  check Alcotest.bool "diff smaller than full" true
-    (Snapshot.diff_wire_bytes ~previous:before ~current:after < Snapshot.wire_bytes after);
-  (* Diff against itself carries no entries. *)
-  check Alcotest.int "self diff empty" 0
-    (List.length (Snapshot.diff_entries ~previous:after ~current:after))
-
-
 (* Property: MINC recovers random per-chain loss rates on the fixture tree
    within sampling error, for arbitrary loss assignments. *)
 let prop_minc_recovers_random_losses =
@@ -631,7 +584,6 @@ let suites =
     ( "tomography.snapshot",
       [
         Alcotest.test_case "sign and verify" `Quick test_snapshot_sign_verify;
-        Alcotest.test_case "loss quantization" `Quick test_snapshot_quantization;
         Alcotest.test_case "wire size model" `Quick test_snapshot_wire_size;
       ] );
     ( "tomography.probe_sharing",
@@ -647,7 +599,5 @@ let suites =
         Alcotest.test_case "ties resolve down" `Quick test_consolidate_tie_resolves_down;
         prop_consolidate_honest_majority_recovers;
       ] );
-    ( "tomography.snapshot_diff",
-      [ Alcotest.test_case "incremental advertisements" `Quick test_snapshot_diff ] );
   ]
 
