@@ -68,13 +68,10 @@ let observation_fixture =
     (let store = Observation.create () in
      let rng = Prng.of_seed 6L in
      for _ = 1 to 5_000 do
-       Observation.record store
-         {
-           Observation.time = Prng.float rng 7200.;
-           prober = Prng.int rng 50;
-           link = Prng.int rng 200;
-           up = Prng.bool rng;
-         }
+       let time = Prng.float rng 7200. in
+       let prober = Prng.int rng 50 in
+       let link = Prng.int rng 200 in
+       Observation.record store ~time ~prober ~link ~up:(Prng.bool rng)
      done;
      store)
 
@@ -98,13 +95,10 @@ let window_fixture records =
          Observation.prune_before store (now -. (2. *. delta));
          next_prune := now +. delta
        end;
-       Observation.record store
-         {
-           Observation.time = now -. Prng.float rng 60.;
-           prober = Prng.int rng 50;
-           link = Prng.int rng 10;
-           up = Prng.bool rng;
-         }
+       let time = now -. Prng.float rng 60. in
+       let prober = Prng.int rng 50 in
+       let link = Prng.int rng 10 in
+       Observation.record store ~time ~prober ~link ~up:(Prng.bool rng)
      done;
      (store, float_of_int records *. spacing))
 
@@ -190,7 +184,7 @@ let observation_window_bench name fixture =
      let store, now = Lazy.force fixture in
      let lo = now -. (2. *. Blame.paper_config.Blame.delta) in
      for link = 0 to 9 do
-       ignore (Observation.on_link store ~link ~lo ~hi:now)
+       ignore (Observation.on_link store ~link ~lo ~hi:now ~keep:(fun _ -> true))
      done)
 
 let observation_window_short_bench =
@@ -206,8 +200,8 @@ let minc_bench =
      ignore (Minc.infer logical ~acked))
 
 (* A deliberately wide random tree (hundreds of leaves): the arena where the
-   single-sweep [infer] beats the per-node-scan [infer_reference], whose cost
-   carries an extra factor of the leaf count. *)
+   single-sweep [infer] beats the per-node scan of test/minc_oracle.ml, whose
+   cost carries an extra factor of the leaf count. *)
 let minc_large_fixture =
   lazy
     (let rng = Prng.of_seed 14L in
@@ -249,7 +243,36 @@ let minc_reference_bench =
   Test.make ~name:"tomography:minc-reference-large"
     (Staged.stage @@ fun () ->
      let logical, acked = Lazy.force minc_large_fixture in
-     ignore (Minc.infer_reference logical ~acked))
+     ignore (Minc_oracle.gamma logical ~acked))
+
+(* The tiny world's largest probe tree, probed at 2% loss per link. *)
+let probe_fixture =
+  lazy
+    (let trees = (Lazy.force world).World.trees in
+     Array.fold_left
+       (fun best tree -> if Tree.node_count tree > Tree.node_count best then tree else best)
+       trees.(0) trees)
+
+let loss_of_link _ = 0.02
+
+(* Batched x16 for fit quality, as overlay:chord-route-x16; the reference
+   runs one round. *)
+let probe_round_bench =
+  Test.make ~name:"tomography:probe-round"
+    (Staged.stage @@ fun () ->
+     let tree = Lazy.force probe_fixture in
+     let rng = Prng.of_seed 16L in
+     for _ = 1 to 16 do
+       ignore (Probing.probe_round ~rng ~loss_of_link ~tree ())
+     done)
+
+let probe_round_reference_bench =
+  Test.make ~name:"tomography:probe-round-reference"
+    (Staged.stage @@ fun () ->
+     let tree = Lazy.force probe_fixture in
+     let rng = Prng.of_seed 16L in
+     let behavior _ = Probing.Honest in
+     ignore (Probing_oracle.probe_round ~rng ~loss_of_link ~tree ~behavior))
 
 (* End-to-end figure regeneration, sequential vs the domain pool. On a
    single-core host the pool degrades to the inline path, so the pair also
@@ -396,6 +419,7 @@ let force_fixtures () =
       ignore (Lazy.force window_short_fixture);
       ignore (Lazy.force window_long_fixture);
       ignore (Lazy.force minc_large_fixture);
+      ignore (Lazy.force probe_fixture);
       ignore (Lazy.force chord_fixture);
       ignore (Lazy.force shared_pool))
 
@@ -416,6 +440,8 @@ let benchmark () =
       minc_bench;
       minc_large_bench;
       minc_reference_bench;
+      probe_round_bench;
+      probe_round_reference_bench;
       fig1_e2e_sequential_bench;
       fig1_e2e_pool_bench;
       pool_fanout_bench;
@@ -561,7 +587,13 @@ let render_guards rows =
     guard "observation-window-long <= 2x short" ~bench:"tomography:observation-window-long"
       ~per_run:1. ~reference:"tomography:observation-window-short" ~limit:2.0
   in
-  chord && window
+  (* A probe round walks stored flat paths with a byte per link fate; it
+     must never cost more than rebuilding each path into a table of fates. *)
+  let probe =
+    guard "probe-round <= reference" ~bench:"tomography:probe-round" ~per_run:16.
+      ~reference:"tomography:probe-round-reference" ~limit:1.0
+  in
+  chord && window && probe
 
 (* A negative r² is worse than low confidence: the fit is anti-correlated
    with the run count, i.e. the benchmark harness itself is broken (cold

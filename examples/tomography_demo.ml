@@ -20,7 +20,7 @@ let () =
   let logical = Logical_tree.of_tree tree in
   Printf.printf "host %d probes a tree of %d routers, %d leaves, %d logical links\n" host
     (Tree.node_count tree)
-    (Array.length (Tree.leaves tree))
+    (Tree.leaf_count tree)
     (Logical_tree.node_count logical - 1);
 
   (* Ground truth: a couple of specific logical chains are lossy. *)

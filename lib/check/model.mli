@@ -1,8 +1,9 @@
 (** Small, obviously-correct reference models of the protocol's stateful
-    pieces, in the style of [Minc.infer_reference]: each module restates a
-    paper-level contract with naive lists and linear scans, and the lockstep
-    driver ({!Lockstep}) executes it in step with the optimized
-    implementation, comparing state at every quiescence point.
+    pieces, in the style of the kernel oracles under test/ (the MINC and
+    probe-round references): each module restates a paper-level contract
+    with naive lists and linear scans, and the lockstep driver
+    ({!Lockstep}) executes it in step with the optimized implementation,
+    comparing state at every quiescence point.
 
     The models deliberately share only {e inputs} with the implementations
     (the overlay under test, accusation values, key derivation — data, not

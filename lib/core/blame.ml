@@ -47,20 +47,13 @@ let select config observations ~visible ~exclude_prober ~one_vote_per_prober ~li
   check_config config;
   let lo = drop_time -. config.delta and hi = drop_time +. config.delta in
   let excluded = ref 0 and deduped = ref 0 in
+  (* Visibility and exclusion are decided on the store's columns, so the
+     reports the judge does not count are never built. *)
+  let keep prober = visible prober && (prober <> exclude_prober || (incr excluded; false)) in
   let counted =
     Array.map
       (fun link ->
-        let kept =
-          List.filter
-            (fun (obs : Observation.observation) ->
-              if not (visible obs.prober) then false
-              else if obs.prober = exclude_prober then begin
-                incr excluded;
-                false
-              end
-              else true)
-            (Observation.on_link observations ~link ~lo ~hi)
-        in
+        let kept = Observation.on_link observations ~link ~lo ~hi ~keep in
         if not one_vote_per_prober then kept
         else begin
           let votes = latest_per_prober kept in

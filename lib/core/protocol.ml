@@ -263,12 +263,10 @@ let prune_behind_horizon t =
    their chains carry no last-mile information. *)
 let offline_leaves t tree ~time =
   let module Tree = Concilium_tomography.Tree in
-  Array.map
-    (fun leaf ->
-      match World.node_of_router t.world (Tree.router_of tree leaf) with
+  Array.init (Tree.leaf_count tree) (fun i ->
+      match World.node_of_router t.world (Tree.router_of tree (Tree.leaf tree i)) with
       | Some peer -> not (t.availability ~time peer)
       | None -> false)
-    (Tree.leaves tree)
 
 let leaf_behavior offline leaf_index =
   if offline.(leaf_index) then Probing.Suppress_acks 1.0 else Probing.Honest
@@ -278,14 +276,14 @@ let leaf_behavior offline leaf_index =
    then passed through the adversary's observation tap. *)
 let record_chain t v ~logical ~time node up =
   let up = match t.behavior v with Probe_flipper -> not up | _ -> up in
-  Array.iter
-    (fun link ->
-      let reported = t.taps.tap_observation ~time ~prober:v ~link ~up in
-      if reported <> up then Metrics.incr t.obs.Obs.metrics "adversary.lies";
-      Observation.record t.observations { Observation.time; prober = v; link; up = reported };
-      prov_record_probe t ~prober:v ~link ~time ~up:reported ~tapped:(reported <> up)
-        ~forged:false)
-    (Logical_tree.chain logical node)
+  for i = 0 to Logical_tree.chain_length logical node - 1 do
+    let link = Logical_tree.chain_link logical node i in
+    let reported = t.taps.tap_observation ~time ~prober:v ~link ~up in
+    if reported <> up then Metrics.incr t.obs.Obs.metrics "adversary.lies";
+    Observation.record t.observations ~time ~prober:v ~link ~up:reported;
+    prov_record_probe t ~prober:v ~link ~time ~up:reported ~tapped:(reported <> up)
+      ~forged:false
+  done
 
 (* ---------- Lightweight probing ---------- *)
 
@@ -300,17 +298,15 @@ let run_probe_round t v =
     Probing.probe_round ~rng:t.rng ~loss_of_link ~tree ~behavior:(leaf_behavior offline) ()
   in
   let verdicts = Probing.classify_round logical round.Probing.acked in
-  Array.iteri
-    (fun leaf_index logical_node ->
-      if offline.(leaf_index) then verdicts.(logical_node) <- Probing.Indeterminate)
-    (Logical_tree.leaves logical);
-  Array.iteri
-    (fun node verdict ->
-      match verdict with
-      | Probing.Probed_up -> record_chain t v ~logical ~time:now node true
-      | Probing.Probed_down -> record_chain t v ~logical ~time:now node false
-      | Probing.Indeterminate -> ())
-    verdicts;
+  for leaf = 0 to Array.length offline - 1 do
+    if offline.(leaf) then verdicts.(Logical_tree.leaf logical leaf) <- Probing.Indeterminate
+  done;
+  for node = 0 to Array.length verdicts - 1 do
+    match verdicts.(node) with
+    | Probing.Probed_up -> record_chain t v ~logical ~time:now node true
+    | Probing.Probed_down -> record_chain t v ~logical ~time:now node false
+    | Probing.Indeterminate -> ()
+  done;
   (* Forged corroboration rides the same round: a compromised prober may
      stuff extra reports into the window. Free for the attacker — forged
      votes are fabricated locally, not probed, so no bandwidth is charged. *)
@@ -320,7 +316,7 @@ let run_probe_round t v =
       Metrics.incr t.obs.Obs.metrics ~by:(List.length forged) "adversary.forged_reports";
       List.iter
         (fun (link, up) ->
-          Observation.record t.observations { Observation.time = now; prober = v; link; up };
+          Observation.record t.observations ~time:now ~prober:v ~link ~up;
           prov_record_probe t ~prober:v ~link ~time:now ~up ~tapped:false ~forged:true)
         forged);
   (* Bandwidth accounting (Section 4.4): the probe stripe itself, plus the
@@ -338,7 +334,7 @@ let run_probe_round t v =
           round.Probing.acked;
         !changed
   in
-  t.last_advertised.(v) <- Some (Array.copy round.Probing.acked);
+  t.last_advertised.(v) <- Some round.Probing.acked;
   let stripe_bytes = Bandwidth.probe_stripe_bytes ~leaves:leaf_count in
   let advert_bytes = peer_count * Bandwidth.advert_bytes ~entries:advert_entries in
   t.control_bytes.(v) <- t.control_bytes.(v) + stripe_bytes + advert_bytes;
@@ -405,9 +401,9 @@ let run_heavyweight_burst t v ~stamp ~parent =
     in
     (* Offline leaves' chains carry no information: skip them. *)
     let skip = Array.make (Logical_tree.node_count logical) false in
-    Array.iteri
-      (fun leaf_index logical_node -> if offline.(leaf_index) then skip.(logical_node) <- true)
-      (Logical_tree.leaves logical);
+    for leaf = 0 to Array.length offline - 1 do
+      if offline.(leaf) then skip.(Logical_tree.leaf logical leaf) <- true
+    done;
     for node = 1 to Logical_tree.node_count logical - 1 do
       (* Only chains the estimator actually saw data for. *)
       if
@@ -544,11 +540,11 @@ let start_probing t ~horizon =
           if run_probe_round t v then backoff := 1.
           else backoff := Float.min (!backoff *. 2.) probe_backoff_cap
         end;
-        let delay = !backoff *. Probing.schedule_jitter ~rng:t.rng ~max_probe_time in
+        let delay = !backoff *. Prng.float t.rng max_probe_time in
         if Engine.now engine +. delay < horizon then Engine.schedule engine ~delay loop
       end
     in
-    let first = Probing.schedule_jitter ~rng:t.rng ~max_probe_time in
+    let first = Prng.float t.rng max_probe_time in
     Engine.schedule t.engine ~delay:first loop
   done
 
@@ -569,8 +565,7 @@ let window_for t ~judge ~suspect =
    observe the attack. *)
 let select_votes t ~judge ~suspect ~links ~drop_time =
   Blame.select t.config.blame t.observations
-    ~visible:(fun prober ->
-      prober = judge || Array.exists (( = ) prober) t.world.World.peers.(judge))
+    ~visible:(fun prober -> prober = judge || World.is_peer t.world judge prober)
     ~exclude_prober:(if t.config.exclude_suspect_probes then suspect else -1)
     ~one_vote_per_prober:t.config.one_vote_per_prober ~links ~drop_time
 

@@ -46,6 +46,7 @@ type t = {
   host_router : int array;
   router_node : int array;  (* router -> node, -1 when the router hosts none *)
   peers : int array array;
+  sorted_peers : int array array;
   peer_paths : Routes.path option array array;
   trees : Tree.t array;
   logical : Logical_tree.t array;
@@ -84,6 +85,9 @@ let build config =
   let secrets = Array.map snd enrolled in
   let pastry = Pastry.build ~leaf_half_size:config.leaf_half_size ids in
   let peers = Array.init member_count (fun v -> Pastry.routing_peers pastry v) in
+  let sorted_peers =
+    Array.map (fun row -> Array.of_list (List.sort Int.compare (Array.to_list row))) peers
+  in
   let router = Routes.Hierarchy.create graph ~classes:generated.Generate.classes in
   let peer_paths =
     Array.init member_count (fun v ->
@@ -130,6 +134,7 @@ let build config =
     host_router;
     router_node;
     peers;
+    sorted_peers;
     peer_paths;
     trees;
     logical;
@@ -150,6 +155,16 @@ let node_of_router t router =
     let v = t.router_node.(router) in
     if v < 0 then None else Some v
   end
+
+(* Not [Sorted.mem], whose predicate closure allocates on every call. *)
+let is_peer t v peer =
+  let sorted = t.sorted_peers.(v) in
+  let lo = ref 0 and hi = ref (Array.length sorted) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if sorted.(mid) < peer then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length sorted && sorted.(!lo) = peer
 
 let ip_path t ~from_node ~to_node =
   let rec find i =

@@ -39,6 +39,7 @@ type t = {
   router_node : int array;
       (** inverse of [host_router]: router -> node, -1 when none *)
   peers : int array array;  (** overlay node -> its routing peers (overlay indices) *)
+  sorted_peers : int array array;  (** [peers], each row sorted ascending ({!is_peer}) *)
   peer_paths : Routes.path option array array;
       (** [peer_paths.(v).(i)] is the IP route from v to [peers.(v).(i)] *)
   trees : Tree.t array;  (** T_H per overlay node *)
@@ -61,6 +62,11 @@ val public_key_of : t -> int -> Pki.public_key
 
 val node_of_router : t -> int -> int option
 (** Overlay node attached to a router, if any. *)
+
+val is_peer : t -> int -> int -> bool
+(** [is_peer t v peer]: whether [peer] is one of [v]'s routing peers. A
+    binary search, so its cost grows with the peer count's logarithm, not
+    with the overlay. *)
 
 val ip_path : t -> from_node:int -> to_node:int -> Routes.path option
 (** IP route between two overlay nodes, available when [to_node] is a

@@ -1,16 +1,13 @@
 type t = {
-  physical : Tree.t;
   parents : int array;
   children : int array array;
   leaves : int array;
   chains : int array array;
-  physical_nodes : int array;
-  descendant_leaves : int array array;
 }
 
 let of_tree tree =
   let n = Tree.node_count tree in
-  let physical_leaves = Tree.leaves tree in
+  let physical_leaves = Array.init (Tree.leaf_count tree) (Tree.leaf tree) in
   let is_leaf = Array.make n false in
   Array.iter (fun node -> is_leaf.(node) <- true) physical_leaves;
   (* Kept nodes: root, physical leaves, and branching points. *)
@@ -51,29 +48,13 @@ let of_tree tree =
   done;
   let children = Array.map Array.of_list child_lists in
   let leaves = Array.map (fun node -> logical_of_physical.(node)) physical_leaves in
-  (* Leaf index sets, computed bottom-up. *)
-  let descendant_lists = Array.make count [] in
-  Array.iteri
-    (fun leaf_index logical ->
-      descendant_lists.(logical) <- [ leaf_index ])
-    leaves;
-  (* Logical nodes are numbered in physical preorder, so children have
-     larger indices than parents; a reverse sweep accumulates leaf sets. *)
-  for logical = count - 1 downto 1 do
-    let parent = parents.(logical) in
-    descendant_lists.(parent) <- descendant_lists.(logical) @ descendant_lists.(parent)
-  done;
-  let descendant_leaves =
-    Array.map (fun l -> Array.of_list (List.sort_uniq Int.compare l)) descendant_lists
-  in
-  { physical = tree; parents; children; leaves; chains; physical_nodes; descendant_leaves }
+  { parents; children; leaves; chains }
 
-let physical t = t.physical
 let node_count t = Array.length t.parents
 let parent t node = t.parents.(node)
 let children t node = t.children.(node)
-let leaves t = Array.copy t.leaves
-let chain t node = Array.copy t.chains.(node)
-let physical_node t node = t.physical_nodes.(node)
+let leaf t i = t.leaves.(i)
 let leaf_count t = Array.length t.leaves
-let descendant_leaves t node = Array.copy t.descendant_leaves.(node)
+let chain t node = Array.copy t.chains.(node)
+let chain_length t node = Array.length t.chains.(node)
+let chain_link t node i = t.chains.(node).(i)

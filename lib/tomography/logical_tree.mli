@@ -10,25 +10,25 @@ type t
 
 val of_tree : Tree.t -> t
 
-val physical : t -> Tree.t
 val node_count : t -> int
 
 val parent : t -> int -> int
-(** Logical parent, -1 for the root. *)
+(** Logical parent, -1 for the root. A parent's number is below its
+    children's, so a sweep from the last node down meets children first. *)
 
 val children : t -> int -> int array
 
-val leaves : t -> int array
-(** Logical leaves, in the same order as the physical tree's leaves. *)
-
-val chain : t -> int -> int array
-(** Physical link ids collapsed into the logical link above a node (root ->
-    empty). Ordered top-down. *)
-
-val physical_node : t -> int -> int
-(** The physical tree node a logical node stands for. *)
+val leaf : t -> int -> int
+(** [leaf t i] is the logical node of the physical tree's leaf [i]
+    ({!Tree.leaf}). *)
 
 val leaf_count : t -> int
 
-val descendant_leaves : t -> int -> int array
-(** Indices into {!leaves} of the leaves at or below a logical node. *)
+val chain : t -> int -> int array
+(** Physical link ids collapsed into the logical link above a node (root ->
+    empty). Ordered top-down. A fresh copy, unlike {!chain_link}. *)
+
+val chain_length : t -> int -> int
+
+val chain_link : t -> int -> int -> int
+(** [chain_link t node i] is [(chain t node).(i)], without the copy. *)

@@ -72,23 +72,23 @@ let estimate_of_hits logical ~rounds hits =
 
 (* gamma_k counts rounds in which some leaf below k acked. A single
    bottom-up sweep per round marks each acked leaf's logical node and
-   propagates the mark to its parent: logical nodes are numbered in
-   physical preorder (children carry larger indices than parents, see
-   Logical_tree.of_tree), so one reverse pass reaches every ancestor.
-   O(rounds * nodes), versus the reference's O(rounds * nodes * leaves). *)
+   propagates the mark to its parent: children carry larger indices than
+   parents (see Logical_tree.parent), so one reverse pass reaches every
+   ancestor. O(rounds * nodes), where scanning each node's descendant
+   leaves costs O(rounds * nodes * leaves). *)
 let infer logical ~acked =
   check_input logical ~acked;
   let rounds = Array.length acked in
   let count = Logical_tree.node_count logical in
-  let leaf_nodes = Logical_tree.leaves logical in
   let hits = Array.make count 0 in
   let reached = Array.make count false in
   Array.iter
     (fun vector ->
       Array.fill reached 0 count false;
       Array.iteri
-        (fun leaf_index node -> if vector.(leaf_index) then reached.(node) <- true)
-        leaf_nodes;
+        (fun leaf_index acked ->
+          if acked then reached.(Logical_tree.leaf logical leaf_index) <- true)
+        vector;
       for node = count - 1 downto 1 do
         if reached.(node) then begin
           hits.(node) <- hits.(node) + 1;
@@ -96,25 +96,6 @@ let infer logical ~acked =
         end
       done;
       if reached.(0) then hits.(0) <- hits.(0) + 1)
-    acked;
-  estimate_of_hits logical ~rounds hits
-
-(* The original quadratic-in-tree-size scan, kept verbatim as the oracle the
-   tests and benchmarks compare [infer] against. *)
-let infer_reference logical ~acked =
-  check_input logical ~acked;
-  let rounds = Array.length acked in
-  let count = Logical_tree.node_count logical in
-  let hits = Array.make count 0 in
-  Array.iter
-    (fun vector ->
-      for node = 0 to count - 1 do
-        if
-          Array.exists
-            (fun leaf_index -> vector.(leaf_index))
-            (Logical_tree.descendant_leaves logical node)
-        then hits.(node) <- hits.(node) + 1
-      done)
     acked;
   estimate_of_hits logical ~rounds hits
 

@@ -28,12 +28,6 @@ val infer : Logical_tree.t -> acked:bool array array -> estimate
     @raise Invalid_argument if no rounds are given or a vector's width
     disagrees with the tree's leaf count. *)
 
-val infer_reference : Logical_tree.t -> acked:bool array array -> estimate
-(** The original O(rounds * nodes * leaves) implementation (a per-node
-    [Array.exists] over descendant leaf sets), retained as the oracle that
-    tests and benchmarks check {!infer} against. Produces identical
-    estimates. *)
-
 val link_loss : estimate -> int -> float
 (** [1 - link_success] for a logical node. *)
 

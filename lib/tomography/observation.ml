@@ -15,9 +15,10 @@ type column = {
   mutable stop : int;
 }
 
-type t = { table : (int, column) Hashtbl.t; mutable count : int; mutable horizon : float }
+(* Columns by link id (ids are dense), made at a link's first observation. *)
+type t = { mutable columns : column option array; mutable count : int; mutable horizon : float }
 
-let create () = { table = Hashtbl.create 1024; count = 0; horizon = Float.neg_infinity }
+let create () = { columns = [||]; count = 0; horizon = Float.neg_infinity }
 
 let new_column () =
   let capacity = 16 in
@@ -58,48 +59,56 @@ let make_room column =
   column.start <- 0;
   column.stop <- live
 
-let record t observation =
-  let column =
-    match Hashtbl.find_opt t.table observation.link with
-    | Some column -> column
-    | None ->
-        let column = new_column () in
-        Hashtbl.replace t.table observation.link column;
-        column
-  in
+let column_for t link =
+  let width = Array.length t.columns in
+  if link >= width then begin
+    let wider = Array.make (max (link + 1) (2 * width)) None in
+    Array.blit t.columns 0 wider 0 width;
+    t.columns <- wider
+  end;
+  match t.columns.(link) with
+  | Some column -> column
+  | None ->
+      let column = new_column () in
+      t.columns.(link) <- Some column;
+      column
+
+(* The fields arrive as arguments, not as an [observation], so recording a
+   vote allocates nothing but amortised column growth. *)
+let record t ~time ~prober ~link ~up =
+  let column = column_for t link in
   if column.stop = Array.length column.times then make_room column;
   let i = column.stop in
-  column.times.(i) <- observation.time;
+  column.times.(i) <- time;
   column.highs.(i) <-
-    (if i = 0 then observation.time else Float.max column.highs.(i - 1) observation.time);
-  column.probers.(i) <- observation.prober;
-  Bytes.set column.ups i (if observation.up then '\001' else '\000');
+    (* Float.max would box its result; times are never NaN. *)
+    (if i > 0 && column.highs.(i - 1) > time then column.highs.(i - 1) else time);
+  column.probers.(i) <- prober;
+  Bytes.set column.ups i (if up then '\001' else '\000');
   column.stop <- i + 1;
   t.count <- t.count + 1
 
 let count t = t.count
 
-(* The first live slot whose running maximum reaches [bound]. *)
-let first_reaching column bound =
-  let rec search lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = lo + ((hi - lo) / 2) in
-      if column.highs.(mid) < bound then search (mid + 1) hi else search lo mid
-    end
-  in
-  search column.start column.stop
+(* The first slot in [lo, hi) whose running maximum reaches [bound]. *)
+let rec first_reaching highs bound lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if highs.(mid) < bound then first_reaching highs bound (mid + 1) hi
+    else first_reaching highs bound lo mid
+  end
 
-let on_link t ~link ~lo ~hi =
+let on_link t ~link ~lo ~hi ~keep =
   if lo < t.horizon then
     invalid_arg "Observation.on_link: window starts behind the pruned horizon";
-  match Hashtbl.find_opt t.table link with
+  match if link < Array.length t.columns then t.columns.(link) else None with
   | None -> []
   | Some column ->
       let window = ref [] in
-      for i = column.stop - 1 downto first_reaching column lo do
+      for i = column.stop - 1 downto first_reaching column.highs lo column.start column.stop do
         let time = column.times.(i) in
-        if time >= lo && time <= hi then
+        if time >= lo && time <= hi && keep column.probers.(i) then
           window :=
             { time; prober = column.probers.(i); link; up = Bytes.get column.ups i <> '\000' }
             :: !window
@@ -109,17 +118,17 @@ let on_link t ~link ~lo ~hi =
 let prune_before t horizon =
   if horizon > t.horizon then begin
     t.horizon <- horizon;
-    (* Each column is cut independently; the visit order cannot change the
-       outcome.  lint: allow hashtbl-order *)
-    Hashtbl.iter
-      (fun _ column ->
-        let first = first_reaching column horizon in
-        t.count <- t.count - (first - column.start);
-        (* An emptied column restarts at slot 0, so it never compacts. *)
-        if first = column.stop then begin
-          column.start <- 0;
-          column.stop <- 0
-        end
-        else column.start <- first)
-      t.table
+    Array.iter
+      (function
+        | None -> ()
+        | Some column ->
+            let first = first_reaching column.highs horizon column.start column.stop in
+            t.count <- t.count - (first - column.start);
+            (* An emptied column restarts at slot 0, so it never compacts. *)
+            if first = column.stop then begin
+              column.start <- 0;
+              column.stop <- 0
+            end
+            else column.start <- first)
+      t.columns
   end

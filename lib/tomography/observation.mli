@@ -18,16 +18,21 @@ type observation = {
 type t
 
 val create : unit -> t
-val record : t -> observation -> unit
+
+val record : t -> time:float -> prober:int -> link:int -> up:bool -> unit
+(** Append to [link]'s column. Link ids index an array: non-negative, and
+    best dense. Allocates nothing beyond amortised column growth. *)
 
 val count : t -> int
 (** Live observations: recorded and not yet pruned. *)
 
-val on_link : t -> link:int -> lo:float -> hi:float -> observation list
-(** Observations of [link] with [lo <= time <= hi], in insertion order.
-    That is not time order: a heavyweight burst stamps its observations at
-    drop + Delta when the judgment runs, and chaos-injected control delay
-    can hold that judgment back past later lightweight rounds.
+val on_link : t -> link:int -> lo:float -> hi:float -> keep:(int -> bool) -> observation list
+(** Observations of [link] with [lo <= time <= hi] whose prober [keep]
+    accepts, in insertion order. That is not time order: a heavyweight
+    burst stamps its observations at drop + Delta when the judgment runs,
+    and chaos-injected control delay can hold that judgment back past later
+    lightweight rounds. [keep] sees each in-window prober, in no promised
+    order, before anything is built: what it rejects allocates nothing.
     @raise Invalid_argument if [lo] lies behind the pruned horizon (the
     largest [prune_before] argument so far): such a window may have lost
     votes, so it fails loudly rather than answering short. *)

@@ -4,31 +4,46 @@ type leaf_behavior = Honest | Suppress_acks of float
 
 type round = { received : bool array; acked : bool array }
 
-let probe_round ~rng ~loss_of_link ~tree ?(behavior = fun _ -> Honest) () =
-  let leaves = Tree.leaves tree in
-  let leaf_count = Array.length leaves in
-  (* One Bernoulli draw per physical link per round: the striped packets
-     share fate on shared links, emulating multicast. *)
-  let link_fate = Hashtbl.create 64 in
-  let link_passes link =
-    match Hashtbl.find_opt link_fate link with
-    | Some pass -> pass
-    | None ->
-        let pass = not (Prng.bernoulli rng (loss_of_link link)) in
-        Hashtbl.replace link_fate link pass;
+(* One Bernoulli draw per physical link per round: the striped packets
+   share fate on shared links, emulating multicast. A round keeps the fates
+   one byte per tree node (each link is the parent link of exactly one
+   node), draws a fate at the link's first visit, and stops a leaf's path
+   at its first dropped link. *)
+let undrawn = '\000'
+let passed = '\001'
+let dropped = '\002'
+
+let rec path_passes ~rng ~loss_of_link tree fates k stop =
+  if k >= stop then true
+  else begin
+    let node = Tree.path_node tree k in
+    let fate = Bytes.get fates node in
+    let pass =
+      if fate <> undrawn then fate = passed
+      else begin
+        let pass = not (Prng.bernoulli rng (loss_of_link (Tree.parent_link tree node))) in
+        Bytes.set fates node (if pass then passed else dropped);
         pass
-  in
+      end
+    in
+    pass && path_passes ~rng ~loss_of_link tree fates (k + 1) stop
+  end
+
+let probe_round ~rng ~loss_of_link ~tree ?(behavior = fun _ -> Honest) () =
+  let leaf_count = Tree.leaf_count tree in
+  let fates = Bytes.make (Tree.node_count tree) undrawn in
   let received = Array.make leaf_count false in
   let acked = Array.make leaf_count false in
-  Array.iteri
-    (fun leaf_index leaf_node ->
-      let links = Tree.path_links_to tree leaf_node in
-      let got_it = Array.for_all link_passes links in
-      received.(leaf_index) <- got_it;
-      match behavior leaf_index with
-      | Honest -> acked.(leaf_index) <- got_it
-      | Suppress_acks p -> acked.(leaf_index) <- got_it && not (Prng.bernoulli rng p))
-    leaves;
+  for leaf = 0 to leaf_count - 1 do
+    let got_it =
+      path_passes ~rng ~loss_of_link tree fates (Tree.path_start tree leaf)
+        (Tree.path_start tree (leaf + 1))
+    in
+    received.(leaf) <- got_it;
+    match behavior leaf with
+    | Honest -> acked.(leaf) <- got_it
+    | Suppress_acks p -> acked.(leaf) <- got_it && not (Prng.bernoulli rng p)
+  done;
   { received; acked }
 
 let probe_rounds ~rng ~loss_of_link ~tree ?(behavior = fun _ -> Honest) ~count () =
@@ -38,19 +53,19 @@ let acked_matrix rounds = Array.map (fun r -> r.acked) rounds
 
 type link_verdict = Probed_up | Probed_down | Indeterminate
 
+(* Whether some leaf at or below each logical node acked, in one sweep from
+   the last node up: a parent precedes its children in the numbering. *)
 let classify_round logical acked =
   let count = Logical_tree.node_count logical in
   let subtree_acked = Array.make count false in
-  for node = 0 to count - 1 do
-    subtree_acked.(node) <-
-      Array.exists (fun leaf_index -> acked.(leaf_index)) (Logical_tree.descendant_leaves logical node)
+  for leaf = 0 to Logical_tree.leaf_count logical - 1 do
+    if acked.(leaf) then subtree_acked.(Logical_tree.leaf logical leaf) <- true
+  done;
+  for node = count - 1 downto 1 do
+    if subtree_acked.(node) then subtree_acked.(Logical_tree.parent logical node) <- true
   done;
   Array.init count (fun node ->
       if node = 0 then Indeterminate
       else if subtree_acked.(node) then Probed_up
       else if subtree_acked.(Logical_tree.parent logical node) then Probed_down
       else Indeterminate)
-
-let schedule_jitter ~rng ~max_probe_time =
-  if max_probe_time <= 0. then invalid_arg "Probing.schedule_jitter: non-positive max";
-  Prng.float rng max_probe_time

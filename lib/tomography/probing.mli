@@ -26,8 +26,11 @@ val probe_round :
   ?behavior:(int -> leaf_behavior) ->
   unit ->
   round
-(** [behavior] maps a leaf index (position in [Tree.leaves]) to its conduct;
-    defaults to all-honest. *)
+(** [behavior] maps a leaf index ({!Tree.leaf}) to its conduct; defaults
+    to all-honest. Leaf by leaf, a link's fate is drawn at its first visit,
+    a path stops at its first dropped link, and a suppressing leaf that got
+    the probe draws its ack right after its path. Allocates the round and
+    a byte per tree node, nothing per link visited. *)
 
 val probe_rounds :
   rng:Concilium_util.Prng.t ->
@@ -50,6 +53,3 @@ val classify_round : Logical_tree.t -> bool array -> link_verdict array
     when the parent demonstrably received it but no leaf below acked, and
     [Indeterminate] otherwise. *)
 
-val schedule_jitter : rng:Concilium_util.Prng.t -> max_probe_time:float -> float
-(** Inter-arrival draw for lightweight probe scheduling: uniform over
-    [0, max_probe_time] (Section 3.2). *)

@@ -7,7 +7,11 @@ type t = {
   parent_links : int array;
   children : int array array;
   leaves : int array;
-  by_router : (int, int) Hashtbl.t;
+  (* Every leaf's path, top-down without the root, back to back in leaf
+     order: leaf i's is path_nodes.(path_starts.(i)) to
+     path_nodes.(path_starts.(i + 1) - 1). *)
+  path_nodes : int array;
+  path_starts : int array;
 }
 
 (* Growable parallel arrays during construction. *)
@@ -75,15 +79,20 @@ let of_paths ~root ~paths =
     child_lists.(parents.(node)) <- node :: child_lists.(parents.(node))
   done;
   let children = Array.map Array.of_list child_lists in
-  {
-    root;
-    routers;
-    parents;
-    parent_links;
-    children;
-    leaves = Array.of_list (List.rev !leaf_list);
-    by_router;
-  }
+  let leaves = Array.of_list (List.rev !leaf_list) in
+  let rec depth node = if node = 0 then 0 else 1 + depth parents.(node) in
+  let path_starts = Array.make (Array.length leaves + 1) 0 in
+  Array.iteri (fun i leaf -> path_starts.(i + 1) <- path_starts.(i) + depth leaf) leaves;
+  let path_nodes = Array.make path_starts.(Array.length leaves) 0 in
+  Array.iteri
+    (fun i leaf ->
+      let node = ref leaf in
+      for k = path_starts.(i + 1) - 1 downto path_starts.(i) do
+        path_nodes.(k) <- !node;
+        node := parents.(!node)
+      done)
+    leaves;
+  { root; routers; parents; parent_links; children; leaves; path_nodes; path_starts }
 
 let root t = t.root
 let node_count t = Array.length t.routers
@@ -91,12 +100,10 @@ let router_of t node = t.routers.(node)
 let parent t node = t.parents.(node)
 let parent_link t node = t.parent_links.(node)
 let children t node = t.children.(node)
-let leaves t = Array.copy t.leaves
-
-let leaf_of_router t router =
-  match Hashtbl.find_opt t.by_router router with
-  | Some node when Array.exists (( = ) node) t.leaves -> Some node
-  | Some _ | None -> None
+let leaf_count t = Array.length t.leaves
+let leaf t i = t.leaves.(i)
+let path_start t i = t.path_starts.(i)
+let path_node t k = t.path_nodes.(k)
 
 let physical_links t =
   let out = ref [] in
@@ -106,9 +113,3 @@ let physical_links t =
   let array = Array.of_list !out in
   Array.sort Int.compare array;
   array
-
-let path_links_to t node =
-  let rec walk node acc =
-    if node = 0 then acc else walk t.parents.(node) (t.parent_links.(node) :: acc)
-  in
-  Array.of_list (walk node [])

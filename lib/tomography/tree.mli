@@ -28,15 +28,21 @@ val parent_link : t -> int -> int
 
 val children : t -> int -> int array
 
-val leaves : t -> int array
-(** Tree nodes that terminate a probe path (the routing peers), in the
-    order their paths were supplied (duplicates removed). *)
+val leaf_count : t -> int
 
-val leaf_of_router : t -> int -> int option
-(** Tree leaf node for a peer's router id. *)
+val leaf : t -> int -> int
+(** [leaf t i] is the tree node of leaf [i]. Leaves are the tree nodes
+    that terminate a probe path (the routing peers), in the order their
+    paths were supplied (duplicates removed). *)
+
+val path_start : t -> int -> int
+(** Leaf [i]'s root-to-leaf path is [path_node t k] for
+    [path_start t i <= k < path_start t (i + 1)]: its tree nodes top-down,
+    the root left out, each standing for the physical link above it
+    ({!parent_link}). [i] ranges over [0 .. leaf_count t]; the paths are
+    stored once, back to back, so walking one allocates nothing. *)
+
+val path_node : t -> int -> int
 
 val physical_links : t -> int array
 (** Distinct physical link ids appearing in the tree, ascending. *)
-
-val path_links_to : t -> int -> int array
-(** Physical links from the root down to the given tree node, in order. *)

@@ -36,7 +36,7 @@ let path_bad_confidence config ~observations ~links ~drop_time ~exclude_prober
             if obs.Observation.prober = exclude_prober || not (visible obs.Observation.prober)
             then None
             else Some (obs.Observation.prober, obs.Observation.up))
-          (Observation.on_link observations ~link ~lo ~hi)
+          (Observation.on_link observations ~link ~lo ~hi ~keep:(fun _ -> true))
       in
       let votes = if one_vote_per_prober then dedup_votes votes else votes in
       if votes = [] then best else max best (confidence_of_votes config votes))
@@ -77,7 +77,7 @@ let gather_evidence config ~observations ~visible ~suspect ~exclude_suspect_prob
            let visible =
              List.filter
                (fun obs -> visible obs.Observation.prober)
-               (Observation.on_link observations ~link ~lo ~hi)
+               (Observation.on_link observations ~link ~lo ~hi ~keep:(fun _ -> true))
            in
            let kept =
              List.filter

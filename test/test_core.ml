@@ -39,8 +39,7 @@ let blame_config = Blame.paper_config
 let store_with observations =
   let store = Observation.create () in
   List.iter
-    (fun (time, prober, link, up) ->
-      Observation.record store { Observation.time; prober; link; up })
+    (fun (time, prober, link, up) -> Observation.record store ~time ~prober ~link ~up)
     observations;
   store
 

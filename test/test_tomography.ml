@@ -40,15 +40,21 @@ let test_tree_structure () =
   let _, tree = fixture_tree () in
   check Alcotest.int "nodes" 7 (Tree.node_count tree);
   check Alcotest.int "root" 0 (Tree.root tree);
-  check Alcotest.int "leaf count" 3 (Array.length (Tree.leaves tree));
-  let leaf_routers = Array.map (Tree.router_of tree) (Tree.leaves tree) in
+  check Alcotest.int "leaf count" 3 (Tree.leaf_count tree);
+  let leaf_routers = Array.init 3 (fun i -> Tree.router_of tree (Tree.leaf tree i)) in
   check (Alcotest.array Alcotest.int) "leaf routers" [| 4; 5; 6 |] leaf_routers;
   check Alcotest.int "six links" 6 (Array.length (Tree.physical_links tree))
 
+(* Leaf i's stored path, as the physical links above its nodes. *)
+let leaf_path_links tree i =
+  Array.init
+    (Tree.path_start tree (i + 1) - Tree.path_start tree i)
+    (fun k -> Tree.parent_link tree (Tree.path_node tree (Tree.path_start tree i + k)))
+
 let test_tree_paths_to_leaves () =
   let g, tree = fixture_tree () in
-  let leaf4 = Option.get (Tree.leaf_of_router tree 4) in
-  let links = Tree.path_links_to tree leaf4 in
+  check Alcotest.int "leaf 0 is router 4" 4 (Tree.router_of tree (Tree.leaf tree 0));
+  let links = leaf_path_links tree 0 in
   check Alcotest.int "three hops" 3 (Array.length links);
   let expected =
     [|
@@ -57,7 +63,12 @@ let test_tree_paths_to_leaves () =
       Option.get (Graph.link_between g 2 4);
     |]
   in
-  check (Alcotest.array Alcotest.int) "root-down order" expected links
+  check (Alcotest.array Alcotest.int) "root-down order" expected links;
+  for i = 0 to Tree.leaf_count tree - 1 do
+    check (Alcotest.array Alcotest.int) "stored path = parent walk"
+      (Probing_oracle.path_links_to tree (Tree.leaf tree i))
+      (leaf_path_links tree i)
+  done
 
 let test_tree_shared_prefix_dedup () =
   let _, tree = fixture_tree () in
@@ -81,17 +92,17 @@ let test_logical_collapse () =
      Router 3 is a pass-through and collapses into leaf 6's chain. *)
   check Alcotest.int "logical nodes" 6 (Logical_tree.node_count logical);
   check Alcotest.int "leaves" 3 (Logical_tree.leaf_count logical);
-  let leaf6 = (Logical_tree.leaves logical).(2) in
+  let leaf6 = Logical_tree.leaf logical 2 in
   check Alcotest.int "collapsed chain length" 2 (Array.length (Logical_tree.chain logical leaf6))
 
+(* The descendant-leaf sets the probing and MINC oracles scan. *)
 let test_logical_descendants () =
   let _, tree = fixture_tree () in
   let logical = Logical_tree.of_tree tree in
-  check (Alcotest.array Alcotest.int) "root sees all leaves" [| 0; 1; 2 |]
-    (Logical_tree.descendant_leaves logical 0);
-  let leaf0 = (Logical_tree.leaves logical).(0) in
-  check (Alcotest.array Alcotest.int) "leaf sees itself" [| 0 |]
-    (Logical_tree.descendant_leaves logical leaf0)
+  let descendants = Probing_oracle.descendant_leaves logical in
+  check (Alcotest.array Alcotest.int) "root sees all leaves" [| 0; 1; 2 |] descendants.(0);
+  let leaf0 = Logical_tree.leaf logical 0 in
+  check (Alcotest.array Alcotest.int) "leaf sees itself" [| 0 |] descendants.(leaf0)
 
 (* ---------- Probing ---------- *)
 
@@ -126,9 +137,9 @@ let test_classify_round () =
   (* Leaves 4 and 5 acked; leaf 6 silent: the chain to 6 is Probed_down,
      everything on the acked paths is Probed_up. *)
   let verdicts = Probing.classify_round logical [| true; true; false |] in
-  let leaf6 = (Logical_tree.leaves logical).(2) in
+  let leaf6 = Logical_tree.leaf logical 2 in
   check Alcotest.bool "chain to 6 down" true (verdicts.(leaf6) = Probing.Probed_down);
-  let leaf4 = (Logical_tree.leaves logical).(0) in
+  let leaf4 = Logical_tree.leaf logical 0 in
   check Alcotest.bool "chain to 4 up" true (verdicts.(leaf4) = Probing.Probed_up);
   (* Nothing acked: everything indeterminate (can't tell first bad link). *)
   let silent = Probing.classify_round logical [| false; false; false |] in
@@ -189,17 +200,21 @@ let test_minc_rejects_empty () =
 let test_observation_window_queries () =
   let store = Observation.create () in
   List.iter
-    (fun (time, prober, link, up) -> Observation.record store { Observation.time; prober; link; up })
+    (fun (time, prober, link, up) -> Observation.record store ~time ~prober ~link ~up)
     [ (10., 1, 5, true); (20., 2, 5, false); (30., 1, 5, true); (20., 1, 6, true) ];
   check Alcotest.int "count" 4 (Observation.count store);
-  let window = Observation.on_link store ~link:5 ~lo:15. ~hi:30. in
+  let window = Observation.on_link store ~link:5 ~lo:15. ~hi:30. ~keep:(fun _ -> true) in
   check Alcotest.int "windowed" 2 (List.length window);
   check (Alcotest.float 1e-9) "insertion order" 20. (List.hd window).Observation.time;
+  check Alcotest.int "kept by prober" 1
+    (List.length (Observation.on_link store ~link:5 ~lo:15. ~hi:30. ~keep:(( <> ) 1)));
   Observation.prune_before store 25.;
   check Alcotest.int "pruned" 1 (Observation.count store)
 
 let observation_times store ~link ~lo ~hi =
-  List.map (fun obs -> obs.Observation.time) (Observation.on_link store ~link ~lo ~hi)
+  List.map
+    (fun obs -> obs.Observation.time)
+    (Observation.on_link store ~link ~lo ~hi ~keep:(fun _ -> true))
 
 let test_observation_late_stamps () =
   (* A heavy burst judged after later probe rounds stamps drop + Delta, so
@@ -207,7 +222,7 @@ let test_observation_late_stamps () =
      cuts only the prefix whose running maximum is behind the horizon. *)
   let store = Observation.create () in
   List.iter
-    (fun time -> Observation.record store { Observation.time; prober = 1; link = 2; up = true })
+    (fun time -> Observation.record store ~time ~prober:1 ~link:2 ~up:true)
     [ 10.; 100.; 50.; 120.; 60. ];
   check
     Alcotest.(list (float 0.))
@@ -222,17 +237,18 @@ let test_observation_late_stamps () =
 
 let test_observation_guard () =
   let store = Observation.create () in
-  Observation.record store { Observation.time = 30.; prober = 1; link = 5; up = true };
+  Observation.record store ~time:30. ~prober:1 ~link:5 ~up:true;
   Observation.prune_before store 25.;
   let behind = Invalid_argument "Observation.on_link: window starts behind the pruned horizon" in
   Alcotest.check_raises "window behind the horizon" behind (fun () ->
-      ignore (Observation.on_link store ~link:5 ~lo:(Float.pred 25.) ~hi:30.));
+      ignore
+        (Observation.on_link store ~link:5 ~lo:(Float.pred 25.) ~hi:30. ~keep:(fun _ -> true)));
   check Alcotest.int "window at the horizon" 1
-    (List.length (Observation.on_link store ~link:5 ~lo:25. ~hi:30.));
+    (List.length (Observation.on_link store ~link:5 ~lo:25. ~hi:30. ~keep:(fun _ -> true)));
   (* A lower horizon prunes nothing and does not reopen the pruned past. *)
   Observation.prune_before store 10.;
   Alcotest.check_raises "horizon never moves back" behind (fun () ->
-      ignore (Observation.on_link store ~link:5 ~lo:20. ~hi:30.))
+      ignore (Observation.on_link store ~link:5 ~lo:20. ~hi:30. ~keep:(fun _ -> true)))
 
 (* Random interleavings of the protocol's store traffic: probe records
    stamped now, records stamped behind now (a heavy burst's drop + Delta
@@ -291,9 +307,9 @@ let prop_observation_matches_oracle =
                  now := !now +. step;
                  true
              | Record (lag, prober, link, up) ->
-                 let observation = { Observation.time = !now -. lag; prober; link; up } in
-                 Observation.record store observation;
-                 Observation_oracle.record oracle observation;
+                 let time = !now -. lag in
+                 Observation.record store ~time ~prober ~link ~up;
+                 Observation_oracle.record oracle { Observation.time; prober; link; up };
                  true
              | Prune step ->
                  horizon := !horizon +. step;
@@ -303,8 +319,11 @@ let prop_observation_matches_oracle =
              | Query (link, offset, width) ->
                  let lo = !horizon +. offset in
                  let hi = lo +. width in
-                 Observation.on_link store ~link ~lo ~hi
-                 = Observation_oracle.on_link oracle ~link ~lo ~hi)
+                 let window = Observation_oracle.on_link oracle ~link ~lo ~hi in
+                 let odd prober = prober mod 2 = 1 in
+                 Observation.on_link store ~link ~lo ~hi ~keep:(fun _ -> true) = window
+                 && Observation.on_link store ~link ~lo ~hi ~keep:odd
+                    = List.filter (fun obs -> odd obs.Observation.prober) window)
            ops))
 
 (* ---------- Snapshot ---------- *)
@@ -501,10 +520,11 @@ let prop_minc_recovers_random_losses =
          done;
          !ok))
 
-(* Property: the single-sweep [Minc.infer] and the retained
-   O(rounds * nodes * leaves) reference produce identical estimates on
-   arbitrary random trees and ack matrices. Gamma comes from integer hit
-   counts in both, so equality is exact, not approximate. *)
+(* Property: the single-sweep [Minc.infer] and the O(rounds * nodes *
+   leaves) oracle (test/minc_oracle.ml) count the same subtree acks on
+   arbitrary random trees and ack matrices, and the rest of an estimate is
+   a function of those rates. Gamma comes from integer hit counts in both,
+   so equality is exact, not approximate. *)
 let prop_minc_matches_reference =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"MINC sweep matches reference oracle" ~count:40
@@ -538,11 +558,61 @@ let prop_minc_matches_reference =
          let acked =
            Array.init rounds (fun _ -> Array.init leaf_count (fun _ -> Prng.bool rng))
          in
-         let fast = Minc.infer logical ~acked in
-         let reference = Minc.infer_reference logical ~acked in
-         fast.Minc.gamma = reference.Minc.gamma
-         && fast.Minc.path_success = reference.Minc.path_success
-         && fast.Minc.link_success = reference.Minc.link_success))
+         (Minc.infer logical ~acked).Minc.gamma = Minc_oracle.gamma logical ~acked))
+
+(* Property: the flat-path kernel and the table-of-fates oracle
+   (test/probing_oracle.ml) return the same rounds and verdicts and leave
+   the generator in the same state, on random trees whose leaves may lie
+   on other leaves' paths, with per-link loss rates that include 0 and 1,
+   and with random ack suppression. *)
+let prop_probe_kernel_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"probe kernel matches the table oracle" ~count:300
+       QCheck.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Prng.of_seed (Int64.of_int seed) in
+         let n = 2 + Prng.int rng 40 in
+         let b = Graph.Builder.create n in
+         for i = 1 to n - 1 do
+           Graph.Builder.add_link b (Prng.int rng i) i
+         done;
+         let g = Graph.build b in
+         (* Any router but the root may be a peer, interior ones included,
+            in random order and with repeats. *)
+         let targets =
+           Array.init (1 + Prng.int rng (2 * n)) (fun _ -> 1 + Prng.int rng (n - 1))
+         in
+         let path target = Option.get (Routes.shortest_path g ~source:0 ~target) in
+         let tree = Tree.of_paths ~root:0 ~paths:(Array.map path targets) in
+         let logical = Logical_tree.of_tree tree in
+         let rate () =
+           match Prng.int rng 3 with 0 -> 0. | 1 -> 1. | _ -> Prng.uniform rng
+         in
+         let losses = Array.init (Graph.link_count g) (fun _ -> rate ()) in
+         let suppress =
+           Array.init (Tree.leaf_count tree) (fun _ ->
+               if Prng.bool rng then Probing.Suppress_acks (rate ()) else Probing.Honest)
+         in
+         let behavior i = suppress.(i) in
+         let loss_of_link link = losses.(link) in
+         let random_acked = Array.init (Tree.leaf_count tree) (fun _ -> Prng.bool rng) in
+         let probe_seed = Prng.int64 rng in
+         let kernel_rng = Prng.of_seed probe_seed and oracle_rng = Prng.of_seed probe_seed in
+         let same_verdicts acked =
+           Probing.classify_round logical acked = Probing_oracle.classify_round logical acked
+         in
+         same_verdicts random_acked
+         && List.for_all
+              (fun _ ->
+                let round = Probing.probe_round ~rng:kernel_rng ~loss_of_link ~tree ~behavior () in
+                let expected =
+                  Probing_oracle.probe_round ~rng:oracle_rng ~loss_of_link ~tree ~behavior
+                in
+                round.Probing.received = expected.Probing.received
+                && round.Probing.acked = expected.Probing.acked
+                && same_verdicts round.Probing.acked)
+              [ 1; 2; 3; 4 ]
+         && Int64.equal (Prng.int64 kernel_rng) (Prng.int64 oracle_rng)))
 
 let suites =
   [
@@ -564,6 +634,7 @@ let suites =
         Alcotest.test_case "perfect network" `Quick test_probe_round_perfect_network;
         Alcotest.test_case "ack suppression" `Quick test_suppressing_leaf;
         Alcotest.test_case "lightweight classification" `Quick test_classify_round;
+        prop_probe_kernel_matches_oracle;
       ] );
     ( "tomography.minc",
       [

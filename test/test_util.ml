@@ -110,6 +110,73 @@ let prop_shuffle_is_permutation =
       Prng.shuffle rng array;
       List.sort Int.compare (Array.to_list array) = List.sort Int.compare list)
 
+(* Known answers for the stream: it is part of every pinned output, so a
+   change to the generator's representation must reproduce it draw for
+   draw. *)
+let draws rng n = List.init n (fun _ -> Prng.int64 rng)
+let int64_list = Alcotest.(list int64)
+
+let test_prng_known_answers () =
+  check int64_list "of_seed 42"
+    [ -3425465463722317665L; 5881210131331364753L; -297100157724070516L; -5513075133950446152L ]
+    (draws (Prng.of_seed 42L) 4);
+  check int64_list "of_string_seed fig5"
+    [ 1207333954379810464L; 5740344493818409790L; 3763148593639315957L; -3280515805132485756L ]
+    (draws (Prng.of_string_seed "fig5") 4);
+  let parent = Prng.of_seed 42L in
+  let child = Prng.split parent in
+  check int64_list "split child"
+    [ 5745406364259058299L; -3749950290529424113L; -1760308716576054147L ]
+    (draws child 3);
+  check int64_list "parent after split" [ 5881210131331364753L ] (draws parent 1);
+  let batch = Prng.split_n (Prng.of_seed 1L) 3 in
+  Prng.split_into (Prng.of_seed 7L) batch;
+  check int64_list "split_into batch"
+    [ -2368591407371760488L; 6454960538547745113L; -3973558006670377860L ]
+    (List.map Prng.int64 (Array.to_list batch));
+  let rng = Prng.of_seed 42L in
+  check int64_list "uniform bits"
+    [ 4605509828241559245L; 4599414989186784204L; 4607037350363628701L ]
+    (List.init 3 (fun _ -> Int64.bits_of_float (Prng.uniform rng)));
+  let rng = Prng.of_string_seed "fig5" in
+  check Alcotest.(list int) "int 1000" [ 464; 886; 957; 148 ]
+    (List.init 4 (fun _ -> Prng.int rng 1000));
+  check Alcotest.(list bool) "bool" [ true; false; true; true; false; false ]
+    (List.init 6 (fun _ -> Prng.bool rng));
+  check Alcotest.(list bool) "bernoulli 0.3" [ false; false; false; false; false; true ]
+    (List.init 6 (fun _ -> Prng.bernoulli rng 0.3));
+  check Alcotest.int64 "gaussian bits" (-4635511022380627232L)
+    (Int64.bits_of_float (Prng.gaussian rng ~mu:0. ~sigma:1.));
+  check Alcotest.int64 "float 120 bits" 4630987165784473068L
+    (Int64.bits_of_float (Prng.float rng 120.));
+  check int64_list "next raw draw" [ -4505665231759642492L ] (draws rng 1)
+
+(* Minor words [f] allocates, net of the measurement's own boxed float:
+   an empty [f] measures the same overhead. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The per-link draws of a probe round, called across a module boundary
+   as Probing calls them: no draw may box its state or its result. *)
+let test_prng_draws_allocate_nothing () =
+  let rng = Prng.of_seed 11L in
+  let hits = ref 0 in
+  let allocates_nothing name draw =
+    let overhead = minor_words_of (fun () -> ()) in
+    let words =
+      minor_words_of (fun () ->
+          for _ = 1 to 10_000 do
+            if draw () then incr hits
+          done)
+    in
+    check (Alcotest.float 0.) (name ^ ": minor words over 10k draws") overhead words
+  in
+  allocates_nothing "bernoulli" (fun () -> Prng.bernoulli rng 0.3);
+  allocates_nothing "bool" (fun () -> Prng.bool rng);
+  allocates_nothing "int" (fun () -> Prng.int rng 1000 = 0)
+
 (* ---------- Bitset ---------- *)
 
 let test_bitset_basic () =
@@ -310,6 +377,8 @@ let suites =
     ( "util.prng",
       [
         Alcotest.test_case "determinism" `Quick test_prng_determinism;
+        Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+        Alcotest.test_case "draws allocate nothing" `Quick test_prng_draws_allocate_nothing;
         Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
         Alcotest.test_case "split independence" `Quick test_prng_split_independent;
         Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
