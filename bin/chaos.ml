@@ -848,7 +848,7 @@ let provenance_out =
     & info [ "provenance" ] ~docv:"FILE"
         ~doc:
           "Write the merged verdict-provenance graph as JSONL to $(docv): every \
-           accusation, rebuttal and verdict with its evidence DAG, replayable with \
+           verdict and accusation with its evidence DAG, replayable with \
            concilium-explain. Byte-identical for any --domains value.")
 
 let flight_out =

@@ -1,6 +1,6 @@
 (* Secure overlay routing under attack (paper Section 2).
 
-   Concilium's accusations, rebuttals and DHT traffic must survive a
+   Concilium's verdicts, accusations and DHT traffic must survive a
    partially hostile overlay, which is why the paper builds on Castro's
    secure routing. This example marks a growing fraction of a Pastry
    overlay as message-eating and compares plain prefix routing with

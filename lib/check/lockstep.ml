@@ -6,23 +6,23 @@ module Commitment = Concilium_core.Commitment
 module Blame = Concilium_core.Blame
 module Verdict_window = Concilium_core.Verdict_window
 module Dht = Concilium_core.Dht
-module Rebuttal = Concilium_core.Rebuttal
+module Stewardship = Concilium_core.Stewardship
 module Prng = Concilium_util.Prng
 
 type mutation =
-  | Window_expire_exclusive
   | Window_accuse_strict
   | Dht_ignore_crashes
-  | Archive_widen_window
+  | Stewardship_trust_withheld
+  | Dht_ignore_replica_loss
 
 let mutation_name = function
-  | Window_expire_exclusive -> "window-expire-exclusive"
   | Window_accuse_strict -> "window-accuse-strict"
   | Dht_ignore_crashes -> "dht-ignore-crashes"
-  | Archive_widen_window -> "archive-widen-window"
+  | Stewardship_trust_withheld -> "stewardship-trust-withheld"
+  | Dht_ignore_replica_loss -> "dht-ignore-replica-loss"
 
 let all_mutations =
-  [ Window_expire_exclusive; Window_accuse_strict; Dht_ignore_crashes; Archive_widen_window ]
+  [ Window_accuse_strict; Dht_ignore_crashes; Stewardship_trust_withheld; Dht_ignore_replica_loss ]
 
 let mutation_of_name name =
   List.find_opt (fun m -> String.equal (mutation_name m) name) all_mutations
@@ -44,8 +44,6 @@ type world = {
   model_windows : Model.Window.t array;
   impl_dht : Dht.t;
   model_store : Model.Store.t;
-  impl_archives : Rebuttal.archive array;
-  model_archives : Model.Archive.t array;
   dead : bool array;
   accusations : (string, Accusation.t) Hashtbl.t;
 }
@@ -75,8 +73,6 @@ let build_world (schedule : Schedule.t) =
           Model.Window.create ~window_size:schedule.Schedule.window_size);
     impl_dht = Dht.create ~pastry ~replication:schedule.Schedule.replication;
     model_store = Model.Store.create ~pastry ~replication:schedule.Schedule.replication;
-    impl_archives = Array.init nodes (fun _ -> Rebuttal.create_archive ());
-    model_archives = Array.init nodes (fun _ -> Model.Archive.create ());
     dead = Array.make nodes false;
     accusations = Hashtbl.create 64;
   }
@@ -186,11 +182,69 @@ let check_stores world =
         Some (Printf.sprintf "total_records: impl=%d model=%d" impl model)
       else None
 
-let check_archive world ~owner =
-  let impl = Rebuttal.archive_size world.impl_archives.(owner) in
-  let model = Model.Archive.size world.model_archives.(owner) in
-  if impl <> model then
-    Some (Printf.sprintf "archive %d size: impl=%d model=%d" owner impl model)
+let target_to_string = function
+  | None -> "none"
+  | Some (Stewardship.Next_hop v) -> Printf.sprintf "next_hop %d" v
+  | Some Stewardship.Network -> "network"
+  | Some (Stewardship.Offline v) -> Printf.sprintf "offline %d" v
+
+let int_list_to_string l = String.concat "," (List.map string_of_int l)
+
+(* One episode's judgments as [Protocol] builds them: the hop at position
+   [i] judges the hop at [i + 1]. *)
+let judgments_of ~route judgments =
+  Array.of_list
+    (List.mapi
+       (fun i judgment ->
+         Option.map
+           (fun { Schedule.target; pushed } ->
+             let next = route.(i + 1) in
+             {
+               Stewardship.judge = route.(i);
+               target =
+                 (match target with
+                 | Schedule.Blame_next_hop -> Stewardship.Next_hop next
+                 | Schedule.Blame_network -> Stewardship.Network
+                 | Schedule.Next_hop_offline -> Stewardship.Offline next);
+               blame = 0.;
+               pushed;
+             })
+           judgment)
+       judgments)
+
+(* The implementation side is fed as protocol.ml feeds it: a table keyed by
+   hop node, the walk anchored at the most upstream hop holding a
+   judgment. *)
+let check_steward ~mutation ~route judgments =
+  let table = Hashtbl.create 8 in
+  Array.iter
+    (Option.iter (fun (judgment : Stewardship.judgment) ->
+         let judgment =
+           match mutation with
+           | Some Stewardship_trust_withheld -> { judgment with Stewardship.pushed = true }
+           | _ -> judgment
+         in
+         Hashtbl.replace table judgment.Stewardship.judge judgment))
+    judgments;
+  let first_judge =
+    Option.value ~default:route.(0)
+      (List.find_opt (Hashtbl.mem table) (Array.to_list route))
+  in
+  let impl = Stewardship.resolve ~first_judge ~judgment_of:(Hashtbl.find_opt table) in
+  let model = Model.Steward.resolve ~route judgments in
+  if impl.Stewardship.final <> model.Model.Steward.final then
+    Some
+      (Printf.sprintf "resolve(route=%s) final: impl=%s model=%s"
+         (int_list_to_string (Array.to_list route))
+         (target_to_string impl.Stewardship.final)
+         (target_to_string model.Model.Steward.final))
+  else if not (List.equal Int.equal impl.Stewardship.exonerated model.Model.Steward.exonerated)
+  then
+    Some
+      (Printf.sprintf "resolve(route=%s) exonerated: impl=[%s] model=[%s]"
+         (int_list_to_string (Array.to_list route))
+         (int_list_to_string impl.Stewardship.exonerated)
+         (int_list_to_string model.Model.Steward.exonerated))
   else None
 
 (* ---------- Execution ---------- *)
@@ -210,15 +264,6 @@ let apply_op world ~mutation op =
         { Verdict_window.verdict; blame; drop_time; evidence = () };
       Model.Window.record world.model_windows.(win)
         { Model.Window.guilty; blame; drop_time };
-      (match check_window world ~impl_m ~win with
-      | Some detail -> Some ("window", detail)
-      | None -> None)
-  | Schedule.Win_expire { win; before } ->
-      let impl_before =
-        match mutation with Some Window_expire_exclusive -> Float.succ before | _ -> before
-      in
-      Verdict_window.expire world.impl_windows.(win) ~before:impl_before;
-      Model.Window.expire world.model_windows.(win) ~before;
       (match check_window world ~impl_m ~win with
       | Some detail -> Some ("window", detail)
       | None -> None)
@@ -296,36 +341,18 @@ let apply_op world ~mutation op =
       world.dead.(node) <- false;
       None
   | Schedule.Dht_drop_replica { node } ->
-      Dht.drop_replica world.impl_dht ~node;
+      (match mutation with
+      | Some Dht_ignore_replica_loss -> ()
+      | _ -> Dht.drop_replica world.impl_dht ~node);
       Model.Store.drop_replica world.model_store ~node;
       (match check_stores world with
       | Some detail -> Some ("dht", detail)
       | None -> None)
-  | Schedule.Arch_record { owner; accused; drop_time } ->
-      let accusation = accusation_for world ~accuser:owner ~accused ~drop_time in
-      Rebuttal.record world.impl_archives.(owner) accusation;
-      Model.Archive.record world.model_archives.(owner) accusation;
-      (match check_archive world ~owner with
-      | Some detail -> Some ("archive", detail)
-      | None -> None)
-  | Schedule.Arch_defend { owner; accuser; drop_time } ->
-      let against = accusation_for world ~accuser ~accused:owner ~drop_time in
-      let impl_against =
-        match mutation with
-        | Some Archive_widen_window ->
-            accusation_for world ~accuser ~accused:owner ~drop_time:(drop_time +. 1.5)
-        | _ -> against
-      in
-      let impl = Rebuttal.defend world.impl_archives.(owner) ~against:impl_against in
-      let model = Model.Archive.defend world.model_archives.(owner) ~against in
-      let key = Option.map Model.Store.record_key in
-      if not (Option.equal String.equal (key impl) (key model)) then
-        Some
-          ( "archive",
-            Printf.sprintf "defend(owner=%d): impl=%s model=%s" owner
-              (Option.value ~default:"none" (key impl))
-              (Option.value ~default:"none" (key model)) )
-      else None
+  | Schedule.Steward_resolve { route; judgments } ->
+      let route = Array.of_list route in
+      Option.map
+        (fun detail -> ("stewardship", detail))
+        (check_steward ~mutation ~route (judgments_of ~route judgments))
 
 let final_sweep world ~impl_m =
   let rec first_window win =
@@ -335,19 +362,7 @@ let final_sweep world ~impl_m =
       | Some detail -> Some detail
       | None -> first_window (win + 1)
   in
-  let rec first_archive owner =
-    if owner >= world.nodes then None
-    else
-      match check_archive world ~owner with
-      | Some detail -> Some detail
-      | None -> first_archive (owner + 1)
-  in
-  match first_window 0 with
-  | Some detail -> Some detail
-  | None -> (
-      match check_stores world with
-      | Some detail -> Some detail
-      | None -> first_archive 0)
+  match first_window 0 with Some detail -> Some detail | None -> check_stores world
 
 let run ?mutation (schedule : Schedule.t) =
   let world = build_world schedule in

@@ -2,36 +2,36 @@
     and the {!Model} references, with state compared after every operation.
 
     Each run builds one deterministic world from the schedule's seed — an
-    overlay, a PKI with a principal per node, per-node verdict windows,
-    rebuttal archives, and the accusation DHT next to its model store —
-    then applies the operations to both sides in lockstep. Every operation
-    is a quiescence point: the touched component's observable state
-    (window lengths, guilty counts and drop times; DHT reports, hop
-    charges, per-node stored counts; archive sizes and defense outcomes)
-    must agree exactly, floats included, since both sides consume identical
-    inputs and perform no arithmetic on them. A final sweep re-checks every
-    component. The first disagreement is returned as a {!divergence}.
+    overlay, a PKI with a principal per node, per-node verdict windows, and
+    the accusation DHT next to its model store — then applies the
+    operations to both sides in lockstep. Every operation is a quiescence
+    point: the touched component's observable state (window lengths,
+    guilty counts and drop times; DHT reports, hop charges, per-node stored
+    counts; a revision walk's final target and exonerated hops) must agree
+    exactly, floats included, since both sides consume identical inputs
+    and perform no arithmetic on them. A final sweep re-checks every window
+    and store. The first disagreement is returned as a {!divergence}.
 
-    [mutation] deliberately mis-implements one boundary on the
+    [mutation] deliberately mis-implements one rule on the
     {e implementation} side — the canary proving the checker can see.
-    Each mutation reproduces a realistic off-by-one (flipping the window
-    expiry's [>=] to [>], demanding strictly more than [m] guilty verdicts,
-    ignoring crash faults in DHT liveness, widening the rebuttal matching
-    window) and must be caught and shrunk to a replayable counterexample by
-    the harness. *)
+    Each mutation reproduces a realistic bug in code [Protocol] runs
+    (demanding strictly more than [m] guilty verdicts, ignoring crash
+    faults in DHT liveness, trusting a withheld verdict during revision,
+    losing no records on replica loss) and must be caught and shrunk to a
+    replayable counterexample by the harness. *)
 
 type mutation =
-  | Window_expire_exclusive
-      (** expire with [drop_time > before] instead of [>=]: the inclusive
-          boundary entry is wrongly dropped *)
   | Window_accuse_strict
       (** escalate on strictly more than [m] guilty verdicts *)
   | Dht_ignore_crashes
       (** treat every replica as alive, writing to and reading from crashed
           nodes *)
-  | Archive_widen_window
-      (** match rebuttals against a shifted drop time, accepting stale
-          verdicts and missing boundary ones *)
+  | Stewardship_trust_withheld
+      (** treat every judgment as pushed, so a hop that withheld its
+          verdict is exonerated by it *)
+  | Dht_ignore_replica_loss
+      (** skip {!Concilium_core.Dht.drop_replica}: a node that lost its
+          store keeps serving it *)
 
 val mutation_name : mutation -> string
 val mutation_of_name : string -> mutation option
@@ -40,7 +40,7 @@ val all_mutations : mutation list
 type divergence = {
   op_index : int;  (** index into the schedule's operations; [op_count]
                        means the final full-state sweep *)
-  component : string;  (** ["window"], ["dht"], ["archive"], ["final"] *)
+  component : string;  (** ["window"], ["dht"], ["stewardship"], ["final"] *)
   detail : string;
 }
 

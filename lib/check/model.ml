@@ -4,7 +4,7 @@ module Pastry = Concilium_overlay.Pastry
 module Pki = Concilium_crypto.Pki
 module Signed = Concilium_crypto.Signed
 module Accusation = Concilium_core.Accusation
-module Blame = Concilium_core.Blame
+module Stewardship = Concilium_core.Stewardship
 
 module Window = struct
   type entry = { guilty : bool; blame : float; drop_time : float }
@@ -30,9 +30,6 @@ module Window = struct
   let guilty_count t = List.length (List.filter (fun e -> e.guilty) t.entries)
 
   let should_accuse t ~m = guilty_count t >= m
-
-  let expire t ~before =
-    t.entries <- List.filter (fun e -> e.drop_time >= before) t.entries
 
   let drop_times t = List.map (fun e -> e.drop_time) t.entries
 end
@@ -159,25 +156,28 @@ module Store = struct
   let total_records t = List.length t.contents
 end
 
-module Archive = struct
-  type t = { mutable verdicts : Accusation.t list (* newest first *) }
+module Steward = struct
+  type resolution = { final : Stewardship.target option; exonerated : int list }
 
-  let create () = { verdicts = [] }
-
-  let record t accusation = t.verdicts <- accusation :: t.verdicts
-
-  let size t = List.length t.verdicts
-
-  let drop_time accusation =
-    (Signed.payload accusation).Accusation.evidence.Accusation.drop_time
-
-  let defend t ~against =
-    let against_body = Signed.payload against in
-    List.find_opt
-      (fun candidate ->
-        let candidate_body = Signed.payload candidate in
-        Id.equal candidate_body.Accusation.accuser against_body.Accusation.accused
-        && abs_float (drop_time candidate -. drop_time against)
-           <= against_body.Accusation.config.Blame.delta)
-      t.verdicts
+  let resolve ~route judgments =
+    let positions = Array.length judgments in
+    (* The walk stands on position [i]'s judgment, whose suspect is the hop
+       at [i + 1]. *)
+    let rec walk i exonerated (judgment : Stewardship.judgment) =
+      let suspect = route.(i + 1) in
+      match judgment.Stewardship.target with
+      | Stewardship.Network -> { final = Some Stewardship.Network; exonerated = List.rev exonerated }
+      | Stewardship.Offline _ ->
+          { final = Some (Stewardship.Offline suspect); exonerated = List.rev exonerated }
+      | Stewardship.Next_hop _ -> (
+          match if i + 1 < positions then judgments.(i + 1) else None with
+          | Some next when next.Stewardship.pushed -> walk (i + 1) (suspect :: exonerated) next
+          | Some _ | None ->
+              { final = Some (Stewardship.Next_hop suspect); exonerated = List.rev exonerated })
+    in
+    let rec anchor i =
+      if i >= positions then { final = None; exonerated = [] }
+      else match judgments.(i) with Some judgment -> walk i [] judgment | None -> anchor (i + 1)
+    in
+    anchor 0
 end

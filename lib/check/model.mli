@@ -1,26 +1,25 @@
 (** Small, obviously-correct reference models of the protocol's stateful
     pieces, in the style of the kernel oracles under test/ (the MINC and
     probe-round references): each module restates a paper-level contract
-    with naive lists and linear scans, and the lockstep driver
-    ({!Lockstep}) executes it in step with the optimized implementation,
-    comparing state at every quiescence point.
+    with naive lists, linear scans and position walks, and {!Lockstep}
+    executes it in step with the optimized implementation, comparing state
+    at every quiescence point.
 
     The models deliberately share only {e inputs} with the implementations
-    (the overlay under test, accusation values, key derivation — data, not
-    state machinery): replication walks, window arithmetic, expiry
-    boundaries and store bookkeeping are all re-derived from scratch here,
-    so an off-by-one in the optimized ring-buffer or failover path cannot
-    cancel out. *)
+    (the overlay under test, accusation values, judgment values, key
+    derivation — data, not state machinery): window arithmetic,
+    replication walks, store bookkeeping and the revision walk are all
+    re-derived from scratch here, so an off-by-one in the optimized
+    ring-buffer, failover or stewardship path cannot cancel out. *)
 
 module Id = Concilium_overlay.Id
 module Pastry = Concilium_overlay.Pastry
 module Pki = Concilium_crypto.Pki
 module Accusation = Concilium_core.Accusation
+module Stewardship = Concilium_core.Stewardship
 
 (** Reference sliding verdict window: a plain list, oldest first, truncated
-    to the newest [window_size] on record and filtered on expire
-    (inclusive-keep at the horizon, matching
-    {!Concilium_core.Verdict_window.expire}). *)
+    to the newest [window_size] on record. *)
 module Window : sig
   type entry = { guilty : bool; blame : float; drop_time : float }
 
@@ -33,9 +32,6 @@ module Window : sig
   val length : t -> int
   val guilty_count : t -> int
   val should_accuse : t -> m:int -> bool
-
-  val expire : t -> before:float -> unit
-  (** Keep entries with [drop_time >= before]. *)
 
   val drop_times : t -> float list
   (** Oldest first. *)
@@ -85,17 +81,19 @@ module Store : sig
       documented contract. *)
 end
 
-(** Reference rebuttal archive: a list of issued onward verdicts, newest
-    first; [defend] scans for the first candidate whose accuser is the
-    accusation's accused with a drop time within the accusation's blame
-    window (boundary inclusive), the
-    {!Concilium_core.Rebuttal} contract. *)
-module Archive : sig
-  type t
+(** Reference revision walk (paper Section 3.5) over one route's
+    positions, the {!Concilium_core.Stewardship.resolve} contract as
+    [Protocol] runs it. [judgments.(i)] is what the hop at [route.(i)]
+    holds against its successor [route.(i + 1)], if anything. The walk
+    starts at the first position holding a judgment (the steward failover
+    anchor); a [Network] or [Offline] judgment ends it; a [Next_hop]
+    judgment moves on when the next position's judgment is present and
+    pushed, exonerating that hop, and otherwise ends with [Next_hop] of
+    that hop. No table and no visited set: positions only move
+    downstream. *)
+module Steward : sig
+  type resolution = { final : Stewardship.target option; exonerated : int list }
 
-  val create : unit -> t
-  val record : t -> Accusation.t -> unit
-  val size : t -> int
-
-  val defend : t -> against:Accusation.t -> Accusation.t option
+  val resolve : route:int array -> Stewardship.judgment option array -> resolution
+  (** [judgments] has one entry per hop but the last. *)
 end

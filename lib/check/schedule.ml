@@ -1,18 +1,18 @@
 module Json = Concilium_util.Json
 module Prng = Concilium_util.Prng
 module Chaos = Concilium_netsim.Chaos
-module Blame = Concilium_core.Blame
+
+type steward_target = Blame_next_hop | Blame_network | Next_hop_offline
+type steward_judgment = { target : steward_target; pushed : bool }
 
 type op =
   | Win_record of { win : int; guilty : bool; blame : float; drop_time : float }
-  | Win_expire of { win : int; before : float }
   | Dht_put of { from_node : int; accuser : int; accused : int; drop_time : float; copies : int }
   | Dht_get of { from_node : int; accused : int }
   | Dht_crash of { node : int }
   | Dht_revive of { node : int }
   | Dht_drop_replica of { node : int }
-  | Arch_record of { owner : int; accused : int; drop_time : float }
-  | Arch_defend of { owner : int; accuser : int; drop_time : float }
+  | Steward_resolve of { route : int list; judgments : steward_judgment option list }
 
 type t = {
   seed : int;
@@ -26,34 +26,7 @@ type t = {
 let with_ops t ops = { t with ops }
 let op_count t = List.length t.ops
 
-let pp_op fmt op =
-  match op with
-  | Win_record { win; guilty; blame; drop_time } ->
-      Format.fprintf fmt "win_record[%d] %s blame=%.3f t=%.6f" win
-        (if guilty then "guilty" else "innocent")
-        blame drop_time
-  | Win_expire { win; before } -> Format.fprintf fmt "win_expire[%d] before=%.6f" win before
-  | Dht_put { from_node; accuser; accused; drop_time; copies } ->
-      Format.fprintf fmt "dht_put from=%d %d->%d t=%.6f copies=%d" from_node accuser accused
-        drop_time copies
-  | Dht_get { from_node; accused } -> Format.fprintf fmt "dht_get from=%d accused=%d" from_node accused
-  | Dht_crash { node } -> Format.fprintf fmt "dht_crash %d" node
-  | Dht_revive { node } -> Format.fprintf fmt "dht_revive %d" node
-  | Dht_drop_replica { node } -> Format.fprintf fmt "dht_drop_replica %d" node
-  | Arch_record { owner; accused; drop_time } ->
-      Format.fprintf fmt "arch_record[%d] accused=%d t=%.6f" owner accused drop_time
-  | Arch_defend { owner; accuser; drop_time } ->
-      Format.fprintf fmt "arch_defend[%d] accuser=%d t=%.6f" owner accuser drop_time
-
 (* ---------- Generation ---------- *)
-
-(* First pass emits timed operations; expiries and defenses stay symbolic
-   so the second pass can aim them at drop times that actually exist by
-   then, manufacturing exact-boundary cases. *)
-type proto =
-  | Concrete of op
-  | Expire_at of { win : int; at : float }
-  | Defend_at of { owner : int; at : float }
 
 let pick_pair rng ~nodes =
   let a = Prng.int rng nodes in
@@ -65,20 +38,53 @@ let fresh_verdict rng ~win ~at =
   let blame =
     if guilty then 0.4 +. Prng.float rng 0.6 else Prng.float rng 0.4
   in
-  Concrete (Win_record { win; guilty; blame; drop_time = at })
+  Win_record { win; guilty; blame; drop_time = at }
+
+(* What a steward holds against its next hop, in one of the shapes
+   [Protocol] builds, or nothing (it never saw the message, or had nothing
+   to prove). *)
+let random_judgment rng ~pushed =
+  if Prng.bernoulli rng 0.15 then None
+  else
+    let target =
+      match Prng.int rng 5 with 0 -> Blame_network | 1 -> Next_hop_offline | _ -> Blame_next_hop
+    in
+    Some { target; pushed }
+
+let random_route rng ~nodes =
+  let route = Array.to_list (Prng.sample_without_replacement rng (3 + Prng.int rng 4) nodes) in
+  let judgments =
+    List.init (List.length route - 1) (fun _ ->
+        let pushed = Prng.bernoulli rng 0.75 in
+        random_judgment rng ~pushed)
+  in
+  Steward_resolve { route; judgments }
+
+(* A message that dies inside a coalition: an outsider sends through the
+   (distinct) members to an outsider. The sender blames its next hop and
+   pushes the verdict; members withhold theirs, as [Message_dropper] hops
+   do. *)
+let coalition_route rng ~nodes members =
+  let members = Array.to_list members in
+  let outsiders =
+    Array.of_list (List.filter (fun v -> not (List.mem v members)) (List.init nodes Fun.id))
+  in
+  let ends = Prng.sample_without_replacement rng 2 (Array.length outsiders) in
+  let route = (outsiders.(ends.(0)) :: members) @ [ outsiders.(ends.(1)) ] in
+  let judgments =
+    Some { target = Blame_next_hop; pushed = true }
+    :: List.map (fun _ -> random_judgment rng ~pushed:false) members
+  in
+  Steward_resolve { route; judgments }
 
 let baseline_tick rng ~nodes ~at =
-  match Prng.int rng 6 with
-  | 0 -> [ fresh_verdict rng ~win:(Prng.int rng nodes) ~at ]
+  match Prng.int rng 4 with
+  | 0 -> fresh_verdict rng ~win:(Prng.int rng nodes) ~at
   | 1 ->
       let accuser, accused = pick_pair rng ~nodes in
-      [ Concrete (Dht_put { from_node = Prng.int rng nodes; accuser; accused; drop_time = at; copies = 1 }) ]
-  | 2 -> [ Concrete (Dht_get { from_node = Prng.int rng nodes; accused = Prng.int rng nodes }) ]
-  | 3 ->
-      let owner, accused = pick_pair rng ~nodes in
-      [ Concrete (Arch_record { owner; accused; drop_time = at }) ]
-  | 4 -> [ Defend_at { owner = Prng.int rng nodes; at } ]
-  | _ -> [ Expire_at { win = Prng.int rng nodes; at } ]
+      Dht_put { from_node = Prng.int rng nodes; accuser; accused; drop_time = at; copies = 1 }
+  | 2 -> Dht_get { from_node = Prng.int rng nodes; accused = Prng.int rng nodes }
+  | _ -> random_route rng ~nodes
 
 let ops_of_fault rng ~nodes fault =
   match fault with
@@ -93,40 +99,33 @@ let ops_of_fault rng ~nodes fault =
           (at, fresh_verdict rng ~win:(link mod nodes) ~at))
         (Array.to_list (Array.sub links 0 (min 3 (Array.length links))))
   | Chaos.Partition { start; duration; _ } ->
-      (* Healing a partition triggers catch-up reads and evidence expiry. *)
+      (* A partition interrupts a read, and healing it triggers a
+         catch-up read. *)
       [
-        (start, Concrete (Dht_get { from_node = Prng.int rng nodes; accused = Prng.int rng nodes }));
-        (start +. duration, Expire_at { win = Prng.int rng nodes; at = start +. duration });
+        (start, Dht_get { from_node = Prng.int rng nodes; accused = Prng.int rng nodes });
+        (start +. duration, Dht_get { from_node = Prng.int rng nodes; accused = Prng.int rng nodes });
       ]
   | Chaos.Node_crash { node; start; duration } ->
       let node = node mod nodes in
-      [ (start, Concrete (Dht_crash { node })); (start +. duration, Concrete (Dht_revive { node })) ]
-  | Chaos.Replica_loss { node; time } ->
-      [ (time, Concrete (Dht_drop_replica { node = node mod nodes })) ]
+      [ (start, Dht_crash { node }); (start +. duration, Dht_revive { node }) ]
+  | Chaos.Replica_loss { node; time } -> [ (time, Dht_drop_replica { node = node mod nodes }) ]
   | Chaos.Control_delay { start; duration; _ } ->
-      (* Delayed control traffic: the archive fills now, the defense query
-         arrives once the window has passed. *)
-      let owner, accused = pick_pair rng ~nodes in
-      [
-        (start, Concrete (Arch_record { owner; accused; drop_time = start }));
-        (start +. duration, Defend_at { owner; at = start +. duration });
-      ]
+      (* Delayed control traffic: the judgment of a drop at [start] lands
+         once the delay has passed, still stamped with the drop time. *)
+      [ (start +. duration, fresh_verdict rng ~win:(Prng.int rng nodes) ~at:start) ]
   | Chaos.Control_duplication { start; copies; _ } ->
       let accuser, accused = pick_pair rng ~nodes in
       [
-        ( start,
-          Concrete
-            (Dht_put { from_node = Prng.int rng nodes; accuser; accused; drop_time = start; copies })
-        );
+        (start, Dht_put { from_node = Prng.int rng nodes; accuser; accused; drop_time = start; copies });
       ]
 
 (* Adversary campaigns map onto the same op vocabulary: the lockstep model
    does not simulate lying probers, but the *state traffic* an adversary
    induces — contradictory verdicts crowding one window, accusation puts
-   against a framed victim, replica loss around an eclipsed node, read
-   storms from biased samplers — must leave model and runtime in agreement.
-   The conformance checker therefore consumes adversary-bearing schedules
-   with no special cases. *)
+   against a framed victim, withheld verdicts inside a coalition, replica
+   loss around an eclipsed node, read storms from biased samplers — must
+   leave model and runtime in agreement. The conformance checker therefore
+   consumes adversary-bearing schedules with no special cases. *)
 let ops_of_adversary rng ~nodes adversary =
   let wrap v = ((v mod nodes) + nodes) mod nodes in
   match adversary with
@@ -134,80 +133,55 @@ let ops_of_adversary rng ~nodes adversary =
       (* Each colluder's window fills with a guilty verdict (the judge's
          own evidence) chased by a corroborated innocent one (the
          coalition's shield), and the coalition's target gets a formal
-         accusation put; the campaign's end expires the evidence. *)
+         accusation put; the campaign ends with a message lost inside the
+         coalition. *)
       let shielded = wrap members.(0) in
-      Array.to_list members
-      |> List.concat_map (fun m ->
-             let m = wrap m in
-             let at = start +. Prng.float rng (Float.max duration 1.) in
-             let guilty =
-               (at, fresh_verdict rng ~win:m ~at)
-             in
-             let shield =
-               if Prng.bernoulli rng corroboration then
-                 [
-                   ( at +. 0.5,
-                     Concrete
-                       (Win_record
-                          { win = m; guilty = false; blame = 0.1; drop_time = at +. 0.5 }) );
-                 ]
-               else []
-             in
-             let put =
-               ( at +. 1.,
-                 Concrete
-                   (Dht_put
-                      {
-                        from_node = m;
-                        accuser = m;
-                        accused = shielded;
-                        drop_time = at +. 1.;
-                        copies = 1;
-                      }) )
-             in
-             (guilty :: shield) @ [ put ])
-      |> fun ops -> ops @ [ (start +. duration, Expire_at { win = shielded; at = start +. duration }) ]
-  | Chaos.Lying_reporters { reporters; victim; corroboration; start; duration } ->
-      (* Framing votes crowd the victim's window; the victim archives its
-         own exculpatory evidence and defends once the campaign ends. *)
-      let victim = wrap victim in
-      let frames =
-        Array.to_list reporters
-        |> List.concat_map (fun r ->
-               let r = wrap r in
+      let campaign =
+        Array.to_list members
+        |> List.concat_map (fun m ->
+               let m = wrap m in
                let at = start +. Prng.float rng (Float.max duration 1.) in
-               let vote =
-                 ( at,
-                   Concrete
-                     (Win_record
-                        {
-                          win = victim;
-                          guilty = true;
-                          blame = 0.5 +. Prng.float rng 0.5;
-                          drop_time = at;
-                        }) )
+               let guilty = (at, fresh_verdict rng ~win:m ~at) in
+               let shield =
+                 if Prng.bernoulli rng corroboration then
+                   [
+                     ( at +. 0.5,
+                       Win_record { win = m; guilty = false; blame = 0.1; drop_time = at +. 0.5 } );
+                   ]
+                 else []
                in
-               if Prng.bernoulli rng corroboration then
-                 [
-                   vote;
-                   ( at +. 0.5,
-                     Concrete
-                       (Dht_put
-                          {
-                            from_node = r;
-                            accuser = r;
-                            accused = victim;
-                            drop_time = at +. 0.5;
-                            copies = 1;
-                          }) );
-                 ]
-               else [ vote ])
+               let put =
+                 ( at +. 1.,
+                   Dht_put
+                     { from_node = m; accuser = m; accused = shielded; drop_time = at +. 1.; copies = 1 }
+                 )
+               in
+               (guilty :: shield) @ [ put ])
       in
-      frames
-      @ [
-          (start, Concrete (Arch_record { owner = victim; accused = victim; drop_time = start }));
-          (start +. duration, Defend_at { owner = victim; at = start +. duration });
-        ]
+      campaign @ [ (start +. duration, coalition_route rng ~nodes (Array.map wrap members)) ]
+  | Chaos.Lying_reporters { reporters; victim; corroboration; start; duration } ->
+      (* Framing votes crowd the victim's window, some backed by
+         accusation puts. *)
+      let victim = wrap victim in
+      Array.to_list reporters
+      |> List.concat_map (fun r ->
+             let r = wrap r in
+             let at = start +. Prng.float rng (Float.max duration 1.) in
+             let vote =
+               ( at,
+                 Win_record
+                   { win = victim; guilty = true; blame = 0.5 +. Prng.float rng 0.5; drop_time = at }
+               )
+             in
+             if Prng.bernoulli rng corroboration then
+               [
+                 vote;
+                 ( at +. 0.5,
+                   Dht_put
+                     { from_node = r; accuser = r; accused = victim; drop_time = at +. 0.5; copies = 1 }
+                 );
+               ]
+             else [ vote ])
   | Chaos.Eclipse { attackers; victim; start; duration } ->
       (* Isolating a node looks like replica loss bracketed by churn, with
          the attackers hammering reads to map the victim's state. *)
@@ -216,12 +190,12 @@ let ops_of_adversary rng ~nodes adversary =
         Array.to_list attackers
         |> List.map (fun a ->
                let at = start +. Prng.float rng (Float.max duration 1.) in
-               (at, Concrete (Dht_get { from_node = wrap a; accused = victim })))
+               (at, Dht_get { from_node = wrap a; accused = victim }))
       in
       [
-        (start, Concrete (Dht_crash { node = victim }));
-        (start +. (0.5 *. duration), Concrete (Dht_drop_replica { node = victim }));
-        (start +. duration, Concrete (Dht_revive { node = victim }));
+        (start, Dht_crash { node = victim });
+        (start +. (0.5 *. duration), Dht_drop_replica { node = victim });
+        (start +. duration, Dht_revive { node = victim });
       ]
       @ storms
   | Chaos.Biased_sampling { samplers; favored; start; duration } ->
@@ -231,47 +205,7 @@ let ops_of_adversary rng ~nodes adversary =
              let s = wrap s in
              List.init 3 (fun i ->
                  let at = start +. (float_of_int (i + 1) /. 4. *. Float.max duration 1.) in
-                 (at, Concrete (Dht_get { from_node = s; accused = wrap favored }))))
-
-(* Second pass: walk the timed stream in order, tracking what each window
-   and archive holds, and resolve the symbolic operations. Half the
-   expiries land exactly on a recorded drop time (the inclusive-keep
-   boundary); defenses probe exactly [±delta] as well as just outside it. *)
-let resolve rng ~nodes protos =
-  let delta = Blame.paper_config.Blame.delta in
-  let window_times = Array.make nodes [] in
-  let archives = Array.make nodes [] in
-  List.map
-    (fun proto ->
-      match proto with
-      | Concrete op ->
-          (match op with
-          | Win_record { win; drop_time; _ } ->
-              window_times.(win) <- drop_time :: window_times.(win)
-          | Arch_record { owner; accused; drop_time } ->
-              archives.(owner) <- (accused, drop_time) :: archives.(owner)
-          | _ -> ());
-          op
-      | Expire_at { win; at } ->
-          let before =
-            match window_times.(win) with
-            | _ :: _ as times when Prng.bernoulli rng 0.5 ->
-                Prng.choose rng (Array.of_list times)
-            | _ -> at -. Prng.float rng 600.
-          in
-          Win_expire { win; before }
-      | Defend_at { owner; at } -> (
-          match archives.(owner) with
-          | [] ->
-              let accuser = (owner + 1 + Prng.int rng (nodes - 1)) mod nodes in
-              Arch_defend { owner; accuser; drop_time = at }
-          | entries ->
-              let accused, recorded_at = Prng.choose rng (Array.of_list entries) in
-              let offset =
-                Prng.choose rng [| -.delta; 0.0; delta; delta +. 1.0; -.delta -. 1.0 |]
-              in
-              Arch_defend { owner; accuser = accused; drop_time = recorded_at +. offset }))
-    protos
+                 (at, Dht_get { from_node = s; accused = wrap favored })))
 
 let generate ~seed =
   let rng = Prng.of_seed (Int64.of_int seed) in
@@ -291,21 +225,23 @@ let generate ~seed =
   let from_faults = List.concat_map (ops_of_fault rng ~nodes) plan in
   let from_adversaries = List.concat_map (ops_of_adversary rng ~nodes) adversary_plan in
   let baseline =
-    List.concat_map
-      (fun tick ->
+    List.init (int_of_float (horizon /. 60.)) (fun tick ->
         let at = 30. +. (60. *. float_of_int tick) in
-        List.map (fun proto -> (at, proto)) (baseline_tick rng ~nodes ~at))
-      (List.init (int_of_float (horizon /. 60.)) (fun i -> i))
+        (at, baseline_tick rng ~nodes ~at))
   in
   let timed =
     List.stable_sort
       (fun (a, _) (b, _) -> Float.compare a b)
       (baseline @ from_faults @ from_adversaries)
   in
-  let ops = resolve rng ~nodes (List.map snd timed) in
-  { seed; nodes; window_size; m; replication; ops }
+  { seed; nodes; window_size; m; replication; ops = List.map snd timed }
 
 (* ---------- JSON ---------- *)
+
+let steward_target_name = function
+  | Blame_next_hop -> "next_hop"
+  | Blame_network -> "network"
+  | Next_hop_offline -> "offline"
 
 let encode_op op =
   let open Json in
@@ -319,8 +255,6 @@ let encode_op op =
           ("blame", Float blame);
           ("drop_time", Float drop_time);
         ]
-  | Win_expire { win; before } ->
-      Obj [ ("op", String "win_expire"); ("win", Int win); ("before", Float before) ]
   | Dht_put { from_node; accuser; accused; drop_time; copies } ->
       Obj
         [
@@ -336,21 +270,17 @@ let encode_op op =
   | Dht_crash { node } -> Obj [ ("op", String "dht_crash"); ("node", Int node) ]
   | Dht_revive { node } -> Obj [ ("op", String "dht_revive"); ("node", Int node) ]
   | Dht_drop_replica { node } -> Obj [ ("op", String "dht_drop_replica"); ("node", Int node) ]
-  | Arch_record { owner; accused; drop_time } ->
+  | Steward_resolve { route; judgments } ->
+      let judgment = function
+        | None -> Null
+        | Some { target; pushed } ->
+            Obj [ ("target", String (steward_target_name target)); ("pushed", Bool pushed) ]
+      in
       Obj
         [
-          ("op", String "arch_record");
-          ("owner", Int owner);
-          ("accused", Int accused);
-          ("drop_time", Float drop_time);
-        ]
-  | Arch_defend { owner; accuser; drop_time } ->
-      Obj
-        [
-          ("op", String "arch_defend");
-          ("owner", Int owner);
-          ("accuser", Int accuser);
-          ("drop_time", Float drop_time);
+          ("op", String "steward_resolve");
+          ("route", List (List.map (fun hop -> Int hop) route));
+          ("judgments", List (List.map judgment judgments));
         ]
 
 let encode t =
@@ -379,7 +309,36 @@ let field_bool json name =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or non-boolean field %S" name)
 
+let field_list json name =
+  match Option.bind (Json.member name json) Json.to_list with
+  | Some items -> Ok items
+  | None -> Error (Printf.sprintf "missing or non-list field %S" name)
+
 let ( let* ) r f = Result.bind r f
+
+(* Decode every item in order, stopping at the first error. *)
+let decode_all decode items =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | item :: rest -> (
+        match decode item with Ok value -> go (value :: acc) rest | Error message -> Error message)
+  in
+  go [] items
+
+let decode_hop json = Option.to_result ~none:"non-integer hop in a route" (Json.to_int json)
+
+let decode_judgment = function
+  | Json.Null -> Ok None
+  | json ->
+      let* target =
+        match Option.bind (Json.member "target" json) Json.string_value with
+        | Some "next_hop" -> Ok Blame_next_hop
+        | Some "network" -> Ok Blame_network
+        | Some "offline" -> Ok Next_hop_offline
+        | _ -> Error "judgment without a known \"target\""
+      in
+      let* pushed = field_bool json "pushed" in
+      Ok (Some { target; pushed })
 
 let decode_op json =
   match Option.bind (Json.member "op" json) Json.string_value with
@@ -390,10 +349,6 @@ let decode_op json =
       let* blame = field_float json "blame" in
       let* drop_time = field_float json "drop_time" in
       Ok (Win_record { win; guilty; blame; drop_time })
-  | Some "win_expire" ->
-      let* win = field_int json "win" in
-      let* before = field_float json "before" in
-      Ok (Win_expire { win; before })
   | Some "dht_put" ->
       let* from_node = field_int json "from" in
       let* accuser = field_int json "accuser" in
@@ -414,24 +369,15 @@ let decode_op json =
   | Some "dht_drop_replica" ->
       let* node = field_int json "node" in
       Ok (Dht_drop_replica { node })
-  | Some "arch_record" ->
-      let* owner = field_int json "owner" in
-      let* accused = field_int json "accused" in
-      let* drop_time = field_float json "drop_time" in
-      Ok (Arch_record { owner; accused; drop_time })
-  | Some "arch_defend" ->
-      let* owner = field_int json "owner" in
-      let* accuser = field_int json "accuser" in
-      let* drop_time = field_float json "drop_time" in
-      Ok (Arch_defend { owner; accuser; drop_time })
+  | Some "steward_resolve" ->
+      let* route = Result.bind (field_list json "route") (decode_all decode_hop) in
+      let* judgments = Result.bind (field_list json "judgments") (decode_all decode_judgment) in
+      if List.length route < 2 || List.length judgments <> List.length route - 1 then
+        Error "steward_resolve needs two or more hops and a judgment slot per hop but the last"
+      else if List.length (List.sort_uniq Int.compare route) <> List.length route then
+        Error "steward_resolve route repeats a hop"
+      else Ok (Steward_resolve { route; judgments })
   | Some other -> Error (Printf.sprintf "unknown operation %S" other)
-
-let rec decode_ops acc = function
-  | [] -> Ok (List.rev acc)
-  | json :: rest -> (
-      match decode_op json with
-      | Ok op -> decode_ops (op :: acc) rest
-      | Error message -> Error message)
 
 let decode json =
   let* seed = field_int json "seed" in
@@ -439,12 +385,7 @@ let decode json =
   let* window_size = field_int json "window_size" in
   let* m = field_int json "m" in
   let* replication = field_int json "replication" in
-  let* op_list =
-    match Option.bind (Json.member "ops" json) Json.to_list with
-    | Some items -> Ok items
-    | None -> Error "missing or non-list field \"ops\""
-  in
-  let* ops = decode_ops [] op_list in
+  let* ops = Result.bind (field_list json "ops") (decode_all decode_op) in
   if nodes < 2 then Error "schedule needs at least two nodes"
   else if window_size < 1 then Error "window_size must be positive"
   else if replication < 1 then Error "replication must be positive"

@@ -20,8 +20,6 @@ module Log = (val Logs.src_log log_source : Logs.LOG)
 type behavior =
   | Honest
   | Message_dropper of float
-  | Probe_flipper
-  | Commitment_refuser
   | Silent_dropper
   | Sparse_advertiser of float
 
@@ -272,10 +270,9 @@ let leaf_behavior offline leaf_index =
   if offline.(leaf_index) then Probing.Suppress_acks 1.0 else Probing.Honest
 
 (* Prober [v]'s verdict [up] on a logical node, recorded at [time] for
-   every physical link of the node's chain: inverted by a probe flipper,
-   then passed through the adversary's observation tap. *)
+   every physical link of the node's chain, passed through the adversary's
+   observation tap. *)
 let record_chain t v ~logical ~time node up =
-  let up = match t.behavior v with Probe_flipper -> not up | _ -> up in
   for i = 0 to Logical_tree.chain_length logical node - 1 do
     let link = Logical_tree.chain_link logical node i in
     let reported = t.taps.tap_observation ~time ~prober:v ~link ~up in
@@ -879,7 +876,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
             match t.behavior a with
             | Message_dropper p -> not (Prng.bernoulli t.rng p)
             | Silent_dropper -> false
-            | Honest | Probe_flipper | Commitment_refuser | Sparse_advertiser _ -> true)
+            | Honest | Sparse_advertiser _ -> true)
       in
       if not a_forwards then begin
         fates.(i) <- { (fates.(i)) with forwarded = false };
@@ -897,8 +894,8 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                 fates.(i + 1) <- { (fates.(i + 1)) with received = true };
                 let refuses =
                   match t.behavior b with
-                  | Commitment_refuser | Silent_dropper -> true
-                  | Honest | Message_dropper _ | Probe_flipper | Sparse_advertiser _ -> false
+                  | Silent_dropper -> true
+                  | Honest | Message_dropper _ | Sparse_advertiser _ -> false
                 in
                 if not refuses then begin
                   fates.(i + 1) <- { (fates.(i + 1)) with committed = true };
@@ -1012,7 +1009,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
               match t.behavior a with
               | Message_dropper _ | Silent_dropper ->
                   false (* culpable nodes sit on their verdicts *)
-              | Honest | Probe_flipper | Commitment_refuser | Sparse_advertiser _ -> true
+              | Honest | Sparse_advertiser _ -> true
             in
             if not (t.availability ~time:jt b) then begin
               (* Availability probing shows the suspect offline (churned out
@@ -1026,7 +1023,6 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                   Stewardship.judge = a;
                   target = Stewardship.Offline b;
                   blame = 0.;
-                  evidence_valid = true;
                   pushed;
                 }
             end
@@ -1053,7 +1049,6 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                           Stewardship.judge = a;
                           target = Stewardship.Network;
                           blame = 1. -. confidence;
-                          evidence_valid = true;
                           pushed;
                         }
                     else if !no_commitment = None then no_commitment := Some b
@@ -1107,7 +1102,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                       | Blame.Innocent -> Stewardship.Network
                     in
                     Hashtbl.replace judgments a
-                      { Stewardship.judge = a; target; blame; evidence_valid = true; pushed };
+                      { Stewardship.judge = a; target; blame; pushed };
                     pending := (a, b, verdict, blame, evidence, prov_info, usable.(i)) :: !pending
                   end
             end

@@ -28,9 +28,9 @@ module Prng = Concilium_util.Prng
 type behavior =
   | Honest
   | Message_dropper of float
-      (** drops messages it should forward with this probability *)
-  | Probe_flipper  (** publishes inverted probe results *)
-  | Commitment_refuser  (** forwards but never issues commitments *)
+      (** drops messages it should forward with this probability, and
+          withholds the verdict it issues when it does forward one, so
+          Section 3.5's revision cannot walk past it *)
   | Silent_dropper
       (** refuses commitments AND drops everything — the Section 3.6
           adversary that only the reputation system can address *)

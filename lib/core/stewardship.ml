@@ -4,7 +4,6 @@ type judgment = {
   judge : int;
   target : target;
   blame : float;
-  evidence_valid : bool;
   pushed : bool;
 }
 
@@ -45,14 +44,13 @@ let resolve ~first_judge ~judgment_of =
             else begin
               Hashtbl.replace visited suspect ();
               match judgment_of suspect with
-              | Some pushed_verdict when pushed_verdict.pushed && pushed_verdict.evidence_valid
-                ->
+              | Some pushed_verdict when pushed_verdict.pushed ->
                   (* The suspect shifts blame downstream: exonerate it and
                      adopt its verdict. *)
                   walk (suspect :: exonerated) (used + 1) ~own_verdict:(Some pushed_verdict)
               | Some _ | None ->
-                  (* No verdict, an unverifiable one, or a withheld one:
-                     the suspect keeps the blame. *)
+                  (* No verdict, or a withheld one: the suspect keeps the
+                     blame. *)
                   {
                     final = Some (Next_hop suspect);
                     exonerated = List.rev exonerated;
@@ -63,21 +61,3 @@ let resolve ~first_judge ~judgment_of =
   Hashtbl.replace visited first_judge ();
   walk [] 0 ~own_verdict:(judgment_of first_judge)
 
-let chain_of_route ~hops ~faulty ~judge =
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-    | [ _ ] | [] -> []
-  in
-  let rec saw_message acc = function
-    | [] -> List.rev acc
-    | (a, b) :: rest ->
-        (* Hop a saw the message; it judges b. If a is the faulty hop it
-           dropped the message, so nobody downstream saw it. *)
-        if faulty a then List.rev acc
-        else begin
-          match judge ~judge:a ~suspect:b with
-          | Some j -> saw_message (j :: acc) rest
-          | None -> saw_message acc rest
-        end
-  in
-  saw_message [] (pairs hops)

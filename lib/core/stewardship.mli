@@ -5,8 +5,7 @@
     it awaits the destination's acknowledgment and, when none arrives,
     judges its next hop. A missing ack therefore yields a *chain* of
     judgments. Revision walks the chain downstream from the sender: each
-    judge's verdict is replaced by the verdict its suspect pushes upstream,
-    provided that verdict's evidence survives independent verification.
+    judge's verdict is replaced by the verdict its suspect pushes upstream.
     Blame settles on the first party that cannot shift it:
 
     - a hop whose suspect pushed no verdict (the suspect dropped the
@@ -31,7 +30,6 @@ type judgment = {
   judge : int;
   target : target;
   blame : float;  (** Equation 2 value backing the verdict *)
-  evidence_valid : bool;  (** whether third parties accept its evidence *)
   pushed : bool;  (** whether the judge pushes this verdict upstream *)
 }
 
@@ -47,10 +45,3 @@ val resolve : first_judge:int -> judgment_of:(int -> judgment option) -> resolut
     [judgment_of] returns a node's (pushed or retrievable) verdict for this
     message, if it issued one. Cycle-safe. *)
 
-val chain_of_route :
-  hops:int list -> faulty:(int -> bool) -> judge:(judge:int -> suspect:int -> judgment option) ->
-  judgment list
-(** Helper for simulations: given the overlay hops of a route (sender
-    first) and the ground-truth drop point, produce the judgment each hop
-    that actually *saw* the message would issue (hops after the drop point
-    never saw it and judge nothing). *)

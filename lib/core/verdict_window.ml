@@ -18,21 +18,6 @@ let guilty_count t =
 
 let entries = Ring_buffer.to_list
 
-let expire t ~before =
-  (* Inclusive keep: an entry sitting exactly on the horizon
-     ([drop_time = before]) survives. One fold collects the survivors and
-     their count; the buffer is rebuilt only when something actually
-     expired, so expiry under churn costs a single pass. *)
-  let kept_rev, kept_count =
-    Ring_buffer.fold
-      (fun (acc, n) e -> if e.drop_time >= before then (e :: acc, n + 1) else (acc, n))
-      ([], 0) t
-  in
-  if kept_count < Ring_buffer.length t then begin
-    Ring_buffer.clear t;
-    List.iter (fun e -> ignore (Ring_buffer.push t e)) (List.rev kept_rev)
-  end
-
 let guilty_entries t =
   List.filter
     (fun e -> match e.verdict with Blame.Guilty -> true | Blame.Innocent -> false)

@@ -20,17 +20,6 @@ val guilty_count : 'evidence t -> int
 val entries : 'evidence t -> 'evidence entry list
 (** Oldest first. *)
 
-val expire : 'evidence t -> before:float -> unit
-(** Drop every entry whose [drop_time] is strictly below the horizon,
-    preserving the order of the survivors. The boundary is inclusive-keep:
-    an entry with [drop_time = before] is retained — a caller computing the
-    horizon as [now -. ttl] keeps a verdict that is exactly [ttl] old, and
-    a judge re-checking at the same instant it recorded sees the verdict
-    still counted. Verdicts backed by evidence
-    strictly older than the horizon must not keep counting towards an
-    accusation. Runs in one pass over the window; the buffer is rebuilt
-    only when at least one entry actually expires. *)
-
 val guilty_entries : 'evidence t -> 'evidence entry list
 
 val should_accuse : 'evidence t -> m:int -> bool

@@ -65,7 +65,3 @@ let public_key_to_string pk = pk
 let public_key_of_string s = s
 let signature_to_string s = s
 let signature_of_string s = s
-
-(* RSA-1024 signature is 128 bytes; PSS-R recovers part of the message, and
-   the paper budgets 144 bytes for a 20-byte payload plus its signature. *)
-let modeled_signature_bytes = 128

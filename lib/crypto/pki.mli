@@ -44,6 +44,3 @@ val signature_to_string : signature -> string
 val signature_of_string : string -> signature
 (** Rebuild a signature from its wire form (also handy for forging invalid
     signatures in attack scenarios). *)
-
-val modeled_signature_bytes : int
-(** Wire size of an RSA-1024 PSS-R signature (paper Section 4.4). *)

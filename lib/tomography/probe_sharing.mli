@@ -22,30 +22,6 @@ val plan : trees:int array array -> members:int array -> plan
 (** [trees.(v)] is the sorted physical-link array of node v's probe tree
     (as produced by {!Tree.physical_links}). *)
 
-type report = { member : int; link : int; up : bool }
-(** One member's claimed observation of one shared link. *)
-
-type consensus = {
-  link : int;
-  up : bool;  (** majority verdict; exact ties resolve to down *)
-  up_votes : int;
-  down_votes : int;
-  unanimous : bool;
-}
-
-val consolidate : report list -> consensus list
-(** Majority-vote consolidation of the collective's link reports, one
-    consensus per reported link, sorted by link.
-
-    Each member gets exactly one vote per link — duplicate reports from
-    the same member collapse, latest winning — so a compromised member
-    stuffing mutually-corroborating copies of a lie gains nothing over
-    stating it once. With an honest majority among the reporters of a
-    link, the consensus equals ground truth; in particular a single liar
-    can never flip a link that two or more honest members reported. Exact
-    ties resolve to down: a split collective treats the link as suspect
-    and re-probes instead of vouching for it. *)
-
 val individual_bytes : plan -> per_tree_bytes:float -> float
 (** Total probing cost if every member probes alone: members *
     per_tree_bytes (the Section 4.4 figure). *)

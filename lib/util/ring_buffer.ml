@@ -41,7 +41,3 @@ let fold f init t =
 let count predicate t = fold (fun n x -> if predicate x then n + 1 else n) 0 t
 let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
 
-let clear t =
-  Array.fill t.data 0 (capacity t) None;
-  t.start <- 0;
-  t.length <- 0

@@ -20,4 +20,3 @@ val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val count : ('a -> bool) -> 'a t -> int
 val to_list : 'a t -> 'a list
-val clear : 'a t -> unit

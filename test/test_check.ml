@@ -92,6 +92,10 @@ let test_schedule_generation_is_deterministic () =
 
 let test_schedule_json_roundtrip () =
   let schedule = Schedule.generate ~seed:5 in
+  check Alcotest.bool "covers stewardship ops" true
+    (List.exists
+       (function Schedule.Steward_resolve _ -> true | _ -> false)
+       schedule.Schedule.ops);
   match Json.parse (Json.to_string (Schedule.encode schedule)) with
   | Error message -> Alcotest.fail message
   | Ok json -> (
@@ -159,7 +163,7 @@ let test_mutations_caught_and_shrunk () =
     Lockstep.all_mutations
 
 let test_artifact_replay_roundtrip () =
-  let mutation = Lockstep.Window_expire_exclusive in
+  let mutation = Lockstep.Stewardship_trust_withheld in
   let schedule, divergence = find_caught_mutation mutation in
   let text =
     Json.to_string_pretty (Harness.artifact ~schedule ~mutation:(Some mutation) ~divergence)
@@ -177,7 +181,7 @@ let test_run_budget_reports_and_minimizes () =
   check Alcotest.int "clean budget has no divergences" 0 clean.Harness.divergent;
   check Alcotest.int "all outcomes reported" 4 (List.length clean.Harness.outcomes);
   let canary =
-    Harness.run_budget ~domains:1 ~mutation:Lockstep.Window_expire_exclusive ~base_seed:1
+    Harness.run_budget ~domains:1 ~mutation:Lockstep.Stewardship_trust_withheld ~base_seed:1
       ~budget:10 ()
   in
   check Alcotest.bool "canary diverges" true (canary.Harness.divergent > 0);

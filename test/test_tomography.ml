@@ -379,118 +379,6 @@ let test_probe_sharing_amortization () =
   check (Alcotest.float 1e-9) "consolidated bytes" 50.
     (Probe_sharing.consolidated_bytes same ~per_tree_bytes:50.)
 
-(* ---------- Report consolidation under corruption ---------- *)
-
-let consolidate_fixture ~links ~honest ~liars ~truth =
-  (* Every member reports every link; liars invert the truth, which is the
-     strongest per-link corruption (mutually-corroborating by
-     construction: all liars tell the same lie). *)
-  List.concat_map
-    (fun link ->
-      List.map (fun member -> { Probe_sharing.member; link; up = truth link }) honest
-      @ List.map (fun member -> { Probe_sharing.member; link; up = not (truth link) }) liars)
-    links
-
-let test_consolidate_zero_adversary_perfect () =
-  (* Sanity: with zero adversaries the consolidated verdict is the truth
-     on every link — accuracy exactly 1.0, all links unanimous. *)
-  let truth link = link mod 3 <> 0 in
-  let links = [ 0; 1; 2; 3; 4; 5 ] in
-  let reports = consolidate_fixture ~links ~honest:[ 10; 11; 12 ] ~liars:[] ~truth in
-  let consensus = Probe_sharing.consolidate reports in
-  check Alcotest.int "every link judged" (List.length links) (List.length consensus);
-  List.iter
-    (fun c ->
-      check Alcotest.bool
-        (Printf.sprintf "link %d verdict is truth" c.Probe_sharing.link)
-        (truth c.Probe_sharing.link) c.Probe_sharing.up;
-      check Alcotest.bool "unanimous" true c.Probe_sharing.unanimous)
-    consensus
-
-let test_consolidate_single_liar_cannot_flip () =
-  (* Regression: one liar among three members never flips any verdict,
-     whichever way it lies. *)
-  let truth link = link mod 2 = 0 in
-  let links = [ 0; 1; 2; 3 ] in
-  let reports = consolidate_fixture ~links ~honest:[ 0; 1 ] ~liars:[ 2 ] ~truth in
-  List.iter
-    (fun c ->
-      check Alcotest.bool
-        (Printf.sprintf "link %d verdict survives the liar" c.Probe_sharing.link)
-        (truth c.Probe_sharing.link) c.Probe_sharing.up;
-      check Alcotest.bool "dissent recorded" false c.Probe_sharing.unanimous)
-    (Probe_sharing.consolidate reports)
-
-let test_consolidate_stuffed_duplicates_collapse () =
-  (* A liar stuffing corroborating copies of its lie still counts once:
-     the verdict and the vote tally match the single-report case. *)
-  let honest_reports =
-    [
-      { Probe_sharing.member = 0; link = 7; up = true };
-      { Probe_sharing.member = 1; link = 7; up = true };
-    ]
-  in
-  let stuffed =
-    List.init 10 (fun _ -> { Probe_sharing.member = 2; link = 7; up = false })
-  in
-  match Probe_sharing.consolidate (honest_reports @ stuffed) with
-  | [ c ] ->
-      check Alcotest.bool "link stays up" true c.Probe_sharing.up;
-      check Alcotest.int "one down vote" 1 c.Probe_sharing.down_votes;
-      check Alcotest.int "two up votes" 2 c.Probe_sharing.up_votes
-  | other -> Alcotest.failf "expected one consensus, got %d" (List.length other)
-
-let test_consolidate_latest_report_wins () =
-  (* A member that re-reports replaces its earlier vote instead of adding
-     a second one. *)
-  let reports =
-    [
-      { Probe_sharing.member = 0; link = 3; up = false };
-      { Probe_sharing.member = 1; link = 3; up = true };
-      { Probe_sharing.member = 0; link = 3; up = true };
-    ]
-  in
-  match Probe_sharing.consolidate reports with
-  | [ c ] ->
-      check Alcotest.int "two up votes" 2 c.Probe_sharing.up_votes;
-      check Alcotest.int "no down votes" 0 c.Probe_sharing.down_votes;
-      check Alcotest.bool "unanimous after revision" true c.Probe_sharing.unanimous
-  | other -> Alcotest.failf "expected one consensus, got %d" (List.length other)
-
-let test_consolidate_tie_resolves_down () =
-  let reports =
-    [
-      { Probe_sharing.member = 0; link = 9; up = true };
-      { Probe_sharing.member = 1; link = 9; up = false };
-    ]
-  in
-  match Probe_sharing.consolidate reports with
-  | [ c ] -> check Alcotest.bool "tied link treated as suspect" false c.Probe_sharing.up
-  | other -> Alcotest.failf "expected one consensus, got %d" (List.length other)
-
-(* Property: with an honest majority, consolidation recovers the ground
-   truth on every link for arbitrary member counts, liar minorities and
-   truth assignments — even though the liars mutually corroborate. *)
-let prop_consolidate_honest_majority_recovers =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"honest majority recovers truth" ~count:100
-       QCheck.(int_range 0 1_000_000)
-       (fun seed ->
-         let rng = Prng.of_seed (Int64.of_int seed) in
-         let members = 3 + Prng.int rng 7 in
-         (* Strict minority of liars: liars <= (members - 1) / 2. *)
-         let liar_count = Prng.int rng (((members - 1) / 2) + 1) in
-         let liars = List.init liar_count (fun i -> i) in
-         let honest = List.init (members - liar_count) (fun i -> liar_count + i) in
-         let link_count = 1 + Prng.int rng 12 in
-         let truth_bits = Array.init link_count (fun _ -> Prng.bool rng) in
-         let truth link = truth_bits.(link) in
-         let links = List.init link_count (fun i -> i) in
-         let reports = consolidate_fixture ~links ~honest ~liars ~truth in
-         List.for_all
-           (fun c -> c.Probe_sharing.up = truth c.Probe_sharing.link)
-           (Probe_sharing.consolidate reports)))
-
 (* Property: MINC recovers random per-chain loss rates on the fixture tree
    within sampling error, for arbitrary loss assignments. *)
 let prop_minc_recovers_random_losses =
@@ -660,15 +548,6 @@ let suites =
     ( "tomography.probe_sharing",
       [
         Alcotest.test_case "amortization" `Quick test_probe_sharing_amortization;
-        Alcotest.test_case "zero adversaries: verdicts exact" `Quick
-          test_consolidate_zero_adversary_perfect;
-        Alcotest.test_case "single liar cannot flip" `Quick
-          test_consolidate_single_liar_cannot_flip;
-        Alcotest.test_case "stuffed duplicates collapse" `Quick
-          test_consolidate_stuffed_duplicates_collapse;
-        Alcotest.test_case "latest report wins" `Quick test_consolidate_latest_report_wins;
-        Alcotest.test_case "ties resolve down" `Quick test_consolidate_tie_resolves_down;
-        prop_consolidate_honest_majority_recovers;
       ] );
   ]
 

@@ -303,12 +303,6 @@ let test_ring_buffer_eviction () =
   check (Alcotest.list Alcotest.int) "window" [ 2; 3; 4 ] (Ring_buffer.to_list r);
   check Alcotest.int "count even" 2 (Ring_buffer.count (fun x -> x mod 2 = 0) r)
 
-let test_ring_buffer_clear () =
-  let r = Ring_buffer.create 2 in
-  ignore (Ring_buffer.push r 1);
-  Ring_buffer.clear r;
-  check Alcotest.int "cleared" 0 (Ring_buffer.length r)
-
 let prop_ring_buffer_keeps_newest =
   QCheck.Test.make ~name:"ring buffer holds the w newest elements" ~count:200
     QCheck.(pair (int_range 1 10) (small_list int))
@@ -319,45 +313,38 @@ let prop_ring_buffer_keeps_newest =
       let expected = List.filteri (fun i _ -> i >= n - capacity) pushes in
       Ring_buffer.to_list r = expected)
 
-(* List-model conformance: replay a random Push/Clear script against both
-   the ring buffer and a plain list of the newest [capacity] elements,
-   comparing contents, length, fullness and the evicted element after every
-   step. Scripts long enough to wrap the buffer several times exercise the
+(* List-model conformance: replay random pushes against both the ring
+   buffer and a plain list of the newest [capacity] elements, comparing
+   contents, length, fullness and the evicted element after every push.
+   Scripts long enough to wrap the buffer several times exercise the
    start-index arithmetic across wraparound. *)
 let prop_ring_buffer_matches_list_model =
-  let op_gen = QCheck.Gen.(frequency [ (9, map (fun x -> `Push x) small_int); (1, pure `Clear) ]) in
-  QCheck.Test.make ~name:"ring buffer matches list model under push/clear scripts" ~count:300
-    QCheck.(pair (int_range 1 5) (make ~print:(fun ops -> string_of_int (List.length ops))
-                                    Gen.(list_size (0 -- 60) op_gen)))
-    (fun (capacity, ops) ->
+  QCheck.Test.make ~name:"ring buffer matches list model under pushes" ~count:300
+    QCheck.(pair (int_range 1 5) (make ~print:(fun pushes -> string_of_int (List.length pushes))
+                                    Gen.(list_size (0 -- 60) small_int)))
+    (fun (capacity, pushes) ->
       let r = Ring_buffer.create capacity in
       let model = ref [] (* oldest first, length <= capacity *) in
       List.for_all
-        (fun op ->
-          (match op with
-          | `Push x ->
-              let evicted = Ring_buffer.push r x in
-              let expected_evicted =
-                if List.length !model >= capacity then (
-                  match !model with
-                  | oldest :: rest ->
-                      model := rest;
-                      Some oldest
-                  | [] -> None)
-                else None
-              in
-              model := !model @ [ x ];
-              evicted = expected_evicted
-          | `Clear ->
-              Ring_buffer.clear r;
-              model := [];
-              true)
+        (fun x ->
+          let evicted = Ring_buffer.push r x in
+          let expected_evicted =
+            if List.length !model >= capacity then (
+              match !model with
+              | oldest :: rest ->
+                  model := rest;
+                  Some oldest
+              | [] -> None)
+            else None
+          in
+          model := !model @ [ x ];
+          evicted = expected_evicted
           && Ring_buffer.to_list r = !model
           && Ring_buffer.length r = List.length !model
           && Ring_buffer.is_full r = (List.length !model = capacity)
           && Ring_buffer.count (fun x -> x mod 2 = 0) r
              = List.length (List.filter (fun x -> x mod 2 = 0) !model))
-        ops)
+        pushes)
 
 (* ---------- Hashing ---------- *)
 
@@ -410,7 +397,6 @@ let suites =
     ( "util.ring_buffer",
       [
         Alcotest.test_case "eviction" `Quick test_ring_buffer_eviction;
-        Alcotest.test_case "clear" `Quick test_ring_buffer_clear;
         qtest prop_ring_buffer_keeps_newest;
         qtest prop_ring_buffer_matches_list_model;
       ] );
