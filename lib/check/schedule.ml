@@ -316,16 +316,31 @@ let field_list json name =
 
 let ( let* ) r f = Result.bind r f
 
-(* Decode every item in order, stopping at the first error. *)
-let decode_all decode items =
-  let rec go acc = function
+(* A node index must name one of the schedule's [nodes]: [Lockstep] indexes
+   its per-node arrays with it. *)
+let in_range ~nodes what v =
+  if v >= 0 && v < nodes then Ok v
+  else Error (Printf.sprintf "%s = %d is outside [0, %d)" what v nodes)
+
+let field_node ~nodes json name =
+  let* v = field_int json name in
+  in_range ~nodes (Printf.sprintf "field %S" name) v
+
+(* Decode the items of list field [name] in order, stopping at the first
+   error, which names the item's position. *)
+let decode_all name decode items =
+  let rec go acc position = function
     | [] -> Ok (List.rev acc)
     | item :: rest -> (
-        match decode item with Ok value -> go (value :: acc) rest | Error message -> Error message)
+        match decode item with
+        | Ok value -> go (value :: acc) (position + 1) rest
+        | Error message -> Error (Printf.sprintf "%s[%d]: %s" name position message))
   in
-  go [] items
+  go [] 0 items
 
-let decode_hop json = Option.to_result ~none:"non-integer hop in a route" (Json.to_int json)
+let decode_hop ~nodes json =
+  let* hop = Option.to_result ~none:"non-integer hop" (Json.to_int json) in
+  in_range ~nodes "hop" hop
 
 let decode_judgment = function
   | Json.Null -> Ok None
@@ -340,38 +355,41 @@ let decode_judgment = function
       let* pushed = field_bool json "pushed" in
       Ok (Some { target; pushed })
 
-let decode_op json =
+let decode_op ~nodes json =
+  let field_node = field_node ~nodes json in
   match Option.bind (Json.member "op" json) Json.string_value with
   | None -> Error "operation without an \"op\" tag"
   | Some "win_record" ->
-      let* win = field_int json "win" in
+      let* win = field_node "win" in
       let* guilty = field_bool json "guilty" in
       let* blame = field_float json "blame" in
       let* drop_time = field_float json "drop_time" in
       Ok (Win_record { win; guilty; blame; drop_time })
   | Some "dht_put" ->
-      let* from_node = field_int json "from" in
-      let* accuser = field_int json "accuser" in
-      let* accused = field_int json "accused" in
+      let* from_node = field_node "from" in
+      let* accuser = field_node "accuser" in
+      let* accused = field_node "accused" in
       let* drop_time = field_float json "drop_time" in
       let* copies = field_int json "copies" in
       Ok (Dht_put { from_node; accuser; accused; drop_time; copies })
   | Some "dht_get" ->
-      let* from_node = field_int json "from" in
-      let* accused = field_int json "accused" in
+      let* from_node = field_node "from" in
+      let* accused = field_node "accused" in
       Ok (Dht_get { from_node; accused })
   | Some "dht_crash" ->
-      let* node = field_int json "node" in
+      let* node = field_node "node" in
       Ok (Dht_crash { node })
   | Some "dht_revive" ->
-      let* node = field_int json "node" in
+      let* node = field_node "node" in
       Ok (Dht_revive { node })
   | Some "dht_drop_replica" ->
-      let* node = field_int json "node" in
+      let* node = field_node "node" in
       Ok (Dht_drop_replica { node })
   | Some "steward_resolve" ->
-      let* route = Result.bind (field_list json "route") (decode_all decode_hop) in
-      let* judgments = Result.bind (field_list json "judgments") (decode_all decode_judgment) in
+      let* route = Result.bind (field_list json "route") (decode_all "route" (decode_hop ~nodes)) in
+      let* judgments =
+        Result.bind (field_list json "judgments") (decode_all "judgments" decode_judgment)
+      in
       if List.length route < 2 || List.length judgments <> List.length route - 1 then
         Error "steward_resolve needs two or more hops and a judgment slot per hop but the last"
       else if List.length (List.sort_uniq Int.compare route) <> List.length route then
@@ -385,8 +403,11 @@ let decode json =
   let* window_size = field_int json "window_size" in
   let* m = field_int json "m" in
   let* replication = field_int json "replication" in
-  let* ops = Result.bind (field_list json "ops") (decode_all decode_op) in
-  if nodes < 2 then Error "schedule needs at least two nodes"
+  (* [Lockstep] signs each stored accusation with two probers' votes, so a
+     put needs two nodes besides its accuser and accused. *)
+  if nodes < 4 then Error "schedule needs at least four nodes"
   else if window_size < 1 then Error "window_size must be positive"
   else if replication < 1 then Error "replication must be positive"
-  else Ok { seed; nodes; window_size; m; replication; ops }
+  else
+    let* ops = Result.bind (field_list json "ops") (decode_all "ops" (decode_op ~nodes)) in
+    Ok { seed; nodes; window_size; m; replication; ops }

@@ -58,3 +58,8 @@ val op_count : t -> int
 
 val encode : t -> Concilium_util.Json.t
 val decode : Concilium_util.Json.t -> (t, string) result
+(** The inverse of {!encode}. A malformed schedule is an [Error] that says
+    what is wrong; a bad operation is named by its position in ["ops"] and
+    its field. A schedule needs at least four nodes, and every node index
+    (a window, a DHT node, an accuser, an accused, a route hop) must lie
+    in [\[0, nodes)]. *)

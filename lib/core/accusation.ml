@@ -19,12 +19,12 @@ let make_vote ~prober ~secret ~public ~link ~time ~up =
     prober_key = public;
     time;
     up;
-    vote_signature = Pki.sign secret (vote_payload ~link ~prober ~time ~up);
+    vote_signature = Pki.sign secret [ vote_payload ~link ~prober ~time ~up ];
   }
 
 let vote_valid pki ~link vote =
   Pki.verify pki vote.prober_key
-    (vote_payload ~link ~prober:vote.prober ~time:vote.time ~up:vote.up)
+    [ vote_payload ~link ~prober:vote.prober ~time:vote.time ~up:vote.up ]
     vote.vote_signature
 
 type link_evidence = { link : int; votes : vote list }
@@ -64,14 +64,24 @@ let serialize_evidence e =
   Printf.sprintf "%s|%s|%.6f|%s" links votes e.drop_time
     (Commitment.serialize_body (Signed.payload e.commitment))
 
-(* The body around its already serialized evidence. *)
-let serialize_body_around ~evidence ~supporting b =
-  Printf.sprintf "accusation|%s|%s|%.6f|%.9f|%f,%f,%f|%s|%s" (Id.to_hex b.accuser)
-    (Id.to_hex b.accused) b.issued_at b.blame b.config.Blame.accuracy b.config.Blame.delta
-    b.config.Blame.guilt_threshold evidence (String.concat "&" supporting)
+(* The body around its already serialized evidence, as the pieces its
+   signature hashes: the header, the judged evidence, a '|', then the
+   supporting evidence separated by '&'. *)
+let pieces_around ~evidence ~supporting b =
+  let header =
+    Printf.sprintf "accusation|%s|%s|%.6f|%.9f|%f,%f,%f|" (Id.to_hex b.accuser)
+      (Id.to_hex b.accused) b.issued_at b.blame b.config.Blame.accuracy b.config.Blame.delta
+      b.config.Blame.guilt_threshold
+  in
+  let rec separated = function
+    | [] -> []
+    | [ last ] -> [ last ]
+    | piece :: rest -> piece :: "&" :: separated rest
+  in
+  header :: evidence :: "|" :: separated supporting
 
-let serialize_body b =
-  serialize_body_around b ~evidence:(serialize_evidence b.evidence)
+let pieces b =
+  pieces_around b ~evidence:(serialize_evidence b.evidence)
     ~supporting:(List.map serialize_evidence b.supporting)
 
 (* An evidence value with its serialization, computed at most once however
@@ -99,8 +109,7 @@ let make_archived ~accuser ~secret ~public ~accused ~config ~evidence ~supportin
   let serialized a = Lazy.force a.serialized in
   Signed.make
     ~serialize:
-      (serialize_body_around ~evidence:(serialized evidence)
-         ~supporting:(List.map serialized supporting))
+      (pieces_around ~evidence:(serialized evidence) ~supporting:(List.map serialized supporting))
     ~signer:public ~secret
     {
       accuser;
@@ -128,7 +137,7 @@ type rejection =
 let verify pki t =
   let b = Signed.payload t in
   let e = b.evidence in
-  if not (Signed.check ~serialize:serialize_body pki t) then Error Bad_signature
+  if not (Signed.check ~serialize:pieces pki t) then Error Bad_signature
   else if not (Commitment.verify pki e.commitment) then Error Bad_commitment
   else if not (Id.equal (Signed.payload e.commitment).Commitment.forwarder b.accused) then
     Error Commitment_mismatch

@@ -94,9 +94,9 @@ val make_archived :
   now:float ->
   t
 (** {!make} over archived evidence: the signed bytes are exactly
-    {!serialize_body}'s, assembled from each evidence's cached
-    serialization. Only signing reads the cache; {!verify} always
-    re-serializes from the record fields. *)
+    {!pieces}', taken from each evidence's cached serialization. Only
+    signing reads the cache; {!verify} always re-serializes from the record
+    fields. *)
 
 type rejection =
   | Bad_signature
@@ -114,6 +114,10 @@ val verify : Pki.t -> t -> (unit, rejection) result
     piece of supporting evidence must independently clear the guilt
     threshold under recomputation. *)
 
-val serialize_body : body -> string
+val pieces : body -> string list
+(** The signed serialization of a body, in the pieces its signature hashes
+    one after another: a header, each piece of evidence's serialization and
+    the separators between them. An accusation's evidence runs to hundreds
+    of kilobytes, and it is never concatenated into one string. *)
 
 val pp_rejection : Format.formatter -> rejection -> unit

@@ -16,11 +16,13 @@ let serialize_body body =
   Printf.sprintf "commit|%s|%s|%s|%s|%.6f" (Id.to_hex body.forwarder) (Id.to_hex body.sender)
     (Id.to_hex body.destination) body.message_id body.issued_at
 
+let pieces body = [ serialize_body body ]
+
 let issue ~forwarder ~secret ~public ~sender ~destination ~message_id ~now =
-  Signed.make ~serialize:serialize_body ~signer:public ~secret
+  Signed.make ~serialize:pieces ~signer:public ~secret
     { forwarder; sender; destination; message_id; issued_at = now }
 
-let verify pki t = Signed.check ~serialize:serialize_body pki t
+let verify pki t = Signed.check ~serialize:pieces pki t
 
 let covers t ~forwarder ~sender ~destination ~message_id =
   let body = Signed.payload t in

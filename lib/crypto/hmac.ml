@@ -1,17 +1,19 @@
 let block_size = 64
 
-let sha256 ~key message =
-  let key = if String.length key > block_size then Sha256.digest key else key in
-  let padded = Bytes.make block_size '\000' in
-  Bytes.blit_string key 0 padded 0 (String.length key);
-  let xor_with byte =
-    String.init block_size (fun i -> Char.chr (Char.code (Bytes.get padded i) lxor byte))
-  in
-  let inner = Sha256.digest (xor_with 0x36 ^ message) in
-  Sha256.digest (xor_with 0x5C ^ inner)
+type key = { inner : Sha256.state; outer : Sha256.state }
 
-let sha256_hex ~key message =
-  let raw = sha256 ~key message in
-  let buffer = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c))) raw;
-  Buffer.contents buffer
+let key secret =
+  let secret = if String.length secret > block_size then Sha256.digest secret else secret in
+  let padded byte =
+    String.init block_size (fun i ->
+        let secret_byte = if i < String.length secret then Char.code secret.[i] else 0 in
+        Char.chr (byte lxor secret_byte))
+  in
+  { inner = Sha256.midstate (padded 0x36); outer = Sha256.midstate (padded 0x5C) }
+
+let mac key pieces =
+  let inner = Sha256.start key.inner in
+  List.iter (Sha256.feed inner) pieces;
+  let outer = Sha256.start key.outer in
+  Sha256.feed outer (Sha256.finish inner);
+  Sha256.finish outer

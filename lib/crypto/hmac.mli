@@ -1,6 +1,13 @@
-(** HMAC-SHA256 (RFC 2104), checked against RFC 4231 test vectors. *)
+(** HMAC-SHA256 (RFC 2104), checked against RFC 4231 test vectors.
 
-val sha256 : key:string -> string -> string
-(** 32-byte raw MAC. *)
+    A key holds the SHA-256 states after its inner and outer padded blocks,
+    computed once when the key is made, so a MAC compresses only the
+    message and the inner digest. *)
 
-val sha256_hex : key:string -> string -> string
+type key
+(** Immutable: any number of MACs, on any domain, may share one. *)
+
+val key : string -> key
+
+val mac : key -> string list -> string
+(** 32-byte raw MAC of the concatenation of the pieces. *)

@@ -1,7 +1,7 @@
 module Prng = Concilium_util.Prng
 
 type public_key = string
-type secret_key = { key_secret : string }
+type secret_key = Hmac.key
 type signature = string
 
 type certificate = {
@@ -13,23 +13,25 @@ type certificate = {
 
 type t = {
   rng : Prng.t;
-  registry : (public_key, string) Hashtbl.t; (* public key -> signing secret *)
+  registry : (public_key, Hmac.key) Hashtbl.t; (* public key -> signing key *)
   authority_public : public_key;
   authority_secret : secret_key;
 }
 
+(* Four PRNG draws rendered as 64 hex digits, then hashed. *)
 let random_token rng =
-  let raw =
-    String.concat ""
-      (List.init 4 (fun _ -> Printf.sprintf "%016Lx" (Prng.int64 rng)))
-  in
-  Sha256.hex_digest raw
+  let raw = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_be raw (8 * i) (Prng.int64 rng)
+  done;
+  Sha256.hex_digest (Hex.encode (Bytes.to_string raw))
 
 let generate_into registry rng =
   let secret = random_token rng in
   let public = Sha256.hex_digest secret in
-  Hashtbl.replace registry public secret;
-  (public, { key_secret = secret })
+  let key = Hmac.key secret in
+  Hashtbl.replace registry public key;
+  (public, key)
 
 let create ~seed =
   let rng = Prng.of_seed seed in
@@ -37,15 +39,14 @@ let create ~seed =
   let authority_public, authority_secret = generate_into registry rng in
   { rng; registry; authority_public; authority_secret }
 
-let sign secret message = Hmac.sha256_hex ~key:secret.key_secret message
+let sign key pieces = Hex.encode (Hmac.mac key pieces)
 
-let verify t public message signature =
+let verify t public pieces signature =
   match Hashtbl.find_opt t.registry public with
   | None -> false
-  | Some secret -> String.equal (Hmac.sha256_hex ~key:secret message) signature
+  | Some key -> String.equal (sign key pieces) signature
 
-let certificate_payload ~address ~node_id ~key =
-  "cert|" ^ address ^ "|" ^ node_id ^ "|" ^ key
+let certificate_payload ~address ~node_id ~key = [ "cert|"; address; "|"; node_id; "|"; key ]
 
 let issue t ~address ~node_id =
   let public, secret = generate_into t.registry t.rng in

@@ -13,7 +13,10 @@ type t
 (** The authority (and, for the simulator, the universe of key bindings). *)
 
 type public_key
+
 type secret_key
+(** The holder's HMAC key, its padded-block states computed when the key
+    is issued; the registry holds the same value. *)
 
 type signature
 
@@ -30,10 +33,13 @@ val issue : t -> address:string -> node_id:string -> certificate * secret_key
 (** Enroll a host: generate its keypair, register it, and return its
     certificate along with the secret only that host should hold. *)
 
-val sign : secret_key -> string -> signature
-val verify : t -> public_key -> string -> signature -> bool
-(** [verify t pk msg s] checks that [s] was produced over [msg] by the
-    holder of the secret matching [pk]. Unknown keys verify as [false]. *)
+val sign : secret_key -> string list -> signature
+(** Sign the concatenation of the pieces: a hex HMAC-SHA256. *)
+
+val verify : t -> public_key -> string list -> signature -> bool
+(** [verify t pk pieces s] checks that [s] was produced over the
+    concatenation of [pieces] by the holder of the secret matching [pk].
+    Unknown keys verify as [false]. *)
 
 val verify_certificate : t -> certificate -> bool
 

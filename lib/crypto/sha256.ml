@@ -18,83 +18,177 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* The four sigma functions of a word [x < 2^32]. Each rotation right by
+   [n <= 31] reads bits [n .. n+31] of [x] doubled into the upper half, so
+   a sum of rotations is one mask after the shifts. *)
+let[@inline] doubled x = x lor (x lsl 32)
 
-let digest message =
-  let h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |] in
-  let length = String.length message in
-  (* Padding: 0x80, zeros to 56 mod 64, then the bit length as 64-bit BE. *)
-  let padded_length =
-    let base = length + 9 in
-    ((base + 63) / 64) * 64
-  in
-  let padded = Bytes.make padded_length '\000' in
-  Bytes.blit_string message 0 padded 0 length;
-  Bytes.set padded length '\x80';
-  let bit_length = Int64.of_int (8 * length) in
-  for i = 0 to 7 do
-    let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical bit_length (8 * (7 - i))) 0xFFL) in
-    Bytes.set padded (padded_length - 8 + i) (Char.chr byte)
-  done;
-  let w = Array.make 64 0 in
-  for chunk = 0 to (padded_length / 64) - 1 do
-    let base = chunk * 64 in
-    for t = 0 to 15 do
-      let byte i = Char.code (Bytes.get padded (base + (4 * t) + i)) in
-      w.(t) <- (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
-    done;
-    for t = 16 to 63 do
-      let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-      let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
-    done;
-    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-    for t = 0 to 63 do
-      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-      let ch = (!e land !f) lxor (lnot !e land !g land mask) in
-      let temp1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-      let temp2 = (s0 + maj) land mask in
-      hh := !g;
-      g := !f;
-      f := !e;
-      e := (!d + temp1) land mask;
-      d := !c;
-      c := !b;
-      b := !a;
-      a := (temp1 + temp2) land mask
-    done;
-    h.(0) <- (h.(0) + !a) land mask;
-    h.(1) <- (h.(1) + !b) land mask;
-    h.(2) <- (h.(2) + !c) land mask;
-    h.(3) <- (h.(3) + !d) land mask;
-    h.(4) <- (h.(4) + !e) land mask;
-    h.(5) <- (h.(5) + !f) land mask;
-    h.(6) <- (h.(6) + !g) land mask;
-    h.(7) <- (h.(7) + !hh) land mask
-  done;
+let[@inline] big_sigma0 x =
+  let xx = doubled x in
+  ((xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)) land mask
+
+let[@inline] big_sigma1 x =
+  let xx = doubled x in
+  ((xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)) land mask
+
+let[@inline] small_sigma0 x =
+  let xx = doubled x in
+  ((xx lsr 7) lxor (xx lsr 18)) land mask lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let xx = doubled x in
+  ((xx lsr 17) lxor (xx lsr 19)) land mask lxor (x lsr 10)
+
+(* The chaining value after a whole number of blocks, as the 32-byte
+   big-endian string of its eight words, and the bytes it has compressed.
+   Strings are immutable, so a state is shared freely: every context
+   copies the words out before it changes them. *)
+type state = { chain : string; compressed : int }
+
+type ctx = {
+  h : int array;  (* the eight chaining words *)
+  w : int array;  (* the message schedule of the block being compressed *)
+  tail : Bytes.t;  (* bytes short of a whole block, then their padding *)
+  mutable tail_length : int;
+  mutable length : int;  (* bytes hashed, the start state's included *)
+}
+
+let words_to_string h =
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((h.(i) lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((h.(i) lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((h.(i) lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (h.(i) land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int h.(i))
   done;
   Bytes.to_string out
 
-let hex_digest message =
-  let raw = digest message in
-  let buffer = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c))) raw;
-  Buffer.contents buffer
+let initial =
+  {
+    chain =
+      words_to_string
+        [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+    compressed = 0;
+  }
 
-let digest_list fields =
-  let buffer = Buffer.create 256 in
-  List.iter
-    (fun field ->
-      Buffer.add_string buffer (Printf.sprintf "%08x" (String.length field));
-      Buffer.add_string buffer field)
-    fields;
-  digest (Buffer.contents buffer)
+(* A round's two sums, [temp1] over e f g h and the schedule, [temp2] over
+   a b c. Sums of a few 32-bit words stay far below 2^62: the round masks
+   once. *)
+let[@inline] temp1 w t e f g h =
+  h + big_sigma1 e + ((e land f) lxor (lnot e land g)) + k.(t) + w.(t)
+
+let[@inline] temp2 a b c = big_sigma0 a + ((a land b) lor (c land (a lor b)))
+
+(* Compress the block whose 16 words [w.(0..15)] holds. Eight rounds per
+   iteration rename the working variables instead of shifting them: a
+   round writes only its new e (over d) and its new a (over h). *)
+let compress ctx =
+  let h = ctx.h and w = ctx.w in
+  for t = 16 to 63 do
+    w.(t) <- (w.(t - 16) + small_sigma0 w.(t - 15) + w.(t - 7) + small_sigma1 w.(t - 2)) land mask
+  done;
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  for i = 0 to 7 do
+    let t = 8 * i in
+    let t1 = temp1 w t !e !f !g !hh in
+    d := (!d + t1) land mask;
+    hh := (t1 + temp2 !a !b !c) land mask;
+    let t1 = temp1 w (t + 1) !d !e !f !g in
+    c := (!c + t1) land mask;
+    g := (t1 + temp2 !hh !a !b) land mask;
+    let t1 = temp1 w (t + 2) !c !d !e !f in
+    b := (!b + t1) land mask;
+    f := (t1 + temp2 !g !hh !a) land mask;
+    let t1 = temp1 w (t + 3) !b !c !d !e in
+    a := (!a + t1) land mask;
+    e := (t1 + temp2 !f !g !hh) land mask;
+    let t1 = temp1 w (t + 4) !a !b !c !d in
+    hh := (!hh + t1) land mask;
+    d := (t1 + temp2 !e !f !g) land mask;
+    let t1 = temp1 w (t + 5) !hh !a !b !c in
+    g := (!g + t1) land mask;
+    c := (t1 + temp2 !d !e !f) land mask;
+    let t1 = temp1 w (t + 6) !g !hh !a !b in
+    f := (!f + t1) land mask;
+    b := (t1 + temp2 !c !d !e) land mask;
+    let t1 = temp1 w (t + 7) !f !g !hh !a in
+    e := (!e + t1) land mask;
+    a := (t1 + temp2 !b !c !d) land mask
+  done;
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
+
+(* Two loaders, one per buffer type: whole blocks are read in place from
+   the caller's string, only the tail from [ctx.tail]. *)
+let compress_string ctx s off =
+  for t = 0 to 15 do
+    ctx.w.(t) <- Int32.to_int (String.get_int32_be s (off + (4 * t))) land mask
+  done;
+  compress ctx
+
+let compress_tail ctx off =
+  for t = 0 to 15 do
+    ctx.w.(t) <- Int32.to_int (Bytes.get_int32_be ctx.tail (off + (4 * t))) land mask
+  done;
+  compress ctx
+
+let start state =
+  let h = Array.make 8 0 in
+  for i = 0 to 7 do
+    h.(i) <- Int32.to_int (String.get_int32_be state.chain (4 * i)) land mask
+  done;
+  { h; w = Array.make 64 0; tail = Bytes.create 128; tail_length = 0; length = state.compressed }
+
+let feed ctx s =
+  let n = String.length s in
+  ctx.length <- ctx.length + n;
+  (* Top up a partial block first; then whole blocks straight from [s]. *)
+  let off =
+    if ctx.tail_length = 0 then 0
+    else begin
+      let take = min n (64 - ctx.tail_length) in
+      Bytes.blit_string s 0 ctx.tail ctx.tail_length take;
+      ctx.tail_length <- ctx.tail_length + take;
+      if ctx.tail_length = 64 then begin
+        compress_tail ctx 0;
+        ctx.tail_length <- 0
+      end;
+      take
+    end
+  in
+  let blocks = (n - off) / 64 in
+  for block = 0 to blocks - 1 do
+    compress_string ctx s (off + (64 * block))
+  done;
+  let rest = off + (64 * blocks) in
+  Bytes.blit_string s rest ctx.tail ctx.tail_length (n - rest);
+  ctx.tail_length <- ctx.tail_length + (n - rest)
+
+(* Padding: 0x80, zeros to 56 mod 64, then the bit length as 64-bit BE,
+   in the tail's one or two blocks. *)
+let finish ctx =
+  let used = ctx.tail_length in
+  let padded = if used < 56 then 64 else 128 in
+  Bytes.set ctx.tail used '\x80';
+  Bytes.fill ctx.tail (used + 1) (padded - 9 - used) '\000';
+  Bytes.set_int64_be ctx.tail (padded - 8) (Int64.of_int (8 * ctx.length));
+  compress_tail ctx 0;
+  if padded = 128 then compress_tail ctx 64;
+  words_to_string ctx.h
+
+let midstate blocks =
+  if String.length blocks mod 64 <> 0 then invalid_arg "Sha256.midstate: not whole blocks";
+  let ctx = start initial in
+  feed ctx blocks;
+  { chain = words_to_string ctx.h; compressed = ctx.length }
+
+let digest message =
+  let ctx = start initial in
+  feed ctx message;
+  finish ctx
+
+let hex_digest message = Hex.encode (digest message)

@@ -4,9 +4,12 @@
 
 type 'a t = private { payload : 'a; signer : Pki.public_key; signature : Pki.signature }
 
-val make : serialize:('a -> string) -> signer:Pki.public_key -> secret:Pki.secret_key -> 'a -> 'a t
+val make :
+  serialize:('a -> string list) -> signer:Pki.public_key -> secret:Pki.secret_key -> 'a -> 'a t
+(** Sign the domain tag followed by the payload's serialization, given as
+    pieces that are hashed in order and never concatenated. *)
 
-val check : serialize:('a -> string) -> Pki.t -> 'a t -> bool
+val check : serialize:('a -> string list) -> Pki.t -> 'a t -> bool
 (** Re-serialize the payload and verify the signature against the embedded
     signer key. *)
 

@@ -24,10 +24,7 @@ let of_hex s =
   String.init bytes_len (fun i ->
       Char.chr ((hex_value s.[2 * i] lsl 4) lor hex_value s.[(2 * i) + 1]))
 
-let to_hex t =
-  let buffer = Buffer.create digits in
-  String.iter (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c))) t;
-  Buffer.contents buffer
+let to_hex = Concilium_crypto.Hex.encode
 
 let of_name name = String.sub (Concilium_crypto.Sha256.digest ("id|" ^ name)) 0 bytes_len
 

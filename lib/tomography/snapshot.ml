@@ -20,8 +20,9 @@ let serialize_body body =
   Printf.sprintf "snapshot|%s|%.6f|%s" (Id.to_hex body.origin) body.issued_at
     (String.concat ";" (List.map serialize_summary body.summaries))
 
-let make ~origin ~secret ~public ~now ~summaries =
-  Signed.make ~serialize:serialize_body ~signer:public ~secret
-    { origin; issued_at = now; summaries }
+let pieces body = [ serialize_body body ]
 
-let verify pki t = Signed.check ~serialize:serialize_body pki t
+let make ~origin ~secret ~public ~now ~summaries =
+  Signed.make ~serialize:pieces ~signer:public ~secret { origin; issued_at = now; summaries }
+
+let verify pki t = Signed.check ~serialize:pieces pki t

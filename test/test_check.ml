@@ -107,6 +107,61 @@ let test_schedule_json_roundtrip () =
                (Json.to_string (Schedule.encode schedule))
                (Json.to_string (Schedule.encode decoded))))
 
+(* Replace field [name] of the first op tagged [tag]; returns the edited
+   schedule and the op's position. *)
+let edit_first_op json ~tag ~name value =
+  let edited = ref None in
+  let edit_op position op =
+    match (!edited, Option.bind (Json.member "op" op) Json.string_value, op) with
+    | None, Some t, Json.Obj fields when String.equal t tag ->
+        edited := Some position;
+        Json.Obj (List.map (fun (k, v) -> if String.equal k name then (k, value) else (k, v)) fields)
+    | _ -> op
+  in
+  match json with
+  | Json.Obj fields ->
+      let fields =
+        List.map
+          (function
+            | "ops", Json.List ops -> ("ops", Json.List (List.mapi edit_op ops)) | field -> field)
+          fields
+      in
+      (match !edited with
+      | Some position -> (Json.Obj fields, position)
+      | None -> Alcotest.failf "no %s op to edit" tag)
+  | _ -> Alcotest.fail "schedule is not a JSON object"
+
+(* Lockstep indexes its per-node arrays with these fields, so a replayed
+   artifact edited past [nodes] or below zero must fail to decode, naming
+   the op and the field, rather than crash the run. *)
+let test_schedule_rejects_bad_node_indices () =
+  let schedule = Schedule.generate ~seed:5 in
+  let nodes = schedule.Schedule.nodes in
+  let json = Schedule.encode schedule in
+  List.iter
+    (fun (tag, name, value, what) ->
+      let edited, position = edit_first_op json ~tag ~name value in
+      let expected = Printf.sprintf "ops[%d]: %s is outside [0, %d)" position what nodes in
+      match Schedule.decode edited with
+      | Ok _ -> Alcotest.failf "decoded despite %s" expected
+      | Error message -> check Alcotest.string (tag ^ "." ^ name) expected message)
+    [
+      ("win_record", "win", Json.Int 99, "field \"win\" = 99");
+      ("win_record", "win", Json.Int nodes, Printf.sprintf "field \"win\" = %d" nodes);
+      ("dht_put", "from", Json.Int 99, "field \"from\" = 99");
+      ("dht_put", "accused", Json.Int (-1), "field \"accused\" = -1");
+      ("dht_get", "accused", Json.Int (-1), "field \"accused\" = -1");
+      ( "steward_resolve",
+        "route",
+        Json.List [ Json.Int 0; Json.Int (-2); Json.Int 1 ],
+        "route[1]: hop = -2" );
+    ];
+  (* A put signs its accusation with the votes of two more nodes. *)
+  let three_nodes = Schedule.encode { (Schedule.with_ops schedule []) with Schedule.nodes = 3 } in
+  match Schedule.decode three_nodes with
+  | Ok _ -> Alcotest.fail "decoded a three-node schedule"
+  | Error message -> check Alcotest.string "three nodes" "schedule needs at least four nodes" message
+
 (* ---------- Lockstep ---------- *)
 
 let test_lockstep_clean_on_generated_schedules () =
@@ -217,6 +272,8 @@ let suites =
         Alcotest.test_case "deterministic generation" `Quick
           test_schedule_generation_is_deterministic;
         Alcotest.test_case "JSON round-trip" `Quick test_schedule_json_roundtrip;
+        Alcotest.test_case "node indices range-checked" `Quick
+          test_schedule_rejects_bad_node_indices;
       ] );
     ( "check.lockstep",
       [

@@ -425,7 +425,7 @@ let test_accusation_rejects_tampered_votes () =
     }
   in
   let reissued =
-    Signed.make ~serialize:Accusation.serialize_body ~signer:alice.key ~secret:alice.secret
+    Signed.make ~serialize:Accusation.pieces ~signer:alice.key ~secret:alice.secret
       { body with Accusation.evidence = tampered_evidence; blame = 0.9 }
   in
   check Alcotest.bool "vote signatures catch tampering" true
@@ -486,12 +486,12 @@ let prop_archived_evidence_signs_field_bytes =
       List.for_all
         (fun accusation ->
           let from_fields =
-            Signed.make ~serialize:Accusation.serialize_body ~signer:alice.key
+            Signed.make ~serialize:Accusation.pieces ~signer:alice.key
               ~secret:alice.secret (Signed.payload accusation)
           in
           Pki.signature_to_string accusation.Signed.signature
           = Pki.signature_to_string from_fields.Signed.signature
-          && Signed.check ~serialize:Accusation.serialize_body pki accusation)
+          && Signed.check ~serialize:Accusation.pieces pki accusation)
         [ sign (); sign () ])
 
 (* ---------- DHT ---------- *)
@@ -792,7 +792,7 @@ let test_accusation_supporting_evidence () =
   in
   let body = Signed.payload accusation in
   let reissued =
-    Signed.make ~serialize:Accusation.serialize_body ~signer:alice.key ~secret:alice.secret
+    Signed.make ~serialize:Accusation.pieces ~signer:alice.key ~secret:alice.secret
       { body with Accusation.supporting = [ weak ] }
   in
   check Alcotest.bool "weak supporting evidence rejected" true
