@@ -14,15 +14,23 @@ type mutation =
   | Dht_ignore_crashes
   | Stewardship_trust_withheld
   | Dht_ignore_replica_loss
+  | Dht_stale_overwrite
 
 let mutation_name = function
   | Window_accuse_strict -> "window-accuse-strict"
   | Dht_ignore_crashes -> "dht-ignore-crashes"
   | Stewardship_trust_withheld -> "stewardship-trust-withheld"
   | Dht_ignore_replica_loss -> "dht-ignore-replica-loss"
+  | Dht_stale_overwrite -> "dht-stale-overwrite"
 
 let all_mutations =
-  [ Window_accuse_strict; Dht_ignore_crashes; Stewardship_trust_withheld; Dht_ignore_replica_loss ]
+  [
+    Window_accuse_strict;
+    Dht_ignore_crashes;
+    Stewardship_trust_withheld;
+    Dht_ignore_replica_loss;
+    Dht_stale_overwrite;
+  ]
 
 let mutation_of_name name =
   List.find_opt (fun m -> String.equal (mutation_name m) name) all_mutations
@@ -40,7 +48,7 @@ type world = {
   nodes : int;
   m : int;
   principals : principal array;
-  impl_windows : unit Verdict_window.t array;
+  impl_windows : float Verdict_window.t array; (* evidence: its drop time *)
   model_windows : Model.Window.t array;
   impl_dht : Dht.t;
   model_store : Model.Store.t;
@@ -48,7 +56,9 @@ type world = {
   accusations : (string, Accusation.t) Hashtbl.t;
 }
 
-let build_world (schedule : Schedule.t) =
+(* [impl_m] lets the accuse-strict mutation perturb the implementation
+   side's escalation threshold while the model keeps the real [m]. *)
+let build_world (schedule : Schedule.t) ~impl_m =
   let nodes = schedule.Schedule.nodes in
   let rng = Prng.of_seed (Int64.of_int (0x5eed + schedule.Schedule.seed)) in
   let ids = Array.init nodes (fun _ -> Id.random rng) in
@@ -67,7 +77,7 @@ let build_world (schedule : Schedule.t) =
     principals;
     impl_windows =
       Array.init nodes (fun _ ->
-          Verdict_window.create ~window_size:schedule.Schedule.window_size);
+          Verdict_window.create ~window_size:schedule.Schedule.window_size ~m:impl_m);
     model_windows =
       Array.init nodes (fun _ ->
           Model.Window.create ~window_size:schedule.Schedule.window_size);
@@ -131,15 +141,13 @@ let accusation_for world ~accuser ~accused ~drop_time =
 let float_list_to_string times =
   String.concat "," (List.map (fun t -> Printf.sprintf "%.17g" t) times)
 
-(* [impl_m] lets the accuse-strict mutation perturb the implementation
-   side's escalation threshold while the model keeps the real [m]. *)
-let check_window world ~impl_m ~win =
+let check_window world ~win =
   let impl = world.impl_windows.(win) in
   let model = world.model_windows.(win) in
-  let impl_times =
-    List.map (fun e -> e.Verdict_window.drop_time) (Verdict_window.entries impl)
-  in
+  let impl_times = List.map snd (Verdict_window.entries impl) in
   let model_times = Model.Window.drop_times model in
+  let impl_supporting = Verdict_window.supporting impl in
+  let model_supporting = Model.Window.supporting model ~m:world.m in
   if Verdict_window.length impl <> Model.Window.length model then
     Some
       (Printf.sprintf "window %d length: impl=%d model=%d" win (Verdict_window.length impl)
@@ -149,19 +157,21 @@ let check_window world ~impl_m ~win =
       (Printf.sprintf "window %d guilty_count: impl=%d model=%d" win
          (Verdict_window.guilty_count impl)
          (Model.Window.guilty_count model))
-  else if
-    Verdict_window.should_accuse impl ~m:impl_m
-    <> Model.Window.should_accuse model ~m:world.m
-  then
+  else if Verdict_window.should_accuse impl <> Model.Window.should_accuse model ~m:world.m then
     Some
       (Printf.sprintf "window %d should_accuse(m=%d): impl=%b model=%b" win world.m
-         (Verdict_window.should_accuse impl ~m:impl_m)
+         (Verdict_window.should_accuse impl)
          (Model.Window.should_accuse model ~m:world.m))
   else if not (List.equal Float.equal impl_times model_times) then
     Some
       (Printf.sprintf "window %d drop_times: impl=[%s] model=[%s]" win
          (float_list_to_string impl_times)
          (float_list_to_string model_times))
+  else if not (List.equal Float.equal impl_supporting model_supporting) then
+    Some
+      (Printf.sprintf "window %d supporting: impl=[%s] model=[%s]" win
+         (float_list_to_string impl_supporting)
+         (float_list_to_string model_supporting))
   else None
 
 let check_stores world =
@@ -256,24 +266,27 @@ let apply_op world ~mutation op =
     | Some Dht_ignore_crashes -> fun (_ : int) -> true
     | _ -> model_alive
   in
-  let impl_m = match mutation with Some Window_accuse_strict -> world.m + 1 | _ -> world.m in
   match op with
-  | Schedule.Win_record { win; guilty; blame; drop_time } ->
+  | Schedule.Win_record { win; guilty; drop_time } ->
       let verdict = if guilty then Blame.Guilty else Blame.Innocent in
-      Verdict_window.record world.impl_windows.(win)
-        { Verdict_window.verdict; blame; drop_time; evidence = () };
+      Verdict_window.record world.impl_windows.(win) verdict ~drop_time drop_time;
       Model.Window.record world.model_windows.(win)
-        { Model.Window.guilty; blame; drop_time };
-      (match check_window world ~impl_m ~win with
+        { Model.Window.guilty; drop_time };
+      (match check_window world ~win with
       | Some detail -> Some ("window", detail)
       | None -> None)
   | Schedule.Dht_put { from_node; accuser; accused; drop_time; copies } ->
       let accusation = accusation_for world ~accuser ~accused ~drop_time in
       let accused_key = world.principals.(accused).key in
       let hops = ref 0 in
+      let supersedes =
+        match mutation with
+        | Some Dht_stale_overwrite -> fun ~incoming:_ ~stored:_ -> true
+        | _ -> Dht.newest_wins
+      in
       let impl_report =
-        Dht.put world.impl_dht ~from:from_node ~alive:impl_alive ~copies ~accused_key
-          accusation ~hops
+        Dht.put_with ~supersedes world.impl_dht ~from:from_node ~alive:impl_alive ~copies
+          ~accused_key accusation ~hops
       in
       let model_report =
         Model.Store.put world.model_store ~from:from_node ~alive:model_alive ~copies
@@ -308,15 +321,21 @@ let apply_op world ~mutation op =
       let model_report =
         Model.Store.get world.model_store ~from:from_node ~alive:model_alive ~accused_key
       in
-      let impl_keys =
-        List.map Model.Store.record_key impl_report.Dht.accusations
+      let impl_records =
+        List.map
+          (fun a -> (Model.Store.pair_key a, Model.Store.drop_time a))
+          impl_report.Dht.accusations
       in
-      if not (List.equal String.equal impl_keys model_report.Model.Store.record_keys) then
+      let same (pair, time) (pair', time') = String.equal pair pair' && Float.equal time time' in
+      let records_to_string records =
+        String.concat ";" (List.map (fun (pair, time) -> Printf.sprintf "%s@%.17g" pair time) records)
+      in
+      if not (List.equal same impl_records model_report.Model.Store.records) then
         Some
           ( "dht",
             Printf.sprintf "get records: impl=[%s] model=[%s]"
-              (String.concat ";" impl_keys)
-              (String.concat ";" model_report.Model.Store.record_keys) )
+              (records_to_string impl_records)
+              (records_to_string model_report.Model.Store.records) )
       else if impl_report.Dht.replicas_read <> model_report.Model.Store.replicas_read then
         Some
           ( "dht",
@@ -354,25 +373,27 @@ let apply_op world ~mutation op =
         (fun detail -> ("stewardship", detail))
         (check_steward ~mutation ~route (judgments_of ~route judgments))
 
-let final_sweep world ~impl_m =
+let final_sweep world =
   let rec first_window win =
     if win >= world.nodes then None
     else
-      match check_window world ~impl_m ~win with
+      match check_window world ~win with
       | Some detail -> Some detail
       | None -> first_window (win + 1)
   in
   match first_window 0 with Some detail -> Some detail | None -> check_stores world
 
 let run ?mutation (schedule : Schedule.t) =
-  let world = build_world schedule in
   let impl_m =
-    match mutation with Some Window_accuse_strict -> world.m + 1 | _ -> world.m
+    match mutation with
+    | Some Window_accuse_strict -> schedule.Schedule.m + 1
+    | _ -> schedule.Schedule.m
   in
+  let world = build_world schedule ~impl_m in
   let rec step index ops =
     match ops with
     | [] -> (
-        match final_sweep world ~impl_m with
+        match final_sweep world with
         | Some detail -> Some { op_index = index; component = "final"; detail }
         | None -> None)
     | op :: rest -> (

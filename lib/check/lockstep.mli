@@ -6,8 +6,10 @@
     the accusation DHT next to its model store — then applies the
     operations to both sides in lockstep. Every operation is a quiescence
     point: the touched component's observable state (window lengths,
-    guilty counts and drop times; DHT reports, hop charges, per-node stored
-    counts; a revision walk's final target and exonerated hops) must agree
+    guilty counts, drop times and the drop times of the evidence an
+    accusation would carry; DHT reports, hop charges, per-node stored
+    counts, each read record's pair and primary drop time; a revision
+    walk's final target and exonerated hops) must agree
     exactly, floats included, since both sides consume identical inputs
     and perform no arithmetic on them. A final sweep re-checks every window
     and store. The first disagreement is returned as a {!divergence}.
@@ -17,8 +19,9 @@
     Each mutation reproduces a realistic bug in code [Protocol] runs
     (demanding strictly more than [m] guilty verdicts, ignoring crash
     faults in DHT liveness, trusting a withheld verdict during revision,
-    losing no records on replica loss) and must be caught and shrunk to a
-    replayable counterexample by the harness. *)
+    losing no records on replica loss, letting an older accusation
+    overwrite a newer one) and must be caught and shrunk to a replayable
+    counterexample by the harness. *)
 
 type mutation =
   | Window_accuse_strict
@@ -32,6 +35,9 @@ type mutation =
   | Dht_ignore_replica_loss
       (** skip {!Concilium_core.Dht.drop_replica}: a node that lost its
           store keeps serving it *)
+  | Dht_stale_overwrite
+      (** a put replaces the pair's stored record unconditionally, so a
+          delayed older accusation overwrites a newer one *)
 
 val mutation_name : mutation -> string
 val mutation_of_name : string -> mutation option

@@ -7,13 +7,17 @@ module Accusation = Concilium_core.Accusation
 module Stewardship = Concilium_core.Stewardship
 
 module Window = struct
-  type entry = { guilty : bool; blame : float; drop_time : float }
+  type entry = { guilty : bool; drop_time : float }
 
-  type t = { window_size : int; mutable entries : entry list (* oldest first *) }
+  type t = {
+    window_size : int;
+    mutable entries : entry list; (* oldest first *)
+    mutable guilty_times : float list; (* every guilty drop time, newest first *)
+  }
 
   let create ~window_size =
     if window_size <= 0 then invalid_arg "Model.Window.create: window_size must be positive";
-    { window_size; entries = [] }
+    { window_size; entries = []; guilty_times = [] }
 
   let record t entry =
     let appended = t.entries @ [ entry ] in
@@ -23,7 +27,8 @@ module Window = struct
     let rec drop n entries =
       match entries with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> entries
     in
-    t.entries <- drop overflow appended
+    t.entries <- drop overflow appended;
+    if entry.guilty then t.guilty_times <- entry.drop_time :: t.guilty_times
 
   let length t = List.length t.entries
 
@@ -32,10 +37,15 @@ module Window = struct
   let should_accuse t ~m = guilty_count t >= m
 
   let drop_times t = List.map (fun e -> e.drop_time) t.entries
+
+  let supporting t ~m =
+    match t.guilty_times with
+    | [] -> []
+    | _newest :: before -> List.rev (List.filteri (fun i _ -> i < m - 1) before)
 end
 
 module Store = struct
-  type stored = { node : int; record : string; dht_key : Id.t }
+  type stored = { node : int; dht_key : Id.t; pair : string; drop_time : float }
 
   type t = {
     pastry : Pastry.t;
@@ -47,17 +57,17 @@ module Store = struct
     if replication < 1 then invalid_arg "Model.Store.create: replication must be >= 1";
     { pastry; replication; contents = [] }
 
-  (* Re-derive the accused-key hash and the idempotence key from their
-     documented contracts rather than calling into [Dht], so a drift in
-     either derivation shows up as a divergence. *)
+  (* Re-derive the accused-key hash and the accuser|accused record key from
+     their documented contracts rather than calling into [Dht], so a drift
+     in either derivation shows up as a divergence. *)
   let key_of_public_key public_key =
     Id.of_name ("accusation-key|" ^ Pki.public_key_to_string public_key)
 
-  let record_key accusation =
+  let pair_key accusation =
     let body = Signed.payload accusation in
-    Printf.sprintf "%s|%s|%.6f" (Id.to_hex body.Accusation.accuser)
-      (Id.to_hex body.Accusation.accused)
-      body.Accusation.evidence.Accusation.drop_time
+    Printf.sprintf "%s|%s" (Id.to_hex body.Accusation.accuser) (Id.to_hex body.Accusation.accused)
+
+  let drop_time accusation = (Signed.payload accusation).Accusation.evidence.Accusation.drop_time
 
   let distance_to t ~key index = Id.ring_distance (Pastry.node t.pastry index).Pastry.id key
 
@@ -98,30 +108,36 @@ module Store = struct
 
   type put_report = { replicas_written : int; put_failed_over : bool; hops : int }
 
-  let holds t ~node ~record =
-    List.exists (fun s -> s.node = node && String.equal s.record record) t.contents
+  let same_record ~node ~dht_key ~pair s =
+    s.node = node && Id.equal s.dht_key dht_key && String.equal s.pair pair
 
+  (* Newest wins: an incoming record replaces the node's record of its
+     pair only with a strictly later drop time. *)
   let put t ~from ~alive ~copies ~accused_key accusation =
-    let key = key_of_public_key accused_key in
-    let record = record_key accusation in
-    let replicas = live_replicas t ~key ~alive in
+    let dht_key = key_of_public_key accused_key in
+    let pair = pair_key accusation in
+    let drop_time = drop_time accusation in
+    let replicas = live_replicas t ~key:dht_key ~alive in
     let hops = ref 0 in
     for _ = 1 to max 1 copies do
       List.iter
-        (fun replica ->
-          hops := !hops + route_hops t ~from ~target:replica;
-          if not (holds t ~node:replica ~record) then
-            t.contents <- { node = replica; record; dht_key = key } :: t.contents)
+        (fun node ->
+          hops := !hops + route_hops t ~from ~target:node;
+          let held = List.filter (same_record ~node ~dht_key ~pair) t.contents in
+          if List.for_all (fun s -> drop_time > s.drop_time) held then
+            t.contents <-
+              { node; dht_key; pair; drop_time }
+              :: List.filter (fun s -> not (same_record ~node ~dht_key ~pair s)) t.contents)
         replicas
     done;
     {
       replicas_written = List.length replicas;
-      put_failed_over = replicas <> [] && root_dead t ~key ~alive;
+      put_failed_over = replicas <> [] && root_dead t ~key:dht_key ~alive;
       hops = !hops;
     }
 
   type get_report = {
-    record_keys : string list;
+    records : (string * float) list;
     replicas_read : int;
     get_failed_over : bool;
     hops : int;
@@ -130,19 +146,21 @@ module Store = struct
   let get t ~from ~alive ~accused_key =
     let key = key_of_public_key accused_key in
     match live_replicas t ~key ~alive with
-    | [] -> { record_keys = []; replicas_read = 0; get_failed_over = false; hops = 0 }
+    | [] -> { records = []; replicas_read = 0; get_failed_over = false; hops = 0 }
     | (first :: _) as replicas ->
         let hops = route_hops t ~from ~target:first in
-        let merged =
-          List.filter
-            (fun s -> List.mem s.node replicas && Id.equal s.dht_key key)
-            t.contents
+        let held =
+          List.filter (fun s -> List.mem s.node replicas && Id.equal s.dht_key key) t.contents
         in
-        let record_keys =
-          List.sort_uniq String.compare (List.map (fun s -> s.record) merged)
+        (* Each pair once, at the latest drop time any live replica holds. *)
+        let pairs = List.sort_uniq String.compare (List.map (fun s -> s.pair) held) in
+        let newest pair =
+          List.fold_left
+            (fun acc s -> if String.equal s.pair pair then Float.max acc s.drop_time else acc)
+            Float.neg_infinity held
         in
         {
-          record_keys;
+          records = List.map (fun pair -> (pair, newest pair)) pairs;
           replicas_read = List.length replicas;
           get_failed_over = root_dead t ~key ~alive;
           hops;

@@ -21,7 +21,7 @@ module Stewardship = Concilium_core.Stewardship
 (** Reference sliding verdict window: a plain list, oldest first, truncated
     to the newest [window_size] on record. *)
 module Window : sig
-  type entry = { guilty : bool; blame : float; drop_time : float }
+  type entry = { guilty : bool; drop_time : float }
 
   type t
 
@@ -35,14 +35,23 @@ module Window : sig
 
   val drop_times : t -> float list
   (** Oldest first. *)
+
+  val supporting : t -> m:int -> float list
+  (** The drop times of the newest [m - 1] guilty verdicts ever recorded
+      before the newest guilty one, oldest first: whose evidence an
+      accusation filed now carries. *)
 end
 
 (** Reference accusation repository: replica placement re-derived by linear
     scan (root = node minimising ring distance to the key, then the root's
-    leaf-set members by distance), contents held as one flat association
-    list. Mirrors the {!Concilium_core.Dht} contract including failover
-    past dead candidates, idempotent duplicate deliveries and replica
-    loss. *)
+    leaf-set members by distance), contents held as one flat list of
+    (node, DHT key, accuser|accused, drop time) entries. Mirrors the
+    {!Concilium_core.Dht} contract including failover past dead
+    candidates, replica loss and the newest-wins rule: a node keeps one
+    record per (key, pair), replaced on put only by a strictly later drop
+    time (so duplicate deliveries are idempotent and a delayed older
+    accusation is ignored), and a get reports each pair at the latest drop
+    time any live replica holds. *)
 module Store : sig
   type t
 
@@ -64,7 +73,9 @@ module Store : sig
     put_report
 
   type get_report = {
-    record_keys : string list;  (** idempotence keys of the merged result, sorted *)
+    records : (string * float) list;
+        (** each accuser|accused pair of the merged result with its
+            primary drop time, in pair order *)
     replicas_read : int;
     get_failed_over : bool;
     hops : int;
@@ -76,9 +87,13 @@ module Store : sig
   val stored_count : t -> node:int -> int
   val total_records : t -> int
 
-  val record_key : Accusation.t -> string
-  (** The (accuser, accused, drop time) idempotence key, re-derived from the
-      documented contract. *)
+  val pair_key : Accusation.t -> string
+  (** The accuser|accused record key, re-derived from the documented
+      contract. *)
+
+  val drop_time : Accusation.t -> float
+  (** The primary evidence's drop time, which the newest-wins rule
+      compares. *)
 end
 
 (** Reference revision walk (paper Section 3.5) over one route's

@@ -6,7 +6,7 @@ type steward_target = Blame_next_hop | Blame_network | Next_hop_offline
 type steward_judgment = { target : steward_target; pushed : bool }
 
 type op =
-  | Win_record of { win : int; guilty : bool; blame : float; drop_time : float }
+  | Win_record of { win : int; guilty : bool; drop_time : float }
   | Dht_put of { from_node : int; accuser : int; accused : int; drop_time : float; copies : int }
   | Dht_get of { from_node : int; accused : int }
   | Dht_crash of { node : int }
@@ -35,10 +35,7 @@ let pick_pair rng ~nodes =
 
 let fresh_verdict rng ~win ~at =
   let guilty = Prng.bernoulli rng 0.6 in
-  let blame =
-    if guilty then 0.4 +. Prng.float rng 0.6 else Prng.float rng 0.4
-  in
-  Win_record { win; guilty; blame; drop_time = at }
+  Win_record { win; guilty; drop_time = at }
 
 (* What a steward holds against its next hop, in one of the shapes
    [Protocol] builds, or nothing (it never saw the message, or had nothing
@@ -106,13 +103,41 @@ let ops_of_fault rng ~nodes fault =
         (start +. duration, Dht_get { from_node = Prng.int rng nodes; accused = Prng.int rng nodes });
       ]
   | Chaos.Node_crash { node; start; duration } ->
+      (* A pair's accusation is re-filed while the node is down, so if the
+         node replicates the pair's key it misses the newer write and
+         serves the older record again once it is back; the read after the
+         restart must still return the newer one. *)
       let node = node mod nodes in
-      [ (start, Dht_crash { node }); (start +. duration, Dht_revive { node }) ]
+      let accuser, accused = pick_pair rng ~nodes in
+      let refiled = start +. (0.5 *. duration) in
+      let put at =
+        Dht_put { from_node = Prng.int rng nodes; accuser; accused; drop_time = at; copies = 1 }
+      in
+      [
+        (start, put start);
+        (start, Dht_crash { node });
+        (refiled, put refiled);
+        (start +. duration, Dht_revive { node });
+        (start +. duration, Dht_get { from_node = Prng.int rng nodes; accused });
+      ]
   | Chaos.Replica_loss { node; time } -> [ (time, Dht_drop_replica { node = node mod nodes }) ]
   | Chaos.Control_delay { start; duration; _ } ->
       (* Delayed control traffic: the judgment of a drop at [start] lands
-         once the delay has passed, still stamped with the drop time. *)
-      [ (start +. duration, fresh_verdict rng ~win:(Prng.int rng nodes) ~at:start) ]
+         once the delay has passed, still stamped with the drop time, and
+         so does the accusation filed on it, after a newer accusation of
+         the same pair went out undelayed; a read follows. *)
+      let verdict = (start +. duration, fresh_verdict rng ~win:(Prng.int rng nodes) ~at:start) in
+      let accuser, accused = pick_pair rng ~nodes in
+      let newer = start +. (0.5 *. duration) in
+      let put at =
+        Dht_put { from_node = Prng.int rng nodes; accuser; accused; drop_time = at; copies = 1 }
+      in
+      [
+        verdict;
+        (newer, put newer);
+        (start +. duration, put start);
+        (start +. duration, Dht_get { from_node = Prng.int rng nodes; accused });
+      ]
   | Chaos.Control_duplication { start; copies; _ } ->
       let accuser, accused = pick_pair rng ~nodes in
       [
@@ -146,7 +171,7 @@ let ops_of_adversary rng ~nodes adversary =
                  if Prng.bernoulli rng corroboration then
                    [
                      ( at +. 0.5,
-                       Win_record { win = m; guilty = false; blame = 0.1; drop_time = at +. 0.5 } );
+                       Win_record { win = m; guilty = false; drop_time = at +. 0.5 } );
                    ]
                  else []
                in
@@ -167,12 +192,7 @@ let ops_of_adversary rng ~nodes adversary =
       |> List.concat_map (fun r ->
              let r = wrap r in
              let at = start +. Prng.float rng (Float.max duration 1.) in
-             let vote =
-               ( at,
-                 Win_record
-                   { win = victim; guilty = true; blame = 0.5 +. Prng.float rng 0.5; drop_time = at }
-               )
-             in
+             let vote = (at, Win_record { win = victim; guilty = true; drop_time = at }) in
              if Prng.bernoulli rng corroboration then
                [
                  vote;
@@ -246,13 +266,12 @@ let steward_target_name = function
 let encode_op op =
   let open Json in
   match op with
-  | Win_record { win; guilty; blame; drop_time } ->
+  | Win_record { win; guilty; drop_time } ->
       Obj
         [
           ("op", String "win_record");
           ("win", Int win);
           ("guilty", Bool guilty);
-          ("blame", Float blame);
           ("drop_time", Float drop_time);
         ]
   | Dht_put { from_node; accuser; accused; drop_time; copies } ->
@@ -362,9 +381,8 @@ let decode_op ~nodes json =
   | Some "win_record" ->
       let* win = field_node "win" in
       let* guilty = field_bool json "guilty" in
-      let* blame = field_float json "blame" in
       let* drop_time = field_float json "drop_time" in
-      Ok (Win_record { win; guilty; blame; drop_time })
+      Ok (Win_record { win; guilty; drop_time })
   | Some "dht_put" ->
       let* from_node = field_node "from" in
       let* accuser = field_node "accuser" in
@@ -407,6 +425,7 @@ let decode json =
      put needs two nodes besides its accuser and accused. *)
   if nodes < 4 then Error "schedule needs at least four nodes"
   else if window_size < 1 then Error "window_size must be positive"
+  else if m < 1 then Error "m must be positive"
   else if replication < 1 then Error "replication must be positive"
   else
     let* ops = Result.bind (field_list json "ops") (decode_all "ops" (decode_op ~nodes)) in

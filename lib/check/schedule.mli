@@ -12,8 +12,11 @@
     {!generate} draws the operation stream from the chaos DSL: a fault plan
     is sampled with {!Concilium_netsim.Chaos.sample} and each fault family
     is translated into the protocol-level operations it would provoke
-    (flaps become verdicts, crashes toggle liveness, replica losses drop
-    stores, control duplication re-delivers puts...). Collusion campaigns
+    (flaps become verdicts, crashes toggle liveness while a pair's
+    accusation is re-filed and read back after the restart, replica
+    losses drop stores, control delay lands a pair's older accusation
+    after its newer one, control duplication re-delivers puts...).
+    Collusion campaigns
     end with a message lost inside the coalition, whose members withhold
     their verdicts: a withheld verdict right behind a blamed hop is the
     edge the revision walk must not walk past. *)
@@ -25,7 +28,7 @@ type steward_target = Blame_next_hop | Blame_network | Next_hop_offline
 type steward_judgment = { target : steward_target; pushed : bool }
 
 type op =
-  | Win_record of { win : int; guilty : bool; blame : float; drop_time : float }
+  | Win_record of { win : int; guilty : bool; drop_time : float }
   | Dht_put of { from_node : int; accuser : int; accused : int; drop_time : float; copies : int }
   | Dht_get of { from_node : int; accused : int }
   | Dht_crash of { node : int }

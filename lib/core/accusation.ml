@@ -2,6 +2,10 @@ module Id = Concilium_overlay.Id
 module Signed = Concilium_crypto.Signed
 module Pki = Concilium_crypto.Pki
 
+(* The paper's m (Section 4.3): guilty verdicts of one window behind a
+   formal accusation, the judged one and m - 1 supporting. *)
+let m = 6
+
 type vote = {
   prober : Id.t;
   prober_key : Pki.public_key;
@@ -89,6 +93,7 @@ let pieces b =
 type archived = { archived : evidence; serialized : string Lazy.t }
 
 let archive evidence = { archived = evidence; serialized = lazy (serialize_evidence evidence) }
+let evidence_of a = a.archived
 
 (* Votes grouped per path link, excluding the accused's own contributions,
    folded through the judge's own Equation 3. *)
@@ -133,6 +138,13 @@ type rejection =
   | Blame_mismatch
   | Below_threshold
   | Weak_supporting_evidence
+  | Wrong_supporting_count
+  | Supporting_commitment_mismatch
+  | Repeated_message
+
+let distinct_messages evidence =
+  let ids = List.map (fun e -> (Signed.payload e.commitment).Commitment.message_id) evidence in
+  List.compare_lengths (List.sort_uniq String.compare ids) ids = 0
 
 let verify pki t =
   let b = Signed.payload t in
@@ -159,8 +171,17 @@ let verify pki t =
         && compute_blame ~accused:b.accused ~config:b.config extra
            >= b.config.Blame.guilt_threshold
       in
-      if List.for_all supporting_ok b.supporting then Ok ()
-      else Error Weak_supporting_evidence
+      let names_accused extra =
+        Commitment.verify pki extra.commitment
+        && Id.equal (Signed.payload extra.commitment).Commitment.forwarder b.accused
+      in
+      if not (List.for_all supporting_ok b.supporting) then Error Weak_supporting_evidence
+      else if List.compare_length_with b.supporting (m - 1) <> 0 then
+        Error Wrong_supporting_count
+      else if not (List.for_all names_accused b.supporting) then
+        Error Supporting_commitment_mismatch
+      else if not (distinct_messages (e :: b.supporting)) then Error Repeated_message
+      else Ok ()
     end
   end
 
@@ -173,4 +194,8 @@ let pp_rejection fmt rejection =
     | Bad_vote_signature -> "a probe vote carries an invalid signature"
     | Blame_mismatch -> "recomputed blame disagrees with the claimed value"
     | Below_threshold -> "evidence does not reach the guilt threshold"
-    | Weak_supporting_evidence -> "a piece of supporting evidence fails verification")
+    | Weak_supporting_evidence -> "a piece of supporting evidence fails verification"
+    | Wrong_supporting_count -> "supporting evidence is not exactly m - 1 pieces"
+    | Supporting_commitment_mismatch ->
+        "a supporting commitment is invalid or does not name the accused as forwarder"
+    | Repeated_message -> "two pieces of evidence judge the same dropped message")

@@ -13,6 +13,12 @@ module Id = Concilium_overlay.Id
 module Signed = Concilium_crypto.Signed
 module Pki = Concilium_crypto.Pki
 
+val m : int
+(** The paper's m = 6 (Section 4.3): a judge accuses once m of its last w
+    verdicts against a peer are guilty, so an accusation carries m pieces
+    of evidence, the judged one and m - 1 supporting. [Protocol]'s
+    verdict windows and {!verify} both read this one constant. *)
+
 type vote = {
   prober : Id.t;
   prober_key : Pki.public_key;
@@ -52,9 +58,11 @@ type body = {
   config : Blame.config;
   evidence : evidence;
   supporting : evidence list;
-      (** the archived evidence behind the *other* guilty verdicts in the
-          accuser's window — the paper requires the accusation to carry
-          "all of the signed tomographic data" used for its assessments *)
+      (** the archived evidence behind the m - 1 guilty verdicts before
+          the judged one in the accuser's window, oldest first: with the
+          judged one, the m guilty verdicts the accusation rests on. The
+          paper requires the accusation to carry "all of the signed
+          tomographic data" used for its assessments. *)
 }
 
 type t = body Signed.t
@@ -79,9 +87,10 @@ val make :
 type archived
 (** Evidence as a verdict window archives it: the record plus its
     serialization, computed the first time an accusation carries it and
-    reused by every later one. *)
+    reused by the later ones (up to m accusations carry each piece). *)
 
 val archive : evidence -> archived
+val evidence_of : archived -> evidence
 
 val make_archived :
   accuser:Id.t ->
@@ -108,11 +117,22 @@ type rejection =
   | Weak_supporting_evidence
       (** a piece of supporting evidence fails its own vote-signature or
           threshold check *)
+  | Wrong_supporting_count  (** supporting evidence is not exactly m - 1 pieces *)
+  | Supporting_commitment_mismatch
+      (** a supporting piece's commitment does not verify or does not name
+          the accused as forwarder *)
+  | Repeated_message
+      (** two of the m pieces share a commitment message id: they judge
+          one dropped message, not m *)
 
 val verify : Pki.t -> t -> (unit, rejection) result
-(** Full third-party check, in the order listed by {!rejection}; every
+(** Full third-party check, in the order listed by {!rejection}: every
     piece of supporting evidence must independently clear the guilt
-    threshold under recomputation. *)
+    threshold under recomputation, there must be exactly m - 1 of them,
+    each backed by a valid commitment of the accused, and the m pieces
+    must judge m distinct dropped messages. Distinct messages are told
+    apart by message id rather than drop time, since a verdict counts
+    messages and two drops can share a virtual time. *)
 
 val pieces : body -> string list
 (** The signed serialization of a body, in the pieces its signature hashes

@@ -4,12 +4,12 @@ module Pastry = Concilium_overlay.Pastry
 module Pki = Concilium_crypto.Pki
 module Signed = Concilium_crypto.Signed
 
-type record_key = string (* accuser|accused|drop_time: idempotence key *)
-
+(* Each node's store: DHT key, then accuser|accused, to the newest record
+   of that pair. *)
 type t = {
   pastry : Pastry.t;
   replication : int;
-  stores : (record_key, Id.t * Accusation.t) Hashtbl.t array; (* per node: dht key + record *)
+  stores : (Id.t, (string, Accusation.t) Hashtbl.t) Hashtbl.t array;
 }
 
 let create ~pastry ~replication =
@@ -53,11 +53,21 @@ let replica_nodes t ~key = take t.replication (replica_candidates t ~key)
 let live_replicas t ~key ~alive =
   take t.replication (List.filter alive (replica_candidates t ~key))
 
-let record_key accusation =
+let pair_key accusation =
   let body = Signed.payload accusation in
-  Printf.sprintf "%s|%s|%.6f" (Id.to_hex body.Accusation.accuser)
-    (Id.to_hex body.Accusation.accused)
-    body.Accusation.evidence.Accusation.drop_time
+  Id.to_hex body.Accusation.accuser ^ "|" ^ Id.to_hex body.Accusation.accused
+
+let drop_time accusation = (Signed.payload accusation).Accusation.evidence.Accusation.drop_time
+
+let newest_wins ~incoming ~stored = Float.compare (drop_time incoming) (drop_time stored) > 0
+
+(* The newest-wins rule, for a put's replica and a get's merge alike: a
+   record replaces the pair's stored one only with a later primary drop
+   time, so an equal one (a duplicate delivery) leaves it in place. *)
+let keep ~supersedes records pair incoming =
+  match Hashtbl.find_opt records pair with
+  | Some stored when not (supersedes ~incoming ~stored) -> ()
+  | Some _ | None -> Hashtbl.replace records pair incoming
 
 let route_hops t ~from ~target =
   let dest = (Pastry.node t.pastry target).Pastry.id in
@@ -77,20 +87,30 @@ type get_report = {
 let root_dead t ~key ~alive =
   match replica_candidates t ~key with [] -> false | root :: _ -> not (alive root)
 
-let put t ~from ?(alive = fun _ -> true) ?(copies = 1) ~accused_key accusation ~hops =
+let put_with ~supersedes t ~from ?(alive = fun _ -> true) ?(copies = 1) ~accused_key accusation
+    ~hops =
   let key = key_of_public_key accused_key in
-  let record = record_key accusation in
+  let pair = pair_key accusation in
   (* Failover: when the root (or any closer replica) is dead, the write
      lands on the next-closest live candidates so [replication] surviving
      copies exist whenever enough of the leaf set is up. Each duplicated
-     delivery re-pays routing hops but is absorbed by the idempotence
-     key. *)
+     delivery re-pays routing hops and is absorbed by the newest-wins
+     rule. *)
   let replicas = live_replicas t ~key ~alive in
   for _ = 1 to max 1 copies do
     List.iter
       (fun replica ->
         hops := !hops + route_hops t ~from ~target:replica;
-        Hashtbl.replace t.stores.(replica) record (key, accusation))
+        let store = t.stores.(replica) in
+        let records =
+          match Hashtbl.find_opt store key with
+          | Some records -> records
+          | None ->
+              let records = Hashtbl.create 4 in
+              Hashtbl.replace store key records;
+              records
+        in
+        keep ~supersedes records pair accusation)
       replicas
   done;
   {
@@ -98,23 +118,27 @@ let put t ~from ?(alive = fun _ -> true) ?(copies = 1) ~accused_key accusation ~
     put_failed_over = replicas <> [] && root_dead t ~key ~alive;
   }
 
+let put = put_with ~supersedes:newest_wins
+
 let get t ~from ?(alive = fun _ -> true) ~accused_key ~hops () =
   let key = key_of_public_key accused_key in
   match live_replicas t ~key ~alive with
   | [] -> { accusations = []; replicas_read = 0; get_failed_over = false }
   | (first :: _) as replicas ->
       hops := !hops + route_hops t ~from ~target:first;
-      (* Merge across the surviving replicas: a replica that lost its store
-         (or missed a write while down) degrades the read only if every
-         survivor lost the record. The store is keyed by idempotence
-         record; sorting on it makes the result hash-seed-independent. *)
+      (* Merge across the surviving replicas, newest record per pair: a
+         replica that lost its store, or missed a newer write while down,
+         degrades the read only if every survivor did. Sorting on the pair
+         makes the result hash-seed-independent. *)
       let merged = Hashtbl.create 8 in
-      let stash record (stored_key, accusation) =
-        if Id.equal stored_key key then Hashtbl.replace merged record accusation
-      in
-      List.iter (fun replica -> Hashtbl.iter stash t.stores.(replica)) replicas;
+      List.iter
+        (fun replica ->
+          match Hashtbl.find_opt t.stores.(replica) key with
+          | Some records -> Hashtbl.iter (keep ~supersedes:newest_wins merged) records
+          | None -> ())
+        replicas;
       let accusations =
-        Hashtbl.fold (fun record accusation acc -> (record, accusation) :: acc) merged []
+        Hashtbl.fold (fun pair accusation acc -> (pair, accusation) :: acc) merged []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
         |> List.map snd
       in
@@ -126,7 +150,13 @@ let get t ~from ?(alive = fun _ -> true) ~accused_key ~hops () =
 
 let drop_replica t ~node = Hashtbl.reset t.stores.(node)
 
-let stored_count t ~node = Hashtbl.length t.stores.(node)
+let stored_count t ~node =
+  (* A sum: the order of the fold does not matter.  lint: allow hashtbl-order *)
+  Hashtbl.fold (fun _ records acc -> acc + Hashtbl.length records) t.stores.(node) 0
 
 let total_records t =
-  Array.fold_left (fun acc store -> acc + Hashtbl.length store) 0 t.stores
+  let total = ref 0 in
+  for node = 0 to Array.length t.stores - 1 do
+    total := !total + stored_count t ~node
+  done;
+  !total

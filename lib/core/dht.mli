@@ -46,8 +46,12 @@ val put :
   hops:int ref ->
   put_report
 (** Route the accusation from node [from] to every replica of the accused's
-    key, storing it there; duplicate accusations (same accuser, accused,
-    drop time) are idempotent. [hops] accumulates overlay hops consumed.
+    key and store it there. Each replica keeps one record per (accuser,
+    accused) pair, the one with the latest primary drop time: a newer
+    accusation replaces the pair's record, an older one is ignored, and a
+    duplicate (same accuser, accused and drop time) leaves the stored
+    record in place, so it is idempotent. [hops] accumulates overlay hops
+    consumed.
 
     [alive] (default: everyone) filters the replica set: dead candidates
     are skipped and the write fails over to the next-closest live leaf-set
@@ -56,6 +60,23 @@ val put :
     whole put is delivered that many times — hops are re-paid, stored state
     is unchanged (idempotence). The report says how many live replicas
     absorbed the write and whether it failed over past a dead root. *)
+
+val put_with :
+  supersedes:(incoming:Accusation.t -> stored:Accusation.t -> bool) ->
+  t ->
+  from:int ->
+  ?alive:(int -> bool) ->
+  ?copies:int ->
+  accused_key:Pki.public_key ->
+  Accusation.t ->
+  hops:int ref ->
+  put_report
+(** {!put} with its replacement rule as an argument: {!put} is
+    [put_with ~supersedes:newest_wins]. The lockstep checker's
+    [dht-stale-overwrite] canary passes a rule that always replaces. *)
+
+val newest_wins : incoming:Accusation.t -> stored:Accusation.t -> bool
+(** Whether [incoming]'s primary drop time is later than [stored]'s. *)
 
 val get :
   t ->
@@ -66,15 +87,19 @@ val get :
   unit ->
   get_report
 (** Fetch accusations for a public key, merged across the live replicas
-    ([alive] defaults to everyone): a replica that lost its store degrades
-    the read only if every survivor lost the record too. Hops are metered
-    to the closest live replica. *)
+    ([alive] defaults to everyone): one per (accuser, accused) pair, the
+    one with the latest primary drop time any live replica holds (on a
+    tie, the first replica's, root first), in pair order. A replica that
+    lost its store, or missed a newer write while down, degrades the read
+    only if every survivor did too. A get reads only its key's records.
+    Hops are metered to the closest live replica. *)
 
 val drop_replica : t -> node:int -> unit
 (** The node loses its entire store (disk loss, chaos injection). Later
     puts repopulate it; reads fail over to surviving replicas. *)
 
 val stored_count : t -> node:int -> int
-(** Number of records a node holds (for storage-balance checks). *)
+(** Number of records a node holds, one per (accuser, accused) pair of
+    each key it stores (for storage-balance checks). *)
 
 val total_records : t -> int

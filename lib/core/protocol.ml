@@ -38,13 +38,12 @@ let default_config =
     validation_gamma_jump = 1.3;
   }
 
-(* The paper's parameters (Section 4): verdict windows of w entries, m
-   guilty verdicts before a formal accusation, lightweight probe
-   inter-arrivals uniform in [0, max_probe_time], DHT replicas per
-   accusation key, and heavyweight bursts of striped rounds recording a
-   link down above the loss threshold. *)
+(* The paper's parameters (Section 4): verdict windows of w entries (the
+   m guilty verdicts before a formal accusation are [Accusation.m]),
+   lightweight probe inter-arrivals uniform in [0, max_probe_time], DHT
+   replicas per accusation key, and heavyweight bursts of striped rounds
+   recording a link down above the loss threshold. *)
 let window_size = 100
-let accusation_m = 6
 let max_probe_time = 120.
 let dht_replication = 4
 let heavyweight_rounds = 50
@@ -551,7 +550,7 @@ let window_for t ~judge ~suspect =
   match Hashtbl.find_opt t.windows (judge, suspect) with
   | Some w -> w
   | None ->
-      let w = Verdict_window.create ~window_size in
+      let w = Verdict_window.create ~window_size ~m:Accusation.m in
       Hashtbl.replace t.windows (judge, suspect) w;
       w
 
@@ -642,7 +641,7 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
     Hashtbl.replace t.prov_verdicts (judge, suspect, Int64.bits_of_float drop_time) vnode;
   let window = window_for t ~judge ~suspect in
   let archived = Accusation.archive evidence in
-  Verdict_window.record window { Verdict_window.verdict; blame; drop_time; evidence = archived };
+  Verdict_window.record window verdict ~drop_time archived;
   Metrics.observe metrics "verdict_window.occupancy"
     (float_of_int (Verdict_window.length window));
   (match verdict with
@@ -658,19 +657,11 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
     "episode.verdict";
   if
     (match verdict with Blame.Guilty -> true | Blame.Innocent -> false)
-    && Verdict_window.should_accuse window ~m:accusation_m
+    && Verdict_window.should_accuse window
   then begin
-    (* The formal statement carries the archived evidence of every other
-       guilty verdict in the window (the newest IS the primary evidence). *)
-    let supporting =
-      List.filter_map
-        (fun entry ->
-          (* Identity (not structural) comparison is the point: exclude the
-             exact evidence value being filed.  lint: allow physical-equality *)
-          if entry.Verdict_window.evidence == archived then None
-          else Some entry.Verdict_window.evidence)
-        (Verdict_window.guilty_entries window)
-    in
+    (* The formal statement carries the archived evidence of the m - 1
+       guilty verdicts before this one (whose evidence is the primary). *)
+    let supporting = Verdict_window.supporting window in
     match
       Accusation.make_archived
         ~accuser:(World.id_of t.world judge)
@@ -712,25 +703,21 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
             "dht.put.failover"
         end;
         if Prov.enabled prov then begin
-          (* The formal accusation cites the primary verdict plus every
-             other guilty verdict in the window whose node is still known
-             (a judgment can predate provenance recording), and any DHT
-             failover its publication took. *)
+          (* The formal accusation cites the primary verdict plus each
+             verdict whose evidence it carries as supporting, when its node
+             is still known (a judgment can predate provenance recording),
+             and any DHT failover its publication took. *)
           let anode = Prov.accusation prov ~accuser:judge ~accused:suspect ~blame ~time:drop_time in
           Prov.edge prov ~parent:anode ~child:vnode;
           List.iter
-            (fun entry ->
-              (* Skip the evidence value being filed, by identity, exactly
-                 as the [supporting] filter above.  lint: allow physical-equality *)
-              if not (entry.Verdict_window.evidence == archived) then begin
-                match
-                  Hashtbl.find_opt t.prov_verdicts
-                    (judge, suspect, Int64.bits_of_float entry.Verdict_window.drop_time)
-                with
-                | Some supporting_node -> Prov.edge prov ~parent:anode ~child:supporting_node
-                | None -> ()
-              end)
-            (Verdict_window.guilty_entries window);
+            (fun piece ->
+              let drop_time = (Accusation.evidence_of piece).Accusation.drop_time in
+              match
+                Hashtbl.find_opt t.prov_verdicts (judge, suspect, Int64.bits_of_float drop_time)
+              with
+              | Some supporting_node -> Prov.edge prov ~parent:anode ~child:supporting_node
+              | None -> ())
+            supporting;
           if report.Dht.put_failed_over then
             Prov.edge prov ~parent:anode
               ~child:(Prov.failover prov ~kind:Prov.Dht_put ~node:judge ~time)

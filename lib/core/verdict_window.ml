@@ -1,26 +1,37 @@
 module Ring_buffer = Concilium_util.Ring_buffer
 
-type 'evidence entry = {
-  verdict : Blame.verdict;
-  blame : float;
-  drop_time : float;
-  evidence : 'evidence;
+type 'evidence t = {
+  m : int;
+  slots : (Blame.verdict * float) Ring_buffer.t; (* verdict, drop time *)
+  mutable guilty : int;
+  evidence : 'evidence Ring_buffer.t; (* of the newest m guilty verdicts *)
 }
 
-type 'evidence t = 'evidence entry Ring_buffer.t
+let create ~window_size ~m =
+  {
+    m;
+    slots = Ring_buffer.create window_size;
+    guilty = 0;
+    evidence = Ring_buffer.create m;
+  }
 
-let create ~window_size = Ring_buffer.create window_size
-let record t entry = ignore (Ring_buffer.push t entry)
-let length = Ring_buffer.length
+let record t verdict ~drop_time evidence =
+  (match Ring_buffer.push t.slots (verdict, drop_time) with
+  | Some (Blame.Guilty, _) -> t.guilty <- t.guilty - 1
+  | Some (Blame.Innocent, _) | None -> ());
+  match verdict with
+  | Blame.Guilty ->
+      t.guilty <- t.guilty + 1;
+      ignore (Ring_buffer.push t.evidence evidence)
+  | Blame.Innocent -> ()
 
-let guilty_count t =
-  Ring_buffer.count (fun e -> match e.verdict with Blame.Guilty -> true | Blame.Innocent -> false) t
+let length t = Ring_buffer.length t.slots
+let guilty_count t = t.guilty
+let should_accuse t = t.guilty >= t.m
+let entries t = Ring_buffer.to_list t.slots
 
-let entries = Ring_buffer.to_list
+let supporting t =
+  let rec all_but_last = function [] | [ _ ] -> [] | x :: rest -> x :: all_but_last rest in
+  all_but_last (Ring_buffer.to_list t.evidence)
 
-let guilty_entries t =
-  List.filter
-    (fun e -> match e.verdict with Blame.Guilty -> true | Blame.Innocent -> false)
-    (entries t)
-
-let should_accuse t ~m = guilty_count t >= m
+let evidence_held t = Ring_buffer.length t.evidence

@@ -156,6 +156,11 @@ let test_schedule_rejects_bad_node_indices () =
         Json.List [ Json.Int 0; Json.Int (-2); Json.Int 1 ],
         "route[1]: hop = -2" );
     ];
+  (* Each verdict window keeps a ring of the evidence of its newest m
+     guilty verdicts. *)
+  (match Schedule.decode (Schedule.encode { (Schedule.with_ops schedule []) with Schedule.m = 0 }) with
+  | Ok _ -> Alcotest.fail "decoded m = 0"
+  | Error message -> check Alcotest.string "m = 0" "m must be positive" message);
   (* A put signs its accusation with the votes of two more nodes. *)
   let three_nodes = Schedule.encode { (Schedule.with_ops schedule []) with Schedule.nodes = 3 } in
   match Schedule.decode three_nodes with

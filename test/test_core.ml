@@ -208,55 +208,81 @@ let prop_select_matches_oracles =
 
 (* ---------- Verdict window ---------- *)
 
-let entry verdict blame =
-  { Verdict_window.verdict; blame; drop_time = 0.; evidence = () }
-
 let test_verdict_window_counting () =
-  let w = Verdict_window.create ~window_size:3 in
-  Verdict_window.record w (entry Blame.Guilty 0.9);
-  Verdict_window.record w (entry Blame.Innocent 0.1);
-  Verdict_window.record w (entry Blame.Guilty 0.8);
+  (* The same verdicts in a window escalating at m = 2 and one at m = 3. *)
+  let w = Verdict_window.create ~window_size:3 ~m:2 in
+  let w3 = Verdict_window.create ~window_size:3 ~m:3 in
+  let record verdict =
+    Verdict_window.record w verdict ~drop_time:0. ();
+    Verdict_window.record w3 verdict ~drop_time:0. ()
+  in
+  record Blame.Guilty;
+  record Blame.Innocent;
+  record Blame.Guilty;
   check Alcotest.int "guilty count" 2 (Verdict_window.guilty_count w);
-  check Alcotest.bool "accuse at m=2" true (Verdict_window.should_accuse w ~m:2);
-  check Alcotest.bool "not at m=3" false (Verdict_window.should_accuse w ~m:3);
+  check Alcotest.bool "accuse at m=2" true (Verdict_window.should_accuse w);
+  check Alcotest.bool "not at m=3" false (Verdict_window.should_accuse w3);
   (* Sliding: a fourth verdict evicts the first guilty one. *)
-  Verdict_window.record w (entry Blame.Innocent 0.2);
+  record Blame.Innocent;
   check Alcotest.int "slid" 1 (Verdict_window.guilty_count w);
   check Alcotest.int "length capped" 3 (Verdict_window.length w)
 
 (* Reference model for the window: a plain list of (verdict, drop_time),
    oldest first, truncated to the last [window_size] on push. The real
-   structure must agree after any sequence of pushes. *)
+   structure must agree after any sequence of pushes, for each m. *)
 let prop_verdict_window_matches_list_model =
   QCheck.Test.make ~name:"window matches naive list model under pushes" ~count:300
     QCheck.(pair (int_range 1 8) (small_list (pair bool (int_bound 50))))
     (fun (window_size, pushes) ->
-      let w = Verdict_window.create ~window_size in
+      let windows = List.map (fun m -> (m, Verdict_window.create ~window_size ~m)) [ 1; 2; 3 ] in
       let model = ref [] in
       List.iter
         (fun (guilty, t) ->
           let time = float_of_int t in
           let verdict = if guilty then Blame.Guilty else Blame.Innocent in
-          Verdict_window.record w
-            { Verdict_window.verdict; blame = 0.5; drop_time = time; evidence = () };
+          List.iter (fun (_, w) -> Verdict_window.record w verdict ~drop_time:time ()) windows;
           model := !model @ [ (verdict, time) ];
           let excess = List.length !model - window_size in
           if excess > 0 then model := List.filteri (fun i _ -> i >= excess) !model)
         pushes;
-      let actual =
-        List.map
-          (fun e -> (e.Verdict_window.verdict, e.Verdict_window.drop_time))
-          (Verdict_window.entries w)
-      in
       let model_guilty =
         List.length (List.filter (fun (v, _) -> v = Blame.Guilty) !model)
       in
-      actual = !model
-      && Verdict_window.length w = List.length !model
-      && Verdict_window.guilty_count w = model_guilty
-      && List.for_all
-           (fun m -> Verdict_window.should_accuse w ~m = (model_guilty >= m))
-           [ 1; 2; 3 ])
+      List.for_all
+        (fun (m, w) ->
+          Verdict_window.entries w = !model
+          && Verdict_window.length w = List.length !model
+          && Verdict_window.guilty_count w = model_guilty
+          && Verdict_window.should_accuse w = (model_guilty >= m))
+        windows)
+
+(* The evidence a window keeps, against the list of every verdict ever
+   recorded: after each record, the supporting evidence is the newest
+   m - 1 guilty pieces before the newest guilty verdict (oldest first), no
+   innocent verdict's evidence is ever returned, and at most m pieces are
+   held. Each verdict's evidence is its position in the sequence. *)
+let prop_verdict_window_keeps_newest_guilty_evidence =
+  QCheck.Test.make ~name:"window keeps the newest m guilty verdicts' evidence" ~count:300
+    QCheck.(triple (int_range 1 8) (int_range 1 8) (small_list bool))
+    (fun (window_size, m, verdicts) ->
+      let w = Verdict_window.create ~window_size ~m in
+      let guilty_so_far = ref [] (* newest first *) in
+      List.for_all
+        (fun (position, guilty) ->
+          Verdict_window.record w
+            (if guilty then Blame.Guilty else Blame.Innocent)
+            ~drop_time:(float_of_int position) position;
+          if guilty then guilty_so_far := position :: !guilty_so_far;
+          let expected =
+            match !guilty_so_far with
+            | [] -> []
+            | _newest :: before -> List.rev (List.filteri (fun i _ -> i < m - 1) before)
+          in
+          let supporting = Verdict_window.supporting w in
+          supporting = expected
+          && List.for_all (fun p -> List.mem p !guilty_so_far) supporting
+          && Verdict_window.evidence_held w <= m)
+        (List.mapi (fun position guilty -> (position, guilty)) verdicts))
 
 (* ---------- Accusation model ---------- *)
 
@@ -325,6 +351,23 @@ let accusation_fixture () =
   in
   (pki, alice, bob, evidence)
 
+(* [count] more guilty drops of distinct messages that Bob committed to
+   carry, ten seconds apart after the fixture's: the supporting evidence
+   of an accusation (m - 1 pieces by default). *)
+let supporting_drops ?(count = Accusation.m - 1) bob evidence =
+  List.init count (fun i ->
+      let drop_time = 110. +. (10. *. float_of_int i) in
+      let sender = (Signed.payload evidence.Accusation.commitment).Commitment.sender in
+      {
+        evidence with
+        Accusation.drop_time;
+        commitment =
+          Commitment.issue ~forwarder:bob.id ~secret:bob.secret ~public:bob.key ~sender
+            ~destination:sender
+            ~message_id:(Printf.sprintf "m%d" (i + 2))
+            ~now:(drop_time -. 1.);
+      })
+
 let test_commitment_verify_and_covers () =
   let pki, alice, bob, evidence = accusation_fixture () in
   let commitment = evidence.Accusation.commitment in
@@ -340,7 +383,7 @@ let test_accusation_roundtrip () =
   let pki, alice, bob, evidence = accusation_fixture () in
   let accusation =
     Accusation.make ~accuser:alice.id ~secret:alice.secret ~public:alice.key ~accused:bob.id
-      ~config:Blame.paper_config ~evidence ~supporting:[] ~now:101.
+      ~config:Blame.paper_config ~evidence ~supporting:(supporting_drops bob evidence) ~now:101.
   in
   (* All votes say "up": blame = 1 - (1 - a) = 0.9. *)
   checkf 1e-9 "blame" 0.9 (Signed.payload accusation).Accusation.blame;
@@ -532,6 +575,94 @@ let test_dht_replicas_distinct () =
   let replicas = Dht.replica_nodes dht ~key in
   check Alcotest.int "replication factor" 3 (List.length replicas);
   check Alcotest.int "distinct" 3 (List.length (List.sort_uniq Int.compare replicas))
+
+(* Alice's accusation of Bob over the fixture's evidence, dropped at
+   [drop_time]. *)
+let accusation_at drop_time =
+  let _, alice, bob, evidence = accusation_fixture () in
+  Accusation.make ~accuser:alice.id ~secret:alice.secret ~public:alice.key ~accused:bob.id
+    ~config:Blame.paper_config
+    ~evidence:{ evidence with Accusation.drop_time }
+    ~supporting:[] ~now:(drop_time +. 1.)
+
+let primary_drop_times (report : Dht.get_report) =
+  List.map
+    (fun a -> (Signed.payload a).Accusation.evidence.Accusation.drop_time)
+    report.Dht.accusations
+
+let drop_times_testable = Alcotest.(list (float 0.))
+
+let test_dht_newer_replaces_older () =
+  let dht = dht_fixture () in
+  let accused_key = Pki.public_key_of_string "bobs-public-key" in
+  let hops = ref 0 in
+  ignore (Dht.put dht ~from:0 ~accused_key (accusation_at 100.) ~hops : Dht.put_report);
+  ignore (Dht.put dht ~from:3 ~accused_key (accusation_at 200.) ~hops : Dht.put_report);
+  check Alcotest.int "one record per replica" 3 (Dht.total_records dht);
+  check drop_times_testable "the newer accusation" [ 200. ]
+    (primary_drop_times (Dht.get dht ~from:9 ~accused_key ~hops ()))
+
+let test_dht_older_put_ignored () =
+  let dht = dht_fixture () in
+  let accused_key = Pki.public_key_of_string "bobs-public-key" in
+  let hops = ref 0 in
+  ignore (Dht.put dht ~from:0 ~accused_key (accusation_at 200.) ~hops : Dht.put_report);
+  (* A control-delayed filing of an earlier drop arrives late. *)
+  ignore (Dht.put dht ~from:3 ~accused_key (accusation_at 100.) ~hops : Dht.put_report);
+  check Alcotest.int "one record per replica" 3 (Dht.total_records dht);
+  check drop_times_testable "the newer accusation stays" [ 200. ]
+    (primary_drop_times (Dht.get dht ~from:9 ~accused_key ~hops ()))
+
+let test_dht_copies_idempotent () =
+  let dht = dht_fixture () in
+  let accused_key = Pki.public_key_of_string "bobs-public-key" in
+  let hops = ref 0 in
+  let accusation = accusation_at 100. in
+  ignore (Dht.put dht ~from:0 ~copies:3 ~accused_key accusation ~hops : Dht.put_report);
+  check Alcotest.int "three copies, one record per replica" 3 (Dht.total_records dht);
+  (* An equal drop time leaves the stored record in place. *)
+  ignore (Dht.put dht ~from:5 ~copies:2 ~accused_key (accusation_at 100.) ~hops : Dht.put_report);
+  check Alcotest.int "duplicates absorbed" 3 (Dht.total_records dht);
+  match (Dht.get dht ~from:9 ~accused_key ~hops ()).Dht.accusations with
+  | [ stored ] ->
+      check Alcotest.string "the first copy stays"
+        (Pki.signature_to_string accusation.Signed.signature)
+        (Pki.signature_to_string stored.Signed.signature)
+  | stored -> Alcotest.failf "expected one accusation, got %d" (List.length stored)
+
+let test_dht_merge_prefers_newer () =
+  let dht = dht_fixture () in
+  let accused_key = Pki.public_key_of_string "bobs-public-key" in
+  let key = Dht.key_of_public_key accused_key in
+  let root =
+    match Dht.replica_nodes dht ~key with
+    | root :: _ -> root
+    | [] -> Alcotest.fail "no replicas"
+  in
+  let hops = ref 0 in
+  ignore (Dht.put dht ~from:0 ~accused_key (accusation_at 100.) ~hops : Dht.put_report);
+  (* The root is down for the newer filing and keeps the older record. *)
+  let alive node = node <> root in
+  ignore (Dht.put dht ~from:0 ~alive ~accused_key (accusation_at 200.) ~hops : Dht.put_report);
+  check Alcotest.int "the root still holds one record" 1 (Dht.stored_count dht ~node:root);
+  check drop_times_testable "back up, the merged read returns the newer" [ 200. ]
+    (primary_drop_times (Dht.get dht ~from:9 ~accused_key ~hops ()))
+
+let test_dht_get_reads_only_its_key () =
+  (* Five nodes, five replicas: every node stores every key. *)
+  let rng = Prng.of_seed 98L in
+  let pastry = Pastry.build ~leaf_half_size:4 (Array.init 5 (fun _ -> Id.random rng)) in
+  let dht = Dht.create ~pastry ~replication:5 in
+  let bob_key = Pki.public_key_of_string "bobs-public-key" in
+  let carol_key = Pki.public_key_of_string "carols-public-key" in
+  let hops = ref 0 in
+  ignore (Dht.put dht ~from:0 ~accused_key:bob_key (accusation_at 100.) ~hops : Dht.put_report);
+  ignore (Dht.put dht ~from:0 ~accused_key:carol_key (accusation_at 200.) ~hops : Dht.put_report);
+  check Alcotest.int "both keys on every node" 2 (Dht.stored_count dht ~node:0);
+  check drop_times_testable "Bob's key" [ 100. ]
+    (primary_drop_times (Dht.get dht ~from:1 ~accused_key:bob_key ~hops ()));
+  check drop_times_testable "Carol's key" [ 200. ]
+    (primary_drop_times (Dht.get dht ~from:1 ~accused_key:carol_key ~hops ()))
 
 (* ---------- Stewardship ---------- *)
 
@@ -766,19 +897,18 @@ let test_world_forest_includes_own_tree () =
 
 let test_accusation_supporting_evidence () =
   let pki, alice, bob, evidence = accusation_fixture () in
-  (* A second drop's archived evidence travels with the accusation. *)
+  (* Earlier drops' archived evidence travels with the accusation. *)
+  let supporting = supporting_drops bob evidence in
   let accusation =
     Accusation.make ~accuser:alice.id ~secret:alice.secret ~public:alice.key ~accused:bob.id
-      ~config:Blame.paper_config ~evidence
-      ~supporting:[ { evidence with Accusation.drop_time = 220. } ]
-      ~now:230.
+      ~config:Blame.paper_config ~evidence ~supporting ~now:230.
   in
   check Alcotest.bool "verifies with supporting evidence" true
     (Accusation.verify pki accusation = Ok ());
   (* Supporting evidence that does not clear the threshold is rejected. *)
-  let weak =
+  let weaken e =
     {
-      evidence with
+      e with
       Accusation.link_votes =
         List.map
           (fun le ->
@@ -787,16 +917,63 @@ let test_accusation_supporting_evidence () =
               Accusation.votes =
                 List.map (fun v -> { v with Accusation.up = false }) le.Accusation.votes;
             })
-          evidence.Accusation.link_votes;
+          e.Accusation.link_votes;
     }
   in
   let body = Signed.payload accusation in
   let reissued =
     Signed.make ~serialize:Accusation.pieces ~signer:alice.key ~secret:alice.secret
-      { body with Accusation.supporting = [ weak ] }
+      { body with Accusation.supporting = List.map weaken supporting }
   in
   check Alcotest.bool "weak supporting evidence rejected" true
     (Accusation.verify pki reissued = Error Accusation.Weak_supporting_evidence)
+
+(* An honestly signed accusation over [supporting]: each rejection below is
+   the evidence's, not the signature's. *)
+let verify_with_supporting supporting =
+  let pki, alice, bob, evidence = accusation_fixture () in
+  let accusation =
+    Accusation.make ~accuser:alice.id ~secret:alice.secret ~public:alice.key ~accused:bob.id
+      ~config:Blame.paper_config ~evidence ~supporting:(supporting pki bob evidence) ~now:230.
+  in
+  Accusation.verify pki accusation
+
+let test_accusation_rejects_short_supporting () =
+  check Alcotest.bool "m - 2 supporting pieces" true
+    (verify_with_supporting (fun _ bob evidence ->
+         supporting_drops ~count:(Accusation.m - 2) bob evidence)
+    = Error Accusation.Wrong_supporting_count);
+  check Alcotest.bool "a single guilty verdict" true
+    (verify_with_supporting (fun _ _ _ -> []) = Error Accusation.Wrong_supporting_count)
+
+let test_accusation_rejects_repeated_message () =
+  (* A supporting piece re-judges the primary drop's message. *)
+  check Alcotest.bool "repeated message id" true
+    (verify_with_supporting (fun _ bob evidence ->
+         match supporting_drops bob evidence with
+         | first :: rest ->
+             { first with Accusation.commitment = evidence.Accusation.commitment } :: rest
+         | [] -> [])
+    = Error Accusation.Repeated_message)
+
+let test_accusation_rejects_foreign_supporting () =
+  (* Evidence judged against another node pads the accusation: its
+     commitment names Mallory, not Bob, as the forwarder. *)
+  check Alcotest.bool "supporting commitment names another node" true
+    (verify_with_supporting (fun pki bob evidence ->
+         let mallory = principal pki 95L "mallory" in
+         match supporting_drops bob evidence with
+         | first :: rest ->
+             {
+               first with
+               Accusation.commitment =
+                 Commitment.issue ~forwarder:mallory.id ~secret:mallory.secret
+                   ~public:mallory.key ~sender:bob.id ~destination:bob.id ~message_id:"other"
+                   ~now:105.;
+             }
+             :: rest
+         | [] -> [])
+    = Error Accusation.Supporting_commitment_mismatch)
 
 let suites =
   [
@@ -817,6 +994,7 @@ let suites =
       [
         Alcotest.test_case "sliding window counting" `Quick test_verdict_window_counting;
         qtest prop_verdict_window_matches_list_model;
+        qtest prop_verdict_window_keeps_newest_guilty_evidence;
       ] );
     ( "core.accusation_model",
       [
@@ -836,12 +1014,23 @@ let suites =
         Alcotest.test_case "tampered votes rejected" `Quick test_accusation_rejects_tampered_votes;
         Alcotest.test_case "supporting evidence verified" `Quick
           test_accusation_supporting_evidence;
+        Alcotest.test_case "m - 2 supporting pieces rejected" `Quick
+          test_accusation_rejects_short_supporting;
+        Alcotest.test_case "repeated message rejected" `Quick
+          test_accusation_rejects_repeated_message;
+        Alcotest.test_case "supporting commitment must name accused" `Quick
+          test_accusation_rejects_foreign_supporting;
         qtest prop_archived_evidence_signs_field_bytes;
       ] );
     ( "core.dht",
       [
         Alcotest.test_case "put/get with replication" `Quick test_dht_put_get;
         Alcotest.test_case "distinct replicas" `Quick test_dht_replicas_distinct;
+        Alcotest.test_case "newer accusation replaces older" `Quick test_dht_newer_replaces_older;
+        Alcotest.test_case "older accusation ignored" `Quick test_dht_older_put_ignored;
+        Alcotest.test_case "copies idempotent" `Quick test_dht_copies_idempotent;
+        Alcotest.test_case "merge prefers newer" `Quick test_dht_merge_prefers_newer;
+        Alcotest.test_case "get reads only its key" `Quick test_dht_get_reads_only_its_key;
       ] );
     ( "core.stewardship",
       [

@@ -133,7 +133,7 @@ let test_repeated_drops_trigger_accusation () =
   let session = make_session ~behavior () in
   Protocol.start_probing session.protocol ~horizon:4000.;
   Engine.run_until session.engine 600.;
-  (* The judge (previous hop) needs accusation_m guilty verdicts. *)
+  (* The judge (previous hop) needs Accusation.m guilty verdicts. *)
   let judge = List.hd route in
   for i = 1 to 8 do
     Engine.schedule_at session.engine
@@ -144,7 +144,7 @@ let test_repeated_drops_trigger_accusation () =
   done;
   Engine.run_until session.engine 4000.;
   check Alcotest.bool "guilty verdicts accumulated" true
-    (Protocol.guilty_count session.protocol ~judge ~suspect:culprit >= 6);
+    (Protocol.guilty_count session.protocol ~judge ~suspect:culprit >= Accusation.m);
   let accusations = Protocol.fetch_accusations session.protocol ~from:judge ~accused:culprit in
   check Alcotest.bool "formal accusation in DHT" true (List.length accusations >= 1);
   List.iter
@@ -153,8 +153,16 @@ let test_repeated_drops_trigger_accusation () =
         (Accusation.verify session.world.World.pki accusation = Ok ());
       check Alcotest.string "names the culprit"
         (Id.to_hex (World.id_of session.world culprit))
-        (Id.to_hex (Signed.payload accusation).Accusation.accused))
-    accusations
+        (Id.to_hex (Signed.payload accusation).Accusation.accused);
+      check Alcotest.int "carries m - 1 supporting pieces" (Accusation.m - 1)
+        (List.length (Signed.payload accusation).Accusation.supporting))
+    accusations;
+  (* Re-filings replace the accuser's record: one accusation per accuser. *)
+  let accusers =
+    List.map (fun a -> Id.to_hex (Signed.payload a).Accusation.accuser) accusations
+  in
+  check Alcotest.int "one accusation per accuser" (List.length accusers)
+    (List.length (List.sort_uniq String.compare accusers))
 
 let test_commitment_refuser_flagged () =
   (* A Section 3.6 adversary: receives the message, issues no commitment,
