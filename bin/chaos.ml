@@ -128,11 +128,12 @@ let small_matrix =
 
 (* Detection scenarios: each aims a compiled strategy at a concrete route
    and asserts the runtime's defenses catch (or withstand) it. The three
-   single-knob canaries in CI re-run these with --disable-defense:
+   single-knob canaries in CI re-run these with --disable-defense, and the
+   scenario each one fails is:
      collusion      <-> suspect-exclusion (Section 3.4 self-exculpation)
-     collusion      <-> vote-dedup (forged-ballot stuffing)
+     lying-reporter <-> vote-dedup (stuffed forged ballots frame the victim)
      biased-join    <-> density-validation (Section 3.1 occupancy test)
-   lying-reporter asserts framing never sticks with defenses on. *)
+   With defenses on, lying-reporter asserts framing never sticks. *)
 let adversarial_matrix =
   [
     {
@@ -336,11 +337,12 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
             None,
             None )
       | Targeted_collusion { size; drop_probability; corroboration } -> (
-          (* Prefer a route that serves both collusion canaries: a
-             self-exculpation gap (a dropper egress link only the dropper
-             can vouch for to the judge) flips the suspect-exclusion
-             canary, and enough covering helpers make forged-ballot
-             stuffing decisive for the vote-dedup canary. *)
+          (* Prefer a route with a self-exculpation gap (a dropper egress
+             link only the dropper can vouch for to the judge), which the
+             suspect-exclusion canary flips. Among such routes, and among
+             the rest, prefer more helpers whose probe forests cover the
+             judged links (counted up to twice the helper count); stop at
+             a gap route with at least one covering helper per helper. *)
           let rec pick trials best best_score =
             if trials = 0 then best
             else begin

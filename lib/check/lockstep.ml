@@ -200,8 +200,8 @@ let target_to_string = function
 
 let int_list_to_string l = String.concat "," (List.map string_of_int l)
 
-(* One episode's judgments as [Protocol] builds them: the hop at position
-   [i] judges the hop at [i + 1]. *)
+(* One episode's judgments as [Protocol] builds them: position [i] holds
+   what the hop at [route.(i)] judged of the hop at [route.(i + 1)]. *)
 let judgments_of ~route judgments =
   Array.of_list
     (List.mapi
@@ -210,37 +210,29 @@ let judgments_of ~route judgments =
            (fun { Schedule.target; pushed } ->
              let next = route.(i + 1) in
              {
-               Stewardship.judge = route.(i);
-               target =
+               Stewardship.target =
                  (match target with
                  | Schedule.Blame_next_hop -> Stewardship.Next_hop next
                  | Schedule.Blame_network -> Stewardship.Network
                  | Schedule.Next_hop_offline -> Stewardship.Offline next);
-               blame = 0.;
                pushed;
              })
            judgment)
        judgments)
 
-(* The implementation side is fed as protocol.ml feeds it: a table keyed by
-   hop node, the walk anchored at the most upstream hop holding a
-   judgment. *)
+(* Both sides walk the same positional array; the implementation side is
+   fed as protocol.ml feeds it. *)
 let check_steward ~mutation ~route judgments =
-  let table = Hashtbl.create 8 in
-  Array.iter
-    (Option.iter (fun (judgment : Stewardship.judgment) ->
-         let judgment =
-           match mutation with
-           | Some Stewardship_trust_withheld -> { judgment with Stewardship.pushed = true }
-           | _ -> judgment
-         in
-         Hashtbl.replace table judgment.Stewardship.judge judgment))
-    judgments;
-  let first_judge =
-    Option.value ~default:route.(0)
-      (List.find_opt (Hashtbl.mem table) (Array.to_list route))
+  let impl_judgments =
+    match mutation with
+    | Some Stewardship_trust_withheld ->
+        Array.map
+          (Option.map (fun (judgment : Stewardship.judgment) ->
+               { judgment with Stewardship.pushed = true }))
+          judgments
+    | _ -> judgments
   in
-  let impl = Stewardship.resolve ~first_judge ~judgment_of:(Hashtbl.find_opt table) in
+  let impl = Stewardship.resolve impl_judgments in
   let model = Model.Steward.resolve ~route judgments in
   if impl.Stewardship.final <> model.Model.Steward.final then
     Some
@@ -269,7 +261,9 @@ let apply_op world ~mutation op =
   match op with
   | Schedule.Win_record { win; guilty; drop_time } ->
       let verdict = if guilty then Blame.Guilty else Blame.Innocent in
-      Verdict_window.record world.impl_windows.(win) verdict ~drop_time drop_time;
+      ignore
+        (Verdict_window.record world.impl_windows.(win) verdict ~drop_time (fun () -> drop_time)
+          : float option);
       Model.Window.record world.model_windows.(win)
         { Model.Window.guilty; drop_time };
       (match check_window world ~win with

@@ -93,7 +93,6 @@ let pieces b =
 type archived = { archived : evidence; serialized : string Lazy.t }
 
 let archive evidence = { archived = evidence; serialized = lazy (serialize_evidence evidence) }
-let evidence_of a = a.archived
 
 (* Votes grouped per path link, excluding the accused's own contributions,
    folded through the judge's own Equation 3. *)

@@ -90,7 +90,6 @@ type archived
     reused by the later ones (up to m accusations carry each piece). *)
 
 val archive : evidence -> archived
-val evidence_of : archived -> evidence
 
 val make_archived :
   accuser:Id.t ->

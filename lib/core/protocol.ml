@@ -122,6 +122,11 @@ and drop =
 
 type pending_judgment = { pending_drop : float; mutable judged : bool }
 
+(* What a verdict window archives for a guilty verdict: its signed evidence
+   and its provenance node, which every accusation carrying that evidence
+   cites. *)
+type archived_verdict = { evidence : Accusation.archived; verdict_node : Prov.node }
+
 type t = {
   world : World.t;
   engine : Engine.t;
@@ -138,19 +143,18 @@ type t = {
      they bound the oldest blame window anyone can still read. *)
   pending_judgments : pending_judgment Queue.t;
   mutable next_prune : float;
-  windows : (int * int, Accusation.archived Verdict_window.t) Hashtbl.t;
+  windows : (int * int, archived_verdict Verdict_window.t) Hashtbl.t;
   dht : Dht.t;
   control_bytes : int array;
   (* Previous advertised per-peer path status, for snapshot diffs. *)
   last_advertised : bool array option array;
   obs : Obs.t;
-  (* Provenance indexes: recorded observations and issued verdicts keyed
-     back to their arena nodes, so evidence edges can be drawn when a
-     verdict (or a formal accusation citing past verdicts) is produced.
-     Only populated when the collector's provenance graph is recording.
-     Times are keyed by their IEEE bits — the exact double, no epsilon. *)
+  (* Provenance index: recorded observations keyed back to their arena
+     nodes, so a verdict's evidence edges can point at the votes it
+     counted. Only populated when the collector's provenance graph is
+     recording. Times are keyed by their IEEE bits — the exact double, no
+     epsilon. *)
   prov_probes : (int * int * int64 * bool, Prov.node) Hashtbl.t;
-  prov_verdicts : (int * int * int64, Prov.node) Hashtbl.t;
   mutable message_seq : int;
 }
 
@@ -190,7 +194,6 @@ let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> tru
     last_advertised = Array.make (World.node_count world) None;
     obs;
     prov_probes = Hashtbl.create (if Prov.enabled obs.Obs.prov then 1024 else 1);
-    prov_verdicts = Hashtbl.create (if Prov.enabled obs.Obs.prov then 256 else 1);
     message_seq = 0;
   }
 
@@ -567,81 +570,105 @@ let select_votes t ~judge ~suspect ~links ~drop_time =
 
 let counted_up (obs : Observation.observation) = obs.up
 
-(* Provenance of one judgment's evidence: the arena nodes of the exact
-   votes that were counted (post defense filtering, in vote order), and
-   how many candidate votes each defense knob removed. *)
-type prov_evidence = {
+let path_links t ~from_node ~to_node =
+  match World.ip_path t.world ~from_node ~to_node with
+  | Some path -> path.Routes.links
+  | None -> [||]
+
+(* One hop's judgment of its next hop over that hop's forwarding
+   commitment, kept from the judgment step (phase A) until its verdict
+   window is charged (phase B). [probes] are the arena nodes of the votes
+   the selection counted, in vote order, looked up before the store's
+   provenance index can be pruned. *)
+type charge = {
+  judge : int;
+  suspect : int;
+  verdict : Blame.verdict;  (** before the revision walk's exonerations *)
+  blame : float;
+  selection : Blame.selection;
+  commitment : Commitment.t;
+  links : int array;
+  usable_rounds : int;
   probes : Prov.node list;
-  excluded : int;  (** removed by [exclude_suspect_probes] *)
-  deduped : int;  (** collapsed by [one_vote_per_prober] *)
 }
 
-(* Phase A of a judgment: compute the verdict and archive-ready evidence
-   without touching any window. Windows are only charged (phase B, below)
-   after the revision chain has had its say, so a downstream exoneration
-   reaches the judge's books instead of silently accruing guilt against an
-   honest forwarder. The evidence is the selection the verdict counted,
-   re-signed as the votes would appear inside the provers' archived
-   snapshots, and its provenance cites the same votes. *)
-let evaluate_suspect t ~judge ~suspect ~links ~drop_time ~commitment =
+(* Phase A of a judgment: the verdict over the votes the judge counts,
+   without touching any window and without signing anything. Windows are
+   only charged (phase B, below) after the revision chain has had its say,
+   so a downstream exoneration reaches the judge's books instead of
+   silently accruing guilt against an honest forwarder. *)
+let evaluate_suspect t ~judge ~suspect ~links ~drop_time ~commitment ~usable_rounds =
   let selection = select_votes t ~judge ~suspect ~links ~drop_time in
   let blame = Blame.blame_of_groups t.config.blame ~up:counted_up selection.Blame.counted in
   let verdict = Blame.verdict_of_blame t.config.blame blame in
   Log.debug (fun m ->
       m "node %d judges %d: blame %.3f -> %a" judge suspect blame Blame.pp_verdict verdict);
+  let probes =
+    if Prov.enabled t.obs.Obs.prov then
+      List.concat_map (List.filter_map (prov_probe_of t)) (Array.to_list selection.Blame.counted)
+    else []
+  in
+  { judge; suspect; verdict; blame; selection; commitment; links; usable_rounds; probes }
+
+(* A verdict node with its evidence hung under it: defense interventions
+   first, then the counted votes in vote order, then episode-scoped events
+   (tap firings, steward failover). The edge order is part of the
+   byte-stable output contract. *)
+let verdict_node prov charge ~kind ~exonerated ~drop_time ~events =
+  if not (Prov.enabled prov) then Prov.none
+  else begin
+    let { judge; suspect; selection; _ } = charge in
+    let vnode =
+      Prov.verdict prov ~judge ~suspect ~kind ~exonerated ~usable_rounds:charge.usable_rounds
+        ~blame:charge.blame ~drop_time
+    in
+    let defense kind removed =
+      if removed > 0 then
+        Prov.edge prov ~parent:vnode ~child:(Prov.defense prov ~kind ~removed ~judge ~suspect)
+    in
+    defense Prov.Exclude_suspect selection.Blame.excluded;
+    defense Prov.Vote_dedup selection.Blame.deduped;
+    List.iter (fun probe -> Prov.edge prov ~parent:vnode ~child:probe) charge.probes;
+    List.iter (fun event -> Prov.edge prov ~parent:vnode ~child:event) events;
+    vnode
+  end
+
+(* A guilty verdict's evidence: the votes its selection counted, signed as
+   they appear inside the provers' archived snapshots. *)
+let signed_evidence t charge ~drop_time =
   let sign (obs : Observation.observation) =
     Accusation.make_vote ~prober:(World.id_of t.world obs.prober)
       ~secret:t.world.World.secrets.(obs.prober)
       ~public:(World.public_key_of t.world obs.prober)
       ~link:obs.link ~time:obs.time ~up:obs.up
   in
-  let counted = Array.to_list selection.Blame.counted in
   let link_votes =
     List.filter_map
       (function
         | [] -> None
         | (obs : Observation.observation) :: _ as votes ->
             Some { Accusation.link = obs.link; votes = List.map sign votes })
-      counted
+      (Array.to_list charge.selection.Blame.counted)
   in
-  let probes =
-    if Prov.enabled t.obs.Obs.prov then List.concat_map (List.filter_map (prov_probe_of t)) counted
-    else []
-  in
-  ( verdict,
-    blame,
-    { Accusation.path_links = links; link_votes; drop_time; commitment },
-    { probes; excluded = selection.Blame.excluded; deduped = selection.Blame.deduped } )
+  { Accusation.path_links = charge.links; link_votes; drop_time; commitment = charge.commitment }
 
-(* Hang a verdict node's evidence under it: defense interventions first,
-   then the counted votes in vote order, then episode-scoped events (tap
-   firings, steward failover). The edge order is part of the byte-stable
-   output contract. *)
-let attach_verdict_evidence prov vnode ~judge ~suspect ~prov_info ~events =
-  if prov_info.excluded > 0 then
-    Prov.edge prov ~parent:vnode
-      ~child:
-        (Prov.defense prov ~kind:Prov.Exclude_suspect ~removed:prov_info.excluded ~judge ~suspect);
-  if prov_info.deduped > 0 then
-    Prov.edge prov ~parent:vnode
-      ~child:(Prov.defense prov ~kind:Prov.Vote_dedup ~removed:prov_info.deduped ~judge ~suspect);
-  List.iter (fun probe -> Prov.edge prov ~parent:vnode ~child:probe) prov_info.probes;
-  List.iter (fun event -> Prov.edge prov ~parent:vnode ~child:event) events
-
-(* Phase B: charge the verdict window and escalate to a formal accusation
-   when it crosses m; publication fails over across the accused key's live
-   DHT replicas. *)
+(* Phase B: charge the verdict window, which signs and archives evidence
+   for a guilty verdict only, and escalate to a formal accusation when it
+   crosses m; publication fails over across the accused key's live DHT
+   replicas. *)
 let verdict_label = function Blame.Guilty -> "guilty" | Blame.Innocent -> "innocent"
 
-let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~episode ~vnode =
+let record_judgment t charge ~verdict ~drop_time ~episode ~vnode =
+  let { judge; suspect; blame; _ } = charge in
   let metrics = t.obs.Obs.metrics in
   let trace = t.obs.Obs.trace in
   let prov = t.obs.Obs.prov in
-  if vnode <> Prov.none then
-    Hashtbl.replace t.prov_verdicts (judge, suspect, Int64.bits_of_float drop_time) vnode;
   let window = window_for t ~judge ~suspect in
-  let archived = Accusation.archive evidence in
-  Verdict_window.record window verdict ~drop_time archived;
+  let archived =
+    Verdict_window.record window verdict ~drop_time (fun () ->
+        let evidence = Accusation.archive (signed_evidence t charge ~drop_time) in
+        { evidence; verdict_node = vnode })
+  in
   Metrics.observe metrics "verdict_window.occupancy"
     (float_of_int (Verdict_window.length window));
   (match verdict with
@@ -655,78 +682,77 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
         ("verdict", Trace.String (verdict_label verdict));
       ]
     "episode.verdict";
-  if
-    (match verdict with Blame.Guilty -> true | Blame.Innocent -> false)
-    && Verdict_window.should_accuse window
-  then begin
-    (* The formal statement carries the archived evidence of the m - 1
-       guilty verdicts before this one (whose evidence is the primary). *)
-    let supporting = Verdict_window.supporting window in
-    match
-      Accusation.make_archived
-        ~accuser:(World.id_of t.world judge)
-        ~secret:t.world.World.secrets.(judge)
-        ~public:(World.public_key_of t.world judge)
-        ~accused:(World.id_of t.world suspect)
-        ~config:t.config.blame ~evidence:archived ~supporting ~now:drop_time
-    with
-    | accusation ->
-        Log.info (fun m ->
-            m "node %d files a formal accusation against %d (%d guilty in window)" judge
-              suspect
-              (Verdict_window.guilty_count window));
-        let hops = ref 0 in
-        let time = Engine.now t.engine in
-        let report =
-          Dht.put t.dht ~from:judge
-            ~alive:(fun node -> t.availability ~time node)
-            ~copies:(t.put_copies ~time)
-            ~accused_key:(World.public_key_of t.world suspect)
-            accusation ~hops
-        in
-        Metrics.incr metrics "dht.puts";
-        Metrics.incr metrics ~by:report.Dht.replicas_written "dht.put_replicas";
-        Trace.instant trace ~time ~cat:"episode" ~span:episode
-          ~args:
-            [
-              ("judge", Trace.Int judge);
-              ("suspect", Trace.Int suspect);
-              ("replicas", Trace.Int report.Dht.replicas_written);
-            ]
-          "episode.accusation";
-        if report.Dht.put_failed_over then begin
-          Metrics.incr metrics "dht.put_failovers";
-          (* The chaos transcript extracts these instants to report the
-             engine time at which each DHT write failed over. *)
-          Trace.instant trace ~time ~cat:"dht"
-            ~args:[ ("judge", Trace.Int judge); ("suspect", Trace.Int suspect) ]
-            "dht.put.failover"
-        end;
-        if Prov.enabled prov then begin
-          (* The formal accusation cites the primary verdict plus each
-             verdict whose evidence it carries as supporting, when its node
-             is still known (a judgment can predate provenance recording),
-             and any DHT failover its publication took. *)
-          let anode = Prov.accusation prov ~accuser:judge ~accused:suspect ~blame ~time:drop_time in
-          Prov.edge prov ~parent:anode ~child:vnode;
-          List.iter
-            (fun piece ->
-              let drop_time = (Accusation.evidence_of piece).Accusation.drop_time in
-              match
-                Hashtbl.find_opt t.prov_verdicts (judge, suspect, Int64.bits_of_float drop_time)
-              with
-              | Some supporting_node -> Prov.edge prov ~parent:anode ~child:supporting_node
-              | None -> ())
-            supporting;
-          if report.Dht.put_failed_over then
-            Prov.edge prov ~parent:anode
-              ~child:(Prov.failover prov ~kind:Prov.Dht_put ~node:judge ~time)
-        end
-    | exception Invalid_argument _ ->
-        (* The archived evidence no longer clears the threshold (probe data
-           may have aged out of the window); the accusation is not filed. *)
-        ()
-  end
+  match archived with
+  | Some primary when Verdict_window.should_accuse window -> begin
+      (* The formal statement carries the archived evidence of the m - 1
+         guilty verdicts before this one (whose evidence is the primary). *)
+      let supporting = Verdict_window.supporting window in
+      match
+        Accusation.make_archived
+          ~accuser:(World.id_of t.world judge)
+          ~secret:t.world.World.secrets.(judge)
+          ~public:(World.public_key_of t.world judge)
+          ~accused:(World.id_of t.world suspect)
+          ~config:t.config.blame ~evidence:primary.evidence
+          ~supporting:(List.map (fun piece -> piece.evidence) supporting)
+          ~now:drop_time
+      with
+      | accusation ->
+          Log.info (fun m ->
+              m "node %d files a formal accusation against %d (%d guilty in window)" judge
+                suspect
+                (Verdict_window.guilty_count window));
+          let hops = ref 0 in
+          let time = Engine.now t.engine in
+          let report =
+            Dht.put t.dht ~from:judge
+              ~alive:(fun node -> t.availability ~time node)
+              ~copies:(t.put_copies ~time)
+              ~accused_key:(World.public_key_of t.world suspect)
+              accusation ~hops
+          in
+          Metrics.incr metrics "dht.puts";
+          Metrics.incr metrics ~by:report.Dht.replicas_written "dht.put_replicas";
+          Trace.instant trace ~time ~cat:"episode" ~span:episode
+            ~args:
+              [
+                ("judge", Trace.Int judge);
+                ("suspect", Trace.Int suspect);
+                ("replicas", Trace.Int report.Dht.replicas_written);
+              ]
+            "episode.accusation";
+          if report.Dht.put_failed_over then begin
+            Metrics.incr metrics "dht.put_failovers";
+            (* The chaos transcript extracts these instants to report the
+               engine time at which each DHT write failed over. *)
+            Trace.instant trace ~time ~cat:"dht"
+              ~args:[ ("judge", Trace.Int judge); ("suspect", Trace.Int suspect) ]
+              "dht.put.failover"
+          end;
+          if Prov.enabled prov then begin
+            (* The formal accusation cites the primary verdict, each verdict
+               whose evidence it carries as supporting, and any DHT failover
+               its publication took. *)
+            let anode =
+              Prov.accusation prov ~accuser:judge ~accused:suspect ~blame ~time:drop_time
+            in
+            Prov.edge prov ~parent:anode ~child:primary.verdict_node;
+            List.iter
+              (fun piece -> Prov.edge prov ~parent:anode ~child:piece.verdict_node)
+              supporting;
+            if report.Dht.put_failed_over then
+              Prov.edge prov ~parent:anode
+                ~child:(Prov.failover prov ~kind:Prov.Dht_put ~node:judge ~time)
+          end
+      | exception Invalid_argument _ ->
+          (* [make_archived] recomputes the blame without the accused's own
+             votes. A judge counts those only when suspect exclusion is
+             off, and then they can carry a guilty verdict that the
+             evidence without them does not support: no accusation is
+             filed. *)
+          ()
+    end
+  | Some _ | None -> ()
 
 let guilty_count t ~judge ~suspect =
   match Hashtbl.find_opt t.windows (judge, suspect) with
@@ -842,7 +868,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
     in
     fates.(0) <- { received = true; committed = true; forwarded = true };
     let drop = ref None in
-    let commitments = Hashtbl.create 8 in
+    let commitments = Array.make hop_count None in
     let index = ref 0 in
     while !drop = None && !index < hop_count - 1 do
       let i = !index in
@@ -893,7 +919,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                       ~public:(World.public_key_of t.world b)
                       ~sender:(World.id_of t.world a) ~destination:dest ~message_id ~now
                   in
-                  Hashtbl.replace commitments b commitment
+                  commitments.(i + 1) <- Some commitment
                 end;
                 incr index)
       end
@@ -982,9 +1008,12 @@ let send_message t ~from ~dest ~payload ~on_outcome =
             && t.availability ~time:jt hops.(i)
           then usable.(i) <- run_heavyweight_burst t hops.(i) ~stamp ~parent:episode
         done;
-        let judgments = Hashtbl.create 8 in
-        (* Window charges deferred until after the revision walk (phase B). *)
-        let pending = ref [] in
+        (* Position i of [judgments] holds what hop i judged of hop i + 1
+           (Stewardship). [charges] holds, in route order, the judgments
+           made over a commitment, whose windows phase B charges after the
+           revision walk. *)
+        let judgments = Array.make (hop_count - 1) None in
+        let charges = ref [] in
         let no_commitment = ref None in
         let starved = ref None in
         for i = 0 to hop_count - 2 do
@@ -1005,92 +1034,68 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                  avoids the hop. An uncommitted offline hop is still flagged
                  for the reputation system. *)
               if (not b_fate.committed) && !no_commitment = None then no_commitment := Some b;
-              Hashtbl.replace judgments a
-                {
-                  Stewardship.judge = a;
-                  target = Stewardship.Offline b;
-                  blame = 0.;
-                  pushed;
-                }
+              judgments.(i) <- Some { Stewardship.target = Stewardship.Offline b; pushed }
             end
             else begin
-              match Hashtbl.find_opt commitments b with
+              match commitments.(i + 1) with
               | None ->
                   (* b never received it, or refuses commitments: a cannot
                      prove anything about b. If tomography shows the a->b
                      path bad, blame the network; otherwise fall back to the
                      reputation system (Section 3.6). *)
                   if not b_fate.committed then begin
-                    let links =
-                      match World.ip_path t.world ~from_node:a ~to_node:b with
-                      | Some path -> path.Routes.links
-                      | None -> [||]
-                    in
+                    let links = path_links t ~from_node:a ~to_node:b in
                     let confidence =
                       Blame.bad_confidence t.config.blame ~up:counted_up
                         (select_votes t ~judge:a ~suspect:b ~links ~drop_time).Blame.counted
                     in
                     if confidence >= 1. -. t.config.blame.Blame.guilt_threshold then
-                      Hashtbl.replace judgments a
-                        {
-                          Stewardship.judge = a;
-                          target = Stewardship.Network;
-                          blame = 1. -. confidence;
-                          pushed;
-                        }
+                      judgments.(i) <- Some { Stewardship.target = Stewardship.Network; pushed }
                     else if !no_commitment = None then no_commitment := Some b
                   end
               | Some commitment ->
                   (* a judges b over b's egress path (b to its next hop), or
                      over a->b when b is the final hop (its ack went missing). *)
-                  let egress_links =
-                    if i + 2 < hop_count then
-                      match World.ip_path t.world ~from_node:b ~to_node:hops.(i + 2) with
-                      | Some path -> path.Routes.links
-                      | None -> [||]
-                    else begin
-                      match World.ip_path t.world ~from_node:a ~to_node:b with
-                      | Some path -> path.Routes.links
-                      | None -> [||]
-                    end
+                  let links =
+                    if i + 2 < hop_count then path_links t ~from_node:b ~to_node:hops.(i + 2)
+                    else path_links t ~from_node:a ~to_node:b
                   in
-                  let verdict, blame, evidence, prov_info =
-                    let blame_span =
-                      Trace.span_open trace ~time:jt ~cat:"blame" ~parent:episode
-                        ~args:[ ("judge", Trace.Int a); ("suspect", Trace.Int b) ]
-                        "blame.evaluate"
-                    in
-                    let ((verdict, blame, _, _) as result) =
-                      evaluate_suspect t ~judge:a ~suspect:b ~links:egress_links
-                        ~drop_time ~commitment
-                    in
-                    Trace.span_close trace ~time:jt
-                      ~args:
-                        [
-                          ("blame", Trace.Float blame);
-                          ("verdict", Trace.String (verdict_label verdict));
-                        ]
-                      blame_span;
-                    result
+                  let blame_span =
+                    Trace.span_open trace ~time:jt ~cat:"blame" ~parent:episode
+                      ~args:[ ("judge", Trace.Int a); ("suspect", Trace.Int b) ]
+                      "blame.evaluate"
                   in
+                  let charge =
+                    evaluate_suspect t ~judge:a ~suspect:b ~links ~drop_time ~commitment
+                      ~usable_rounds:usable.(i)
+                  in
+                  Trace.span_close trace ~time:jt
+                    ~args:
+                      [
+                        ("blame", Trace.Float charge.blame);
+                        ("verdict", Trace.String (verdict_label charge.verdict));
+                      ]
+                    blame_span;
                   if
-                    evidence.Accusation.link_votes = [] && usable.(i) < min_heavyweight_rounds
+                    Array.for_all
+                      (function [] -> true | _ :: _ -> false)
+                      charge.selection.Blame.counted
+                    && usable.(i) < min_heavyweight_rounds
                   then begin
                     (* The burst was starved (chaos) and no archived probes
                        cover the window. Zero evidence defaults blame onto
                        the forwarder, so abstaining beats judging: degrade
                        to an explicit Insufficient_evidence outcome. *)
-                    if !starved = None then starved := Some (a, b, usable.(i), blame, prov_info)
+                    if !starved = None then starved := Some charge
                   end
                   else begin
                     let target =
-                      match verdict with
+                      match charge.verdict with
                       | Blame.Guilty -> Stewardship.Next_hop b
                       | Blame.Innocent -> Stewardship.Network
                     in
-                    Hashtbl.replace judgments a
-                      { Stewardship.judge = a; target; blame; pushed };
-                    pending := (a, b, verdict, blame, evidence, prov_info, usable.(i)) :: !pending
+                    judgments.(i) <- Some { Stewardship.target; pushed };
+                    charges := charge :: !charges
                   end
             end
           end
@@ -1098,58 +1103,45 @@ let send_message t ~from ~dest ~payload ~on_outcome =
         (* Every selection of this judgment has read the store. *)
         awaiting.judged <- true;
         prune_behind_horizon t;
-        (* Steward failover: when the sender itself crashed or abstained,
-           the revision walk anchors at the most upstream hop that holds a
-           judgment, so surviving stewards still deliver a diagnosis. *)
-        let anchor = ref None in
-        for i = hop_count - 2 downto 0 do
-          if Hashtbl.mem judgments hops.(i) then anchor := Some hops.(i)
-        done;
-        (* When the natural first judge (the sender) holds no judgment and
-           a downstream steward anchors the walk, the diagnosis survived a
-           steward failover — record it as episode evidence. *)
-        (match !anchor with
-        | Some first_judge when first_judge <> hops.(0) && Prov.enabled prov ->
+        (* When the sender holds no judgment and a downstream steward
+           anchors the walk, the diagnosis survived a steward failover:
+           record it as episode evidence. *)
+        let anchor = Stewardship.anchor judgments in
+        (match anchor with
+        | Some first when first > 0 && Prov.enabled prov ->
             prov_events :=
-              Prov.failover prov ~kind:Prov.Steward ~node:first_judge ~time:jt :: !prov_events
+              Prov.failover prov ~kind:Prov.Steward ~node:hops.(first) ~time:jt :: !prov_events
         | Some _ | None -> ());
-        let resolve_with ~first_judge =
-          let resolve_span =
-            Trace.span_open trace ~time:jt ~cat:"stewardship" ~parent:episode
-              ~args:[ ("first_judge", Trace.Int first_judge) ]
-              "stewardship.resolve"
-          in
-          let resolution =
-            Stewardship.resolve ~first_judge ~judgment_of:(Hashtbl.find_opt judgments)
-          in
-          Trace.span_close trace ~time:jt
-            ~args:
-              [ ("exonerated", Trace.Int (List.length resolution.Stewardship.exonerated)) ]
-            resolve_span;
-          resolution
-        in
         let episode_events = List.rev !prov_events in
         let diagnosis =
-          match !anchor with
-          | Some first_judge -> Diagnosed (resolve_with ~first_judge)
-          | None -> (
-              match (!starved, !no_commitment) with
-              | Some (judge, suspect, usable_rounds, starved_blame, prov_info), None ->
-                  (* An abstention is still a verdict with provenance: its
-                     chain shows what little evidence existed (often none,
-                     or votes a defense knob removed) and why replaying it
-                     through Blame would have been unsafe. *)
-                  if Prov.enabled prov then begin
-                    let vnode =
-                      Prov.verdict prov ~judge ~suspect ~kind:Prov.Insufficient
-                        ~exonerated:false ~usable_rounds ~blame:starved_blame ~drop_time
-                    in
-                    attach_verdict_evidence prov vnode ~judge ~suspect ~prov_info
-                      ~events:episode_events
-                  end;
-                  Insufficient_evidence
-                    { judge; usable_rounds; required_rounds = min_heavyweight_rounds }
-              | _ -> Diagnosed (resolve_with ~first_judge:hops.(0)))
+          match (anchor, !starved, !no_commitment) with
+          | None, Some charge, None ->
+              (* An abstention is still a verdict with provenance: its
+                 chain shows what little evidence existed (often none, or
+                 votes a defense knob removed) and why replaying it through
+                 Blame would have been unsafe. *)
+              ignore
+                (verdict_node prov charge ~kind:Prov.Insufficient ~exonerated:false ~drop_time
+                   ~events:episode_events
+                  : Prov.node);
+              Insufficient_evidence
+                {
+                  judge = charge.judge;
+                  usable_rounds = charge.usable_rounds;
+                  required_rounds = min_heavyweight_rounds;
+                }
+          | _ ->
+              let resolve_span =
+                Trace.span_open trace ~time:jt ~cat:"stewardship" ~parent:episode
+                  ~args:[ ("first_judge", Trace.Int hops.(Option.value anchor ~default:0)) ]
+                  "stewardship.resolve"
+              in
+              let resolution = Stewardship.resolve judgments in
+              Trace.span_close trace ~time:jt
+                ~args:
+                  [ ("exonerated", Trace.Int (List.length resolution.Stewardship.exonerated)) ]
+                resolve_span;
+              Diagnosed resolution
         in
         (* Phase B: charge verdict windows, honoring exonerations from the
            revision walk -- an exonerated suspect's Guilty verdict is
@@ -1161,33 +1153,22 @@ let send_message t ~from ~dest ~payload ~on_outcome =
           | Insufficient_evidence _ -> []
         in
         List.iter
-          (fun (judge, suspect, verdict, blame, evidence, prov_info, usable_rounds) ->
+          (fun charge ->
             let was_exonerated =
-              match verdict with
-              | Blame.Guilty -> List.mem suspect exonerated
+              match charge.verdict with
+              | Blame.Guilty -> List.mem charge.suspect exonerated
               | Blame.Innocent -> false
             in
-            let verdict = if was_exonerated then Blame.Innocent else verdict in
-            let vnode =
-              if not (Prov.enabled prov) then Prov.none
-              else begin
-                let kind =
-                  match verdict with
-                  | Blame.Guilty -> Prov.Guilty
-                  | Blame.Innocent -> Prov.Innocent
-                in
-                let vnode =
-                  Prov.verdict prov ~judge ~suspect ~kind ~exonerated:was_exonerated
-                    ~usable_rounds ~blame ~drop_time
-                in
-                attach_verdict_evidence prov vnode ~judge ~suspect ~prov_info
-                  ~events:episode_events;
-                vnode
-              end
+            let verdict = if was_exonerated then Blame.Innocent else charge.verdict in
+            let kind =
+              match verdict with Blame.Guilty -> Prov.Guilty | Blame.Innocent -> Prov.Innocent
             in
-            record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~episode
-              ~vnode)
-          (List.rev !pending);
+            let vnode =
+              verdict_node prov charge ~kind ~exonerated:was_exonerated ~drop_time
+                ~events:episode_events
+            in
+            record_judgment t charge ~verdict ~drop_time ~episode ~vnode)
+          (List.rev !charges);
         (* The blame.* family splits diagnosis outcomes so degraded episodes
            (insufficient evidence: nobody judged, nobody cleared) are never
            conflated with correct acquittals (the network or an offline hop

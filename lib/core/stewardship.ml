@@ -1,11 +1,5 @@
 type target = Next_hop of int | Network | Offline of int
-
-type judgment = {
-  judge : int;
-  target : target;
-  blame : float;
-  pushed : bool;
-}
+type judgment = { target : target; pushed : bool }
 
 type resolution = {
   final : target option;
@@ -13,51 +7,36 @@ type resolution = {
   judgments_used : int;
 }
 
-let resolve ~first_judge ~judgment_of =
-  let visited = Hashtbl.create 16 in
-  let rec walk exonerated used ~own_verdict =
-    match own_verdict with
-    | None ->
-        (* This judge issued nothing. If it is the first judge there is no
-           diagnosis; otherwise the caller handles it. *)
-        { final = None; exonerated = List.rev exonerated; judgments_used = used }
-    | Some judgment -> (
-        match judgment.target with
-        | Network ->
-            { final = Some Network; exonerated = List.rev exonerated; judgments_used = used + 1 }
-        | Offline suspect ->
-            (* An offline hop cannot push a verdict and carries no
-               culpability; the chain terminates on it. *)
-            {
-              final = Some (Offline suspect);
-              exonerated = List.rev exonerated;
-              judgments_used = used + 1;
-            }
-        | Next_hop suspect -> (
-            if Hashtbl.mem visited suspect then
-              (* Malformed (cyclic) chain: stop at the current suspect. *)
-              {
-                final = Some (Next_hop suspect);
-                exonerated = List.rev exonerated;
-                judgments_used = used + 1;
-              }
-            else begin
-              Hashtbl.replace visited suspect ();
-              match judgment_of suspect with
-              | Some pushed_verdict when pushed_verdict.pushed ->
-                  (* The suspect shifts blame downstream: exonerate it and
-                     adopt its verdict. *)
-                  walk (suspect :: exonerated) (used + 1) ~own_verdict:(Some pushed_verdict)
-              | Some _ | None ->
-                  (* No verdict, or a withheld one: the suspect keeps the
-                     blame. *)
-                  {
-                    final = Some (Next_hop suspect);
-                    exonerated = List.rev exonerated;
-                    judgments_used = used + 1;
-                  }
-            end))
+let anchor judgments =
+  let rec from i =
+    if i >= Array.length judgments then None
+    else if Option.is_some judgments.(i) then Some i
+    else from (i + 1)
   in
-  Hashtbl.replace visited first_judge ();
-  walk [] 0 ~own_verdict:(judgment_of first_judge)
+  from 0
 
+let resolve judgments =
+  let at i = if i < Array.length judgments then judgments.(i) else None in
+  (* The walk stands on position [i], whose judgment names the hop at
+     [i + 1], and only moves downstream, so it ends by the last position. *)
+  let rec walk i exonerated =
+    match at i with
+    | None -> { final = None; exonerated = []; judgments_used = 0 }
+    | Some judgment -> (
+        match (judgment.target, at (i + 1)) with
+        | Next_hop suspect, Some next when next.pushed ->
+            (* The suspect shifts blame downstream: exonerate it and adopt
+               its verdict. *)
+            walk (i + 1) (suspect :: exonerated)
+        | target, _ ->
+            (* A network or offline verdict ends the walk, and so does a
+               suspect that pushed nothing (no verdict, or a withheld one):
+               it keeps the blame. *)
+            {
+              final = Some target;
+              exonerated = List.rev exonerated;
+              judgments_used = List.length exonerated + 1;
+            })
+  in
+  (* With no anchor nothing was judged, and position 0 holds nothing. *)
+  walk (Option.value (anchor judgments) ~default:0) []

@@ -27,21 +27,26 @@ type target =
           and never charges a verdict window. *)
 
 type judgment = {
-  judge : int;
   target : target;
-  blame : float;  (** Equation 2 value backing the verdict *)
   pushed : bool;  (** whether the judge pushes this verdict upstream *)
 }
+(** What one hop of a route holds against its successor. An episode's
+    judgments are an array indexed by route position: position [i] judges
+    position [i + 1], and [None] means that hop judged nothing. *)
 
 type resolution = {
-  final : target option;
-      (** [None] only when the first judge issued no judgment at all *)
+  final : target option;  (** [None] only when no position holds a judgment *)
   exonerated : int list;  (** suspects cleared by downstream revisions, upstream first *)
   judgments_used : int;
 }
 
-val resolve : first_judge:int -> judgment_of:(int -> judgment option) -> resolution
-(** Walk the revision chain starting from the original sender's judgment.
-    [judgment_of] returns a node's (pushed or retrievable) verdict for this
-    message, if it issued one. Cycle-safe. *)
+val anchor : judgment option array -> int option
+(** The first position holding a judgment, where the walk starts. It is
+    position 0, the sender, unless the sender crashed or abstained: then
+    the most upstream steward that judged anchors the walk (steward
+    failover), so surviving stewards still deliver a diagnosis. *)
 
+val resolve : judgment option array -> resolution
+(** Walk the revision chain from the {!anchor}: while position [i]'s
+    judgment blames its next hop and position [i + 1]'s judgment is
+    pushed, that hop is exonerated and the walk adopts its judgment. *)

@@ -15,15 +15,17 @@ let create ~window_size ~m =
     evidence = Ring_buffer.create m;
   }
 
-let record t verdict ~drop_time evidence =
+let record t verdict ~drop_time build_evidence =
   (match Ring_buffer.push t.slots (verdict, drop_time) with
   | Some (Blame.Guilty, _) -> t.guilty <- t.guilty - 1
   | Some (Blame.Innocent, _) | None -> ());
   match verdict with
   | Blame.Guilty ->
       t.guilty <- t.guilty + 1;
-      ignore (Ring_buffer.push t.evidence evidence)
-  | Blame.Innocent -> ()
+      let evidence = build_evidence () in
+      ignore (Ring_buffer.push t.evidence evidence);
+      Some evidence
+  | Blame.Innocent -> None
 
 let length t = Ring_buffer.length t.slots
 let guilty_count t = t.guilty

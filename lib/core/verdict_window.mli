@@ -4,7 +4,7 @@
     with their drop times. When at least [m] of the windowed verdicts are
     guilty, A escalates to a formal accusation, which carries the evidence
     of the newest [m] guilty verdicts. So that is all the window archives:
-    an innocent verdict keeps no evidence, and a guilty verdict's evidence
+    an innocent verdict never builds evidence, and a guilty verdict's evidence
     is dropped once [m] newer guilty verdicts have been recorded. Recording
     is O(1) whatever [w]. *)
 
@@ -14,9 +14,12 @@ val create : window_size:int -> m:int -> 'evidence t
 (** [window_size] is [w]; [Protocol] passes {!Accusation.m} as [m].
     @raise Invalid_argument unless both are positive. *)
 
-val record : 'evidence t -> Blame.verdict -> drop_time:float -> 'evidence -> unit
-(** Append the newest verdict, evicting the oldest once [w] are held. The
-    evidence is archived only for a [Guilty] verdict. *)
+val record :
+  'evidence t -> Blame.verdict -> drop_time:float -> (unit -> 'evidence) -> 'evidence option
+(** Append the newest verdict, evicting the oldest once [w] are held. Only
+    a [Guilty] verdict calls the builder, exactly once, and archives and
+    returns what it built; an innocent verdict never builds its evidence
+    and returns [None]. *)
 
 val length : 'evidence t -> int
 val guilty_count : 'evidence t -> int

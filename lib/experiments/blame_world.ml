@@ -39,7 +39,6 @@ type t = {
   failures : Failures.t;
   schedules : float array array; (* per node: sorted probe times *)
   malicious : bool array;
-  peer_sets : (int, unit) Hashtbl.t array; (* per node: routing-peer membership *)
 }
 
 let build_schedule rng ~duration ~max_probe_time =
@@ -75,13 +74,7 @@ let create ~world config =
       (fun v -> malicious.(v) <- true)
       (Prng.sample_without_replacement malice_rng (min target node_count) node_count)
   end;
-  let peer_sets =
-    Array.init node_count (fun v ->
-        let set = Hashtbl.create 64 in
-        Array.iter (fun peer -> Hashtbl.replace set peer ()) world.World.peers.(v);
-        set)
-  in
-  { world; config; failures; schedules; malicious; peer_sets }
+  { world; config; failures; schedules; malicious }
 
 let world t = t.world
 let config t = t.config
@@ -133,7 +126,7 @@ let judge t ~judge:a ~suspect:b ~next_hop:c ~time =
       let links = path.Routes.links in
       let lo = time -. t.config.delta and hi = time +. t.config.delta in
       let visible prober =
-        t.config.global_visibility || prober = a || Hashtbl.mem t.peer_sets.(a) prober
+        t.config.global_visibility || prober = a || World.is_peer t.world a prober
       in
       let excluded prober = t.config.exclude_suspect_probes && prober = b in
       let votes_used = ref 0 in

@@ -213,8 +213,9 @@ let test_verdict_window_counting () =
   let w = Verdict_window.create ~window_size:3 ~m:2 in
   let w3 = Verdict_window.create ~window_size:3 ~m:3 in
   let record verdict =
-    Verdict_window.record w verdict ~drop_time:0. ();
-    Verdict_window.record w3 verdict ~drop_time:0. ()
+    List.iter
+      (fun w -> ignore (Verdict_window.record w verdict ~drop_time:0. Fun.id : unit option))
+      [ w; w3 ]
   in
   record Blame.Guilty;
   record Blame.Innocent;
@@ -240,7 +241,10 @@ let prop_verdict_window_matches_list_model =
         (fun (guilty, t) ->
           let time = float_of_int t in
           let verdict = if guilty then Blame.Guilty else Blame.Innocent in
-          List.iter (fun (_, w) -> Verdict_window.record w verdict ~drop_time:time ()) windows;
+          List.iter
+            (fun (_, w) ->
+              ignore (Verdict_window.record w verdict ~drop_time:time Fun.id : unit option))
+            windows;
           model := !model @ [ (verdict, time) ];
           let excess = List.length !model - window_size in
           if excess > 0 then model := List.filteri (fun i _ -> i >= excess) !model)
@@ -269,9 +273,12 @@ let prop_verdict_window_keeps_newest_guilty_evidence =
       let guilty_so_far = ref [] (* newest first *) in
       List.for_all
         (fun (position, guilty) ->
-          Verdict_window.record w
-            (if guilty then Blame.Guilty else Blame.Innocent)
-            ~drop_time:(float_of_int position) position;
+          ignore
+            (Verdict_window.record w
+               (if guilty then Blame.Guilty else Blame.Innocent)
+               ~drop_time:(float_of_int position)
+               (fun () -> position)
+              : int option);
           if guilty then guilty_so_far := position :: !guilty_so_far;
           let expected =
             match !guilty_so_far with
@@ -283,6 +290,36 @@ let prop_verdict_window_keeps_newest_guilty_evidence =
           && List.for_all (fun p -> List.mem p !guilty_so_far) supporting
           && Verdict_window.evidence_held w <= m)
         (List.mapi (fun position guilty -> (position, guilty)) verdicts))
+
+(* Evidence is built only for what the window archives: over any sequence
+   of verdicts, an innocent verdict never calls its builder, a guilty one
+   calls it exactly once, when it is recorded, and [record] returns what
+   was built. Reading the supporting evidence after each record builds
+   nothing more. Each verdict's evidence is its position in the
+   sequence. *)
+let prop_verdict_window_builds_guilty_evidence_once =
+  QCheck.Test.make ~name:"window builds evidence once, for guilty verdicts only" ~count:300
+    QCheck.(triple (int_range 1 8) (int_range 1 8) (small_list bool))
+    (fun (window_size, m, verdicts) ->
+      let w = Verdict_window.create ~window_size ~m in
+      let builds = Array.make (List.length verdicts) 0 in
+      List.for_all
+        (fun (position, guilty) ->
+          let returned =
+            Verdict_window.record w
+              (if guilty then Blame.Guilty else Blame.Innocent)
+              ~drop_time:(float_of_int position)
+              (fun () ->
+                builds.(position) <- builds.(position) + 1;
+                position)
+          in
+          ignore (Verdict_window.supporting w : int list);
+          builds.(position) = (if guilty then 1 else 0)
+          && returned = (if guilty then Some position else None))
+        (List.mapi (fun position guilty -> (position, guilty)) verdicts)
+      && List.for_all2
+           (fun built guilty -> built = Bool.to_int guilty)
+           (Array.to_list builds) verdicts)
 
 (* ---------- Accusation model ---------- *)
 
@@ -666,12 +703,9 @@ let test_dht_get_reads_only_its_key () =
 
 (* ---------- Stewardship ---------- *)
 
-let judgment ?(pushed = true) judge target = { Stewardship.judge; target; blame = 0.9; pushed }
-
-let resolve judgments first =
-  let table = Hashtbl.create 8 in
-  List.iter (fun j -> Hashtbl.replace table j.Stewardship.judge j) judgments;
-  Stewardship.resolve ~first_judge:first ~judgment_of:(Hashtbl.find_opt table)
+(* An episode's judgments by route position: position i judges i + 1. *)
+let judgment ?(pushed = true) target = Some { Stewardship.target; pushed }
+let resolve judgments = Stewardship.resolve (Array.of_list judgments)
 
 let test_stewardship_full_revision_chain () =
   (* A(0) blames B(1), B blames C(2), C blames D(3); D has nothing to push:
@@ -679,50 +713,70 @@ let test_stewardship_full_revision_chain () =
   let r =
     resolve
       [
-        judgment 0 (Stewardship.Next_hop 1);
-        judgment 1 (Stewardship.Next_hop 2);
-        judgment 2 (Stewardship.Next_hop 3);
+        judgment (Stewardship.Next_hop 1);
+        judgment (Stewardship.Next_hop 2);
+        judgment (Stewardship.Next_hop 3);
       ]
-      0
   in
   check Alcotest.bool "final is D" true (r.Stewardship.final = Some (Stewardship.Next_hop 3));
-  check (Alcotest.list Alcotest.int) "exonerated" [ 1; 2 ] r.Stewardship.exonerated
+  check (Alcotest.list Alcotest.int) "exonerated" [ 1; 2 ] r.Stewardship.exonerated;
+  check Alcotest.int "judgments used" 3 r.Stewardship.judgments_used
 
 let test_stewardship_withheld_verdict_self_incriminates () =
   (* C refuses to push its verdict: blame stops at C. *)
   let r =
     resolve
       [
-        judgment 0 (Stewardship.Next_hop 1);
-        judgment 1 (Stewardship.Next_hop 2);
-        judgment ~pushed:false 2 (Stewardship.Next_hop 3);
+        judgment (Stewardship.Next_hop 1);
+        judgment (Stewardship.Next_hop 2);
+        judgment ~pushed:false (Stewardship.Next_hop 3);
       ]
-      0
   in
-  check Alcotest.bool "final is C" true (r.Stewardship.final = Some (Stewardship.Next_hop 2))
+  check Alcotest.bool "final is C" true (r.Stewardship.final = Some (Stewardship.Next_hop 2));
+  check (Alcotest.list Alcotest.int) "B exonerated" [ 1 ] r.Stewardship.exonerated
 
 let test_stewardship_network_verdict_terminates () =
-  let r =
-    resolve
-      [ judgment 0 (Stewardship.Next_hop 1); judgment 1 Stewardship.Network ]
-      0
-  in
+  let r = resolve [ judgment (Stewardship.Next_hop 1); judgment Stewardship.Network ] in
   check Alcotest.bool "network blamed" true (r.Stewardship.final = Some Stewardship.Network);
   check (Alcotest.list Alcotest.int) "B exonerated" [ 1 ] r.Stewardship.exonerated
 
 let test_stewardship_no_judgment () =
-  let r = resolve [] 0 in
-  check Alcotest.bool "nothing to diagnose" true (r.Stewardship.final = None)
+  List.iter
+    (fun judgments ->
+      let r = resolve judgments in
+      check Alcotest.bool "nothing to diagnose" true (r.Stewardship.final = None);
+      check Alcotest.int "no judgment used" 0 r.Stewardship.judgments_used;
+      check (Alcotest.option Alcotest.int) "no anchor" None
+        (Stewardship.anchor (Array.of_list judgments)))
+    [ []; [ None; None ] ]
 
-let test_stewardship_cycle_guard () =
+let test_stewardship_anchors_at_first_judging_position () =
+  (* The sender (position 0) crashed or abstained: the walk fails over to
+     B's judgment of C, and C's pushed verdict exonerates C. *)
+  let judgments =
+    [ None; judgment (Stewardship.Next_hop 2); judgment (Stewardship.Next_hop 3) ]
+  in
+  check (Alcotest.option Alcotest.int) "anchor" (Some 1)
+    (Stewardship.anchor (Array.of_list judgments));
+  let r = resolve judgments in
+  check Alcotest.bool "final is D" true (r.Stewardship.final = Some (Stewardship.Next_hop 3));
+  check (Alcotest.list Alcotest.int) "C exonerated" [ 2 ] r.Stewardship.exonerated;
+  check Alcotest.int "judgments used" 2 r.Stewardship.judgments_used
+
+let test_stewardship_offline_target_ends_walk () =
+  (* B finds C offline: the walk ends there, even though C's position
+     holds a pushed judgment, and nobody is blamed. *)
   let r =
     resolve
-      [ judgment 0 (Stewardship.Next_hop 1); judgment 1 (Stewardship.Next_hop 0) ]
-      0
+      [
+        judgment (Stewardship.Next_hop 1);
+        judgment (Stewardship.Offline 2);
+        judgment (Stewardship.Next_hop 3);
+      ]
   in
-  (* 1 pushes blame back to 0, which is already visited: stop at 0 rather
-     than loop. *)
-  check Alcotest.bool "terminates" true (r.Stewardship.final <> None)
+  check Alcotest.bool "final is offline C" true
+    (r.Stewardship.final = Some (Stewardship.Offline 2));
+  check (Alcotest.list Alcotest.int) "B exonerated" [ 1 ] r.Stewardship.exonerated
 
 (* ---------- Bandwidth ---------- *)
 
@@ -995,6 +1049,7 @@ let suites =
         Alcotest.test_case "sliding window counting" `Quick test_verdict_window_counting;
         qtest prop_verdict_window_matches_list_model;
         qtest prop_verdict_window_keeps_newest_guilty_evidence;
+        qtest prop_verdict_window_builds_guilty_evidence_once;
       ] );
     ( "core.accusation_model",
       [
@@ -1040,7 +1095,10 @@ let suites =
         Alcotest.test_case "network verdict terminates" `Quick
           test_stewardship_network_verdict_terminates;
         Alcotest.test_case "no judgment" `Quick test_stewardship_no_judgment;
-        Alcotest.test_case "cycle guard" `Quick test_stewardship_cycle_guard;
+        Alcotest.test_case "anchors at the first judging position" `Quick
+          test_stewardship_anchors_at_first_judging_position;
+        Alcotest.test_case "an offline target ends the walk" `Quick
+          test_stewardship_offline_target_ends_walk;
       ] );
     ( "core.bandwidth",
       [ Alcotest.test_case "Section 4.4 numbers" `Quick test_bandwidth_paper_numbers ] );
