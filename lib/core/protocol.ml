@@ -120,7 +120,41 @@ and drop =
   | Ack_lost_on_link of int
   | Hop_offline of int  (** the next hop was churned out when the message arrived *)
 
-type pending_judgment = { pending_drop : float; mutable judged : bool }
+(* What a send computes once. [paths.(i)] is the IP path from [hops.(i)]
+   to [hops.(i + 1)], [None] where a rewritten route made the two hops
+   IP-unreachable. The id is stable across retransmits, so every
+   attempt's commitments name the same message. *)
+type message = {
+  id : string;
+  sender : int;
+  dest : Id.t;
+  route : int list;
+  hops : int array;
+  paths : Routes.path option array;
+  span : Trace.span;
+  on_outcome : outcome -> unit;
+  mutable attempts : int;  (** attempts made so far *)
+  mutable backoff : Trace.span;  (** the retransmit backoff under way *)
+  mutable events : Prov.node list;
+      (** adversary tap firings and failovers on the message's path,
+          newest first: evidence children of every verdict its diagnosis
+          produces *)
+}
+
+(* How far one attempt got. Positions [0, forwarders) received the message
+   and passed it on: the last position to receive it counts when it
+   forwarded too. [commitments.(j)] is the forwarding commitment hop j
+   issued to hop j - 1. [drop] is [None] once the ack is back. *)
+type walk = { forwarders : int; commitments : Commitment.t option array; drop : drop option }
+
+(* A final attempt from its drop until its judgment has read the store. *)
+type episode = {
+  message : message;
+  walk : walk;
+  drop_time : float;
+  span : Trace.span;
+  mutable judged : bool;
+}
 
 (* What a verdict window archives for a guilty verdict: its signed evidence
    and its provenance node, which every accusation carrying that evidence
@@ -139,9 +173,10 @@ type t = {
   control_latency : time:float -> float;
   put_copies : time:float -> int;
   observations : Observation.t;
-  (* Judgments scheduled but not yet run, oldest drop first; with [now]
-     they bound the oldest blame window anyone can still read. *)
-  pending_judgments : pending_judgment Queue.t;
+  (* Episodes scheduled for judgment but not yet judged, oldest drop
+     first; with [now] they bound the oldest blame window anyone can still
+     read. *)
+  pending_judgments : episode Queue.t;
   mutable next_prune : float;
   windows : (int * int, archived_verdict Verdict_window.t) Hashtbl.t;
   dht : Dht.t;
@@ -156,6 +191,8 @@ type t = {
      epsilon. *)
   prov_probes : (int * int * int64 * bool, Prov.node) Hashtbl.t;
   mutable message_seq : int;
+  (* Each node's probe inter-arrival multiplier. *)
+  probe_backoff : float array;
 }
 
 let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> true)
@@ -195,6 +232,7 @@ let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> tru
     obs;
     prov_probes = Hashtbl.create (if Prov.enabled obs.Obs.prov then 1024 else 1);
     message_seq = 0;
+    probe_backoff = Array.make (World.node_count world) 1.;
   }
 
 let observations t = t.observations
@@ -233,10 +271,10 @@ let prov_probe_of t obs =
 
 let rec oldest_pending_drop t =
   match Queue.peek_opt t.pending_judgments with
-  | Some pending when pending.judged ->
-      ignore (Queue.pop t.pending_judgments : pending_judgment);
+  | Some episode when episode.judged ->
+      ignore (Queue.pop t.pending_judgments : episode);
       oldest_pending_drop t
-  | Some pending -> pending.pending_drop
+  | Some episode -> episode.drop_time
   | None -> Float.infinity
 
 let prune_behind_horizon t =
@@ -526,25 +564,29 @@ let mean_control_bytes_per_second t ~horizon =
     float_of_int total /. float_of_int (World.node_count t.world) /. horizon
   end
 
+(* One tick of node [v]'s lightweight probe loop. [tick] is the loop's
+   closure, allocated once per node, and each tick reschedules it until
+   the horizon. Probe-timeout backoff: a tree that answers nothing
+   (partition, mass churn) is re-probed at a multiplicatively backed-off
+   cadence, capped so the prober still notices recovery. Any ack resets
+   it. *)
+let probe_tick t v ~horizon tick =
+  let now = Engine.now t.engine in
+  if now < horizon then begin
+    (* Offline hosts issue no probes this round but keep their timer. *)
+    if t.availability ~time:now v then
+      t.probe_backoff.(v) <-
+        (if run_probe_round t v then 1.
+         else Float.min (t.probe_backoff.(v) *. 2.) probe_backoff_cap);
+    let delay = t.probe_backoff.(v) *. Prng.float t.rng max_probe_time in
+    if now +. delay < horizon then Engine.schedule t.engine ~delay tick
+  end
+
 let start_probing t ~horizon =
   for v = 0 to World.node_count t.world - 1 do
-    (* Probe-timeout backoff: a tree that answers nothing (partition, mass
-       churn) is re-probed at a multiplicatively backed-off cadence, capped
-       so the prober still notices recovery. Any ack resets it. *)
-    let backoff = ref 1. in
-    let rec loop engine =
-      if Engine.now engine < horizon then begin
-        (* Offline hosts issue no probes this round but keep their timer. *)
-        if t.availability ~time:(Engine.now engine) v then begin
-          if run_probe_round t v then backoff := 1.
-          else backoff := Float.min (!backoff *. 2.) probe_backoff_cap
-        end;
-        let delay = !backoff *. Prng.float t.rng max_probe_time in
-        if Engine.now engine +. delay < horizon then Engine.schedule engine ~delay loop
-      end
-    in
+    let rec tick _ = probe_tick t v ~horizon tick in
     let first = Prng.float t.rng max_probe_time in
-    Engine.schedule t.engine ~delay:first loop
+    Engine.schedule t.engine ~delay:first tick
   done
 
 (* ---------- Judgment machinery ---------- *)
@@ -569,11 +611,7 @@ let select_votes t ~judge ~suspect ~links ~drop_time =
     ~one_vote_per_prober:t.config.one_vote_per_prober ~links ~drop_time
 
 let counted_up (obs : Observation.observation) = obs.up
-
-let path_links t ~from_node ~to_node =
-  match World.ip_path t.world ~from_node ~to_node with
-  | Some path -> path.Routes.links
-  | None -> [||]
+let links_of = function Some path -> path.Routes.links | None -> [||]
 
 (* One hop's judgment of its next hop over that hop's forwarding
    commitment, kept from the judgment step (phase A) until its verdict
@@ -592,12 +630,21 @@ type charge = {
   probes : Prov.node list;
 }
 
+let verdict_label = function Blame.Guilty -> "guilty" | Blame.Innocent -> "innocent"
+
 (* Phase A of a judgment: the verdict over the votes the judge counts,
    without touching any window and without signing anything. Windows are
    only charged (phase B, below) after the revision chain has had its say,
    so a downstream exoneration reaches the judge's books instead of
    silently accruing guilt against an honest forwarder. *)
-let evaluate_suspect t ~judge ~suspect ~links ~drop_time ~commitment ~usable_rounds =
+let evaluate_suspect t ~episode ~judge ~suspect ~links ~drop_time ~commitment ~usable_rounds =
+  let trace = t.obs.Obs.trace in
+  let now = Engine.now t.engine in
+  let blame_span =
+    Trace.span_open trace ~time:now ~cat:"blame" ~parent:episode
+      ~args:[ ("judge", Trace.Int judge); ("suspect", Trace.Int suspect) ]
+      "blame.evaluate"
+  in
   let selection = select_votes t ~judge ~suspect ~links ~drop_time in
   let blame = Blame.blame_of_groups t.config.blame ~up:counted_up selection.Blame.counted in
   let verdict = Blame.verdict_of_blame t.config.blame blame in
@@ -608,6 +655,9 @@ let evaluate_suspect t ~judge ~suspect ~links ~drop_time ~commitment ~usable_rou
       List.concat_map (List.filter_map (prov_probe_of t)) (Array.to_list selection.Blame.counted)
     else []
   in
+  Trace.span_close trace ~time:now
+    ~args:[ ("blame", Trace.Float blame); ("verdict", Trace.String (verdict_label verdict)) ]
+    blame_span;
   { judge; suspect; verdict; blame; selection; commitment; links; usable_rounds; probes }
 
 (* A verdict node with its evidence hung under it: defense interventions
@@ -656,8 +706,6 @@ let signed_evidence t charge ~drop_time =
    for a guilty verdict only, and escalate to a formal accusation when it
    crosses m; publication fails over across the accused key's live DHT
    replicas. *)
-let verdict_label = function Blame.Guilty -> "guilty" | Blame.Innocent -> "innocent"
-
 let record_judgment t charge ~verdict ~drop_time ~episode ~vnode =
   let { judge; suspect; blame; _ } = charge in
   let metrics = t.obs.Obs.metrics in
@@ -778,13 +826,12 @@ let fetch_accusations t ~from ~accused =
   end;
   report.Dht.accusations
 
-(* ---------- Message lifecycle ---------- *)
+(* ---------- Message lifecycle ----------
 
-type hop_fate = {
-  received : bool;
-  committed : bool;  (** issued a forwarding commitment to its upstream *)
-  forwarded : bool;
-}
+   A send builds one [message]. Each attempt is a forwarding [walk] over
+   it, and once retries run out an [episode] holds the final walk until
+   its judgment runs. Every event the engine runs for a message is one
+   handler below, called on [t] and the message or the episode. *)
 
 let fresh_message_id t ~from ~dest =
   t.message_seq <- t.message_seq + 1;
@@ -810,400 +857,334 @@ let drop_label = function
   | Some (Ack_lost_on_link link) -> Printf.sprintf "ack_link:%d" link
   | Some (Hop_offline node) -> Printf.sprintf "offline:%d" node
 
-let send_message t ~from ~dest ~payload ~on_outcome =
-  ignore payload;
-  let trace = t.obs.Obs.trace in
-  let metrics = t.obs.Obs.metrics in
-  let prov = t.obs.Obs.prov in
-  (* Adversary tap firings and failovers on this message's path, newest
-     first; they become evidence children of every verdict the episode's
-     diagnosis produces. *)
-  let prov_events = ref [] in
-  let message_id = fresh_message_id t ~from ~dest in
-  let route = World.overlay_route t.world ~from ~dest in
-  let route =
-    match t.taps.tap_route ~time:(Engine.now t.engine) ~from ~dest route with
-    | None -> route
-    | Some rewritten ->
-        Metrics.incr metrics "adversary.route_rewrites";
-        if Prov.enabled prov then
-          prov_events :=
-            Prov.tap_firing prov ~kind:Prov.Route_rewrite ~node:from ~time:(Engine.now t.engine)
-            :: !prov_events;
-        rewritten
-  in
-  let hops = Array.of_list route in
-  let hop_count = Array.length hops in
-  Metrics.incr metrics "msg.sent";
-  let msg_span =
-    Trace.span_open trace ~time:(Engine.now t.engine) ~cat:"protocol"
-      ~args:
-        [
-          ("from", Trace.Int from);
-          ("id", Trace.String message_id);
-          ("route_hops", Trace.Int hop_count);
-        ]
-      "message"
-  in
-  let finish outcome =
-    Metrics.observe metrics "msg.attempts" (float_of_int outcome.attempts);
-    Metrics.incr metrics (if outcome.delivered then "msg.delivered" else "msg.dropped");
-    Trace.span_close trace ~time:(Engine.now t.engine)
-      ~args:
-        [
-          ("delivered", Trace.Bool outcome.delivered);
-          ("attempts", Trace.Int outcome.attempts);
-          ("drop", Trace.String (drop_label outcome.drop));
-        ]
-      msg_span;
-    on_outcome outcome
-  in
-  (* One delivery attempt: walk the route, recording each hop's fate. The
-     message id is stable across retransmits, so every attempt's
-     commitments name the same message. *)
-  let rec attempt n =
-    let now = Engine.now t.engine in
-    let fates =
-      Array.map (fun _ -> { received = false; committed = false; forwarded = false }) hops
-    in
-    fates.(0) <- { received = true; committed = true; forwarded = true };
-    let drop = ref None in
-    let commitments = Array.make hop_count None in
-    let index = ref 0 in
-    while !drop = None && !index < hop_count - 1 do
-      let i = !index in
+(* Whether forwarder [node] passes the message on to [next]: a firing
+   forward tap decides, else [node]'s behavior. *)
+let forwards t (msg : message) ~now ~node ~next =
+  match t.taps.tap_forward ~time:now ~node ~sender:msg.sender ~next with
+  | Some Tap_drop ->
+      Metrics.incr t.obs.Obs.metrics "adversary.forced_drops";
+      let prov = t.obs.Obs.prov in
+      if Prov.enabled prov then
+        msg.events <- Prov.tap_firing prov ~kind:Prov.Forced_drop ~node ~time:now :: msg.events;
+      false
+  | Some Tap_forward -> true
+  | None -> (
+      match t.behavior node with
+      | Message_dropper p -> not (Prng.bernoulli t.rng p)
+      | Silent_dropper -> false
+      | Honest | Sparse_advertiser _ -> true)
+
+(* The forwarding commitment hop [b] signs for [a] on receipt, unless [b]
+   refuses commitments. *)
+let commitment_of t (msg : message) ~now ~a ~b =
+  match t.behavior b with
+  | Silent_dropper -> None
+  | Honest | Message_dropper _ | Sparse_advertiser _ ->
+      Some
+        (Commitment.issue
+           ~forwarder:(World.id_of t.world b)
+           ~secret:t.world.World.secrets.(b)
+           ~public:(World.public_key_of t.world b)
+           ~sender:(World.id_of t.world a) ~destination:msg.dest ~message_id:msg.id ~now)
+
+(* One attempt. The message moves hop by hop from the sender; once the
+   destination holds it, the recursion unwinds through the ack, which
+   retraces each hop's IP path, last hop first. Peer relations are
+   asymmetric, so the known route is the forward one, and per-link loss is
+   direction-agnostic here. *)
+let forward t (msg : message) ~now =
+  let hops = msg.hops in
+  let last = Array.length hops - 1 in
+  let commitments = Array.make (Array.length hops) None in
+  let reached forwarders drop = { forwarders; commitments; drop } in
+  let rec from i =
+    if i = last then reached last None
+    else begin
       let a = hops.(i) and b = hops.(i + 1) in
-      (* Does a (for i > 0, a forwarder) actually forward? *)
-      let a_forwards =
-        i = 0
-        ||
-        match t.taps.tap_forward ~time:now ~node:a ~sender:from ~next:b with
-        | Some Tap_drop ->
-            Metrics.incr metrics "adversary.forced_drops";
-            if Prov.enabled prov then
-              prov_events :=
-                Prov.tap_firing prov ~kind:Prov.Forced_drop ~node:a ~time:now :: !prov_events;
-            false
-        | Some Tap_forward -> true
-        | None -> (
-            match t.behavior a with
-            | Message_dropper p -> not (Prng.bernoulli t.rng p)
-            | Silent_dropper -> false
-            | Honest | Sparse_advertiser _ -> true)
-      in
-      if not a_forwards then begin
-        fates.(i) <- { (fates.(i)) with forwarded = false };
-        drop := Some (Dropped_by_overlay a)
-      end
-      else begin
-        fates.(i) <- { (fates.(i)) with forwarded = true };
-        match World.ip_path t.world ~from_node:a ~to_node:b with
-        | None -> drop := Some (Dropped_by_overlay a) (* should not happen *)
+      if i > 0 && not (forwards t msg ~now ~node:a ~next:b) then
+        reached i (Some (Dropped_by_overlay a))
+      else
+        match msg.paths.(i) with
+        | None ->
+            (* A rewritten route with no IP path from [a] to [b]: the
+               message dies as an overlay drop at [a]. *)
+            reached (i + 1) (Some (Dropped_by_overlay a))
         | Some path -> (
             match transmit_over_path t path with
-            | Error link -> drop := Some (Dropped_on_ip_link link)
-            | Ok () when not (t.availability ~time:now b) -> drop := Some (Hop_offline b)
-            | Ok () ->
-                fates.(i + 1) <- { (fates.(i + 1)) with received = true };
-                let refuses =
-                  match t.behavior b with
-                  | Silent_dropper -> true
-                  | Honest | Message_dropper _ | Sparse_advertiser _ -> false
-                in
-                if not refuses then begin
-                  fates.(i + 1) <- { (fates.(i + 1)) with committed = true };
-                  let commitment =
-                    Commitment.issue
-                      ~forwarder:(World.id_of t.world b)
-                      ~secret:t.world.World.secrets.(b)
-                      ~public:(World.public_key_of t.world b)
-                      ~sender:(World.id_of t.world a) ~destination:dest ~message_id ~now
-                  in
-                  commitments.(i + 1) <- Some commitment
-                end;
-                incr index)
-      end
-    done;
-    (* Ack travels the reverse path when the destination received. *)
-    let delivered_to_root = !drop = None in
-    let ack_ok = ref delivered_to_root in
-    if delivered_to_root then begin
-      let rec ack_walk i =
-        (* ack hop: hops.(i+1) -> hops.(i). Peer relations are asymmetric, so
-           the known route is the forward one; the ack retraces its physical
-           links in reverse (per-link loss is direction-agnostic here). *)
-        if i < 0 then ()
-        else begin
-          match World.ip_path t.world ~from_node:hops.(i) ~to_node:hops.(i + 1) with
-          | None -> ack_walk (i - 1)
-          | Some path -> (
-              match transmit_over_path t path with
-              | Ok () -> ack_walk (i - 1)
-              | Error link ->
-                  ack_ok := false;
-                  drop := Some (Ack_lost_on_link link))
-        end
+            | Error link -> reached (i + 1) (Some (Dropped_on_ip_link link))
+            | Ok () when not (t.availability ~time:now b) -> reached (i + 1) (Some (Hop_offline b))
+            | Ok () -> (
+                commitments.(i + 1) <- commitment_of t msg ~now ~a ~b;
+                match from (i + 1) with
+                | { drop = None; _ } as acked -> (
+                    match transmit_over_path t path with
+                    | Ok () -> acked
+                    | Error link -> { acked with drop = Some (Ack_lost_on_link link) })
+                | dropped -> dropped))
+    end
+  in
+  from 0
+
+let finish t (msg : message) ~drop ~diagnosis ~no_commitment_from =
+  let metrics = t.obs.Obs.metrics in
+  let delivered = Option.is_none drop in
+  Metrics.observe metrics "msg.attempts" (float_of_int msg.attempts);
+  Metrics.incr metrics (if delivered then "msg.delivered" else "msg.dropped");
+  Trace.span_close t.obs.Obs.trace ~time:(Engine.now t.engine)
+    ~args:
+      [
+        ("delivered", Trace.Bool delivered);
+        ("attempts", Trace.Int msg.attempts);
+        ("drop", Trace.String (drop_label drop));
+      ]
+    msg.span;
+  let { id = message_id; attempts; route; _ } = msg in
+  msg.on_outcome { message_id; delivered; attempts; route; drop; diagnosis; no_commitment_from }
+
+(* An episode's judgment, once its blame window has closed. Phase A: each
+   steward that forwarded the final attempt and is still up runs its
+   heavyweight burst and judges its next hop. Then the revision walk
+   resolves the judgments, and phase B charges the verdict windows. *)
+let judge t (ep : episode) =
+  let msg = ep.message and walk = ep.walk and drop_time = ep.drop_time in
+  let hops = msg.hops in
+  let trace = t.obs.Obs.trace and metrics = t.obs.Obs.metrics and prov = t.obs.Obs.prov in
+  let jt = Engine.now t.engine in
+  let stamp = drop_time +. t.config.blame.Blame.delta in
+  (* A missing ack triggers heavyweight tomography at every steward that
+     saw the message (Section 3.2); chaos may starve a burst below the
+     usable floor. *)
+  let usable = Array.make walk.forwarders heavyweight_rounds in
+  for i = 0 to walk.forwarders - 1 do
+    if t.availability ~time:jt hops.(i) then
+      usable.(i) <- run_heavyweight_burst t hops.(i) ~stamp ~parent:ep.span
+  done;
+  (* Position i of [judgments] holds what hop i judged of hop i + 1
+     (Stewardship). [charges] holds, in route order, the judgments made
+     over a commitment, whose windows phase B charges after the revision
+     walk. The first uncommitted hop judged is flagged for the reputation
+     system. *)
+  let judgments = Array.make walk.forwarders None in
+  let charges = ref [] and no_commitment = ref None and starved = ref None in
+  let flag b = if Option.is_none !no_commitment then no_commitment := Some b in
+  for i = 0 to walk.forwarders - 1 do
+    let a = hops.(i) and b = hops.(i + 1) in
+    if t.availability ~time:jt a then begin
+      let pushed =
+        match t.behavior a with
+        | Message_dropper _ | Silent_dropper -> false (* culpable nodes sit on their verdicts *)
+        | Honest | Sparse_advertiser _ -> true
       in
-      ack_walk (hop_count - 2)
-    end;
-    if !ack_ok then
-      finish
-        {
-          message_id;
-          delivered = true;
-          attempts = n + 1;
-          route;
-          drop = None;
-          diagnosis = None;
-          no_commitment_from = None;
-        }
-    else if n < retry_limit then begin
+      if not (t.availability ~time:jt b) then begin
+        (* Availability probing shows the suspect offline (churned out or
+           crashed): absence is not misbehaviour. No verdict window is
+           charged -- the chain terminates and routing simply avoids the
+           hop. An uncommitted offline hop is still flagged. *)
+        if Option.is_none walk.commitments.(i + 1) then flag b;
+        judgments.(i) <- Some { Stewardship.target = Stewardship.Offline b; pushed }
+      end
+      else
+        match walk.commitments.(i + 1) with
+        | None ->
+            (* b never received it, or refuses commitments: a cannot prove
+               anything about b. If tomography shows the a->b path bad,
+               blame the network; otherwise fall back to the reputation
+               system (Section 3.6). *)
+            let selection =
+              select_votes t ~judge:a ~suspect:b ~links:(links_of msg.paths.(i)) ~drop_time
+            in
+            if
+              Blame.bad_confidence t.config.blame ~up:counted_up selection.Blame.counted
+              >= 1. -. t.config.blame.Blame.guilt_threshold
+            then judgments.(i) <- Some { Stewardship.target = Stewardship.Network; pushed }
+            else flag b
+        | Some commitment ->
+            (* a judges b over b's egress path (b to its next hop), or over
+               a->b when b is the final hop (its ack went missing). *)
+            let egress = if i + 2 < Array.length hops then msg.paths.(i + 1) else msg.paths.(i) in
+            let charge =
+              evaluate_suspect t ~episode:ep.span ~judge:a ~suspect:b ~links:(links_of egress)
+                ~drop_time ~commitment ~usable_rounds:usable.(i)
+            in
+            if
+              Array.for_all (function [] -> true | _ :: _ -> false) charge.selection.Blame.counted
+              && usable.(i) < min_heavyweight_rounds
+            then begin
+              (* The burst was starved (chaos) and no archived probes cover
+                 the window. Zero evidence defaults blame onto the
+                 forwarder, so abstaining beats judging: degrade to an
+                 explicit Insufficient_evidence outcome. *)
+              if Option.is_none !starved then starved := Some charge
+            end
+            else begin
+              let target =
+                match charge.verdict with
+                | Blame.Guilty -> Stewardship.Next_hop b
+                | Blame.Innocent -> Stewardship.Network
+              in
+              judgments.(i) <- Some { Stewardship.target; pushed };
+              charges := charge :: !charges
+            end
+    end
+  done;
+  (* Every selection of this judgment has read the store. *)
+  ep.judged <- true;
+  prune_behind_horizon t;
+  (* When the sender holds no judgment and a downstream steward anchors
+     the walk, the diagnosis survived a steward failover: record it as
+     episode evidence. *)
+  let anchor = Stewardship.anchor judgments in
+  (match anchor with
+  | Some first when first > 0 && Prov.enabled prov ->
+      msg.events <- Prov.failover prov ~kind:Prov.Steward ~node:hops.(first) ~time:jt :: msg.events
+  | Some _ | None -> ());
+  let events = List.rev msg.events in
+  let diagnosis =
+    match (anchor, !starved, !no_commitment) with
+    | None, Some charge, None ->
+        (* An abstention is still a verdict with provenance: its chain
+           shows what little evidence existed (often none, or votes a
+           defense knob removed) and why replaying it through Blame would
+           have been unsafe. *)
+        ignore
+          (verdict_node prov charge ~kind:Prov.Insufficient ~exonerated:false ~drop_time ~events
+            : Prov.node);
+        Insufficient_evidence
+          {
+            judge = charge.judge;
+            usable_rounds = charge.usable_rounds;
+            required_rounds = min_heavyweight_rounds;
+          }
+    | _ ->
+        let resolve_span =
+          Trace.span_open trace ~time:jt ~cat:"stewardship" ~parent:ep.span
+            ~args:[ ("first_judge", Trace.Int hops.(Option.value anchor ~default:0)) ]
+            "stewardship.resolve"
+        in
+        let resolution = Stewardship.resolve judgments in
+        Trace.span_close trace ~time:jt
+          ~args:[ ("exonerated", Trace.Int (List.length resolution.Stewardship.exonerated)) ]
+          resolve_span;
+        Diagnosed resolution
+  in
+  (* Phase B: charge verdict windows, honoring exonerations from the
+     revision walk -- an exonerated suspect's Guilty verdict is archived as
+     Innocent so honest forwarders cannot accrue formal accusations from
+     drops they demonstrably did not cause. *)
+  let exonerated =
+    match diagnosis with
+    | Diagnosed resolution -> resolution.Stewardship.exonerated
+    | Insufficient_evidence _ -> []
+  in
+  List.iter
+    (fun charge ->
+      let was_exonerated =
+        match charge.verdict with
+        | Blame.Guilty -> List.mem charge.suspect exonerated
+        | Blame.Innocent -> false
+      in
+      let verdict = if was_exonerated then Blame.Innocent else charge.verdict in
+      let kind = match verdict with Blame.Guilty -> Prov.Guilty | Blame.Innocent -> Prov.Innocent in
+      let vnode = verdict_node prov charge ~kind ~exonerated:was_exonerated ~drop_time ~events in
+      record_judgment t charge ~verdict ~drop_time ~episode:ep.span ~vnode)
+    (List.rev !charges);
+  (* The blame.* family splits diagnosis outcomes so degraded episodes
+     (insufficient evidence: nobody judged, nobody cleared) are never
+     conflated with correct acquittals (the network or an offline hop took
+     the blame after actual judgment). Collusion-accuracy curves need
+     exactly this distinction. *)
+  (match diagnosis with
+  | Diagnosed resolution -> begin
+      Metrics.incr metrics "episode.diagnosed";
+      match resolution.Stewardship.final with
+      | Some (Stewardship.Next_hop _) -> Metrics.incr metrics "blame.node_blamed"
+      | Some Stewardship.Network -> Metrics.incr metrics "blame.network_attributed"
+      | Some (Stewardship.Offline _) -> Metrics.incr metrics "blame.offline_suspect"
+      | None -> Metrics.incr metrics "blame.no_target"
+    end
+  | Insufficient_evidence _ ->
+      Metrics.incr metrics "episode.insufficient_evidence";
+      Metrics.incr metrics "blame.insufficient_evidence");
+  let diagnosed = match diagnosis with Diagnosed _ -> true | Insufficient_evidence _ -> false in
+  Trace.span_close trace ~time:jt ~args:[ ("diagnosed", Trace.Bool diagnosed) ] ep.span;
+  finish t msg ~drop:walk.drop ~diagnosis:(Some diagnosis) ~no_commitment_from:!no_commitment
+
+(* Retries exhausted: every steward that saw the final attempt judges its
+   next hop once the probe window closes. *)
+let diagnose t (msg : message) ~drop_time walk =
+  let trace = t.obs.Obs.trace in
+  let span =
+    Trace.span_open trace ~time:drop_time ~cat:"episode" ~parent:msg.span
+      ~args:[ ("id", Trace.String msg.id); ("attempts", Trace.Int msg.attempts) ]
+      "episode"
+  in
+  Trace.instant trace ~time:drop_time ~cat:"episode" ~span
+    ~args:[ ("drop", Trace.String (drop_label walk.drop)) ]
+    "episode.detect";
+  Metrics.incr t.obs.Obs.metrics "episode.started";
+  let episode = { message = msg; walk; drop_time; span; judged = false } in
+  Queue.push episode t.pending_judgments;
+  let judge_at = drop_time +. t.config.blame.Blame.delta +. t.control_latency ~time:drop_time in
+  Engine.schedule_at t.engine ~time:judge_at (fun _ -> judge t episode)
+
+let rec attempt t (msg : message) =
+  let now = Engine.now t.engine in
+  let walk = forward t msg ~now in
+  let n = msg.attempts in
+  msg.attempts <- n + 1;
+  match walk.drop with
+  | None -> finish t msg ~drop:None ~diagnosis:None ~no_commitment_from:None
+  | Some _ when n < retry_limit ->
       (* Ack timeout: retransmit after bounded exponential backoff. Any
          chaos-injected control latency stretches the timer too. *)
       let delay =
-        (retry_base_delay *. (retry_backoff ** float_of_int n))
-        +. t.control_latency ~time:now
+        (retry_base_delay *. (retry_backoff ** float_of_int n)) +. t.control_latency ~time:now
       in
-      Metrics.incr metrics "msg.retransmits";
+      Metrics.incr t.obs.Obs.metrics "msg.retransmits";
       (* The backoff span closes inside the retransmit's own scheduled
          action — tracing piggybacks on the event the retry needs anyway,
          adding none of its own. *)
-      let backoff_span =
-        Trace.span_open trace ~time:now ~cat:"protocol" ~parent:msg_span
-          ~args:[ ("attempt", Trace.Int (n + 1)); ("delay", Trace.Float delay) ]
-          "retransmit.backoff"
-      in
-      Engine.schedule t.engine ~delay (fun engine ->
-          Trace.span_close trace ~time:(Engine.now engine) backoff_span;
-          attempt (n + 1))
-    end
-    else diagnose ~attempts:(n + 1) ~drop_time:now ~fates ~commitments ~drop:!drop
-  and diagnose ~attempts ~drop_time ~fates ~commitments ~drop =
-    (* Retries exhausted: every steward that saw the final attempt judges
-       its next hop once the probe window closes. *)
-    let episode =
-      Trace.span_open trace ~time:drop_time ~cat:"episode" ~parent:msg_span
-        ~args:[ ("id", Trace.String message_id); ("attempts", Trace.Int attempts) ]
-        "episode"
-    in
-    Trace.instant trace ~time:drop_time ~cat:"episode" ~span:episode
-      ~args:[ ("drop", Trace.String (drop_label drop)) ]
-      "episode.detect";
-    Metrics.incr metrics "episode.started";
-    let awaiting = { pending_drop = drop_time; judged = false } in
-    Queue.push awaiting t.pending_judgments;
-    let judge_at =
-      drop_time +. t.config.blame.Blame.delta +. t.control_latency ~time:drop_time
-    in
-    Engine.schedule_at t.engine ~time:judge_at (fun _ ->
-        let jt = Engine.now t.engine in
-        let stamp = drop_time +. t.config.blame.Blame.delta in
-        (* A missing ack triggers heavyweight tomography at every steward
-           that saw the message (Section 3.2); chaos may starve a burst
-           below the usable floor. *)
-        let usable = Array.make hop_count heavyweight_rounds in
-        for i = 0 to hop_count - 2 do
-          if
-            fates.(i).received && fates.(i).forwarded
-            && t.availability ~time:jt hops.(i)
-          then usable.(i) <- run_heavyweight_burst t hops.(i) ~stamp ~parent:episode
-        done;
-        (* Position i of [judgments] holds what hop i judged of hop i + 1
-           (Stewardship). [charges] holds, in route order, the judgments
-           made over a commitment, whose windows phase B charges after the
-           revision walk. *)
-        let judgments = Array.make (hop_count - 1) None in
-        let charges = ref [] in
-        let no_commitment = ref None in
-        let starved = ref None in
-        for i = 0 to hop_count - 2 do
-          let a_fate = fates.(i) in
-          let b_fate = fates.(i + 1) in
-          if a_fate.received && a_fate.forwarded && t.availability ~time:jt hops.(i) then begin
-            let a = hops.(i) and b = hops.(i + 1) in
-            let pushed =
-              match t.behavior a with
-              | Message_dropper _ | Silent_dropper ->
-                  false (* culpable nodes sit on their verdicts *)
-              | Honest | Sparse_advertiser _ -> true
-            in
-            if not (t.availability ~time:jt b) then begin
-              (* Availability probing shows the suspect offline (churned out
-                 or crashed): absence is not misbehaviour. No verdict window
-                 is charged -- the chain terminates and routing simply
-                 avoids the hop. An uncommitted offline hop is still flagged
-                 for the reputation system. *)
-              if (not b_fate.committed) && !no_commitment = None then no_commitment := Some b;
-              judgments.(i) <- Some { Stewardship.target = Stewardship.Offline b; pushed }
-            end
-            else begin
-              match commitments.(i + 1) with
-              | None ->
-                  (* b never received it, or refuses commitments: a cannot
-                     prove anything about b. If tomography shows the a->b
-                     path bad, blame the network; otherwise fall back to the
-                     reputation system (Section 3.6). *)
-                  if not b_fate.committed then begin
-                    let links = path_links t ~from_node:a ~to_node:b in
-                    let confidence =
-                      Blame.bad_confidence t.config.blame ~up:counted_up
-                        (select_votes t ~judge:a ~suspect:b ~links ~drop_time).Blame.counted
-                    in
-                    if confidence >= 1. -. t.config.blame.Blame.guilt_threshold then
-                      judgments.(i) <- Some { Stewardship.target = Stewardship.Network; pushed }
-                    else if !no_commitment = None then no_commitment := Some b
-                  end
-              | Some commitment ->
-                  (* a judges b over b's egress path (b to its next hop), or
-                     over a->b when b is the final hop (its ack went missing). *)
-                  let links =
-                    if i + 2 < hop_count then path_links t ~from_node:b ~to_node:hops.(i + 2)
-                    else path_links t ~from_node:a ~to_node:b
-                  in
-                  let blame_span =
-                    Trace.span_open trace ~time:jt ~cat:"blame" ~parent:episode
-                      ~args:[ ("judge", Trace.Int a); ("suspect", Trace.Int b) ]
-                      "blame.evaluate"
-                  in
-                  let charge =
-                    evaluate_suspect t ~judge:a ~suspect:b ~links ~drop_time ~commitment
-                      ~usable_rounds:usable.(i)
-                  in
-                  Trace.span_close trace ~time:jt
-                    ~args:
-                      [
-                        ("blame", Trace.Float charge.blame);
-                        ("verdict", Trace.String (verdict_label charge.verdict));
-                      ]
-                    blame_span;
-                  if
-                    Array.for_all
-                      (function [] -> true | _ :: _ -> false)
-                      charge.selection.Blame.counted
-                    && usable.(i) < min_heavyweight_rounds
-                  then begin
-                    (* The burst was starved (chaos) and no archived probes
-                       cover the window. Zero evidence defaults blame onto
-                       the forwarder, so abstaining beats judging: degrade
-                       to an explicit Insufficient_evidence outcome. *)
-                    if !starved = None then starved := Some charge
-                  end
-                  else begin
-                    let target =
-                      match charge.verdict with
-                      | Blame.Guilty -> Stewardship.Next_hop b
-                      | Blame.Innocent -> Stewardship.Network
-                    in
-                    judgments.(i) <- Some { Stewardship.target; pushed };
-                    charges := charge :: !charges
-                  end
-            end
-          end
-        done;
-        (* Every selection of this judgment has read the store. *)
-        awaiting.judged <- true;
-        prune_behind_horizon t;
-        (* When the sender holds no judgment and a downstream steward
-           anchors the walk, the diagnosis survived a steward failover:
-           record it as episode evidence. *)
-        let anchor = Stewardship.anchor judgments in
-        (match anchor with
-        | Some first when first > 0 && Prov.enabled prov ->
-            prov_events :=
-              Prov.failover prov ~kind:Prov.Steward ~node:hops.(first) ~time:jt :: !prov_events
-        | Some _ | None -> ());
-        let episode_events = List.rev !prov_events in
-        let diagnosis =
-          match (anchor, !starved, !no_commitment) with
-          | None, Some charge, None ->
-              (* An abstention is still a verdict with provenance: its
-                 chain shows what little evidence existed (often none, or
-                 votes a defense knob removed) and why replaying it through
-                 Blame would have been unsafe. *)
-              ignore
-                (verdict_node prov charge ~kind:Prov.Insufficient ~exonerated:false ~drop_time
-                   ~events:episode_events
-                  : Prov.node);
-              Insufficient_evidence
-                {
-                  judge = charge.judge;
-                  usable_rounds = charge.usable_rounds;
-                  required_rounds = min_heavyweight_rounds;
-                }
-          | _ ->
-              let resolve_span =
-                Trace.span_open trace ~time:jt ~cat:"stewardship" ~parent:episode
-                  ~args:[ ("first_judge", Trace.Int hops.(Option.value anchor ~default:0)) ]
-                  "stewardship.resolve"
-              in
-              let resolution = Stewardship.resolve judgments in
-              Trace.span_close trace ~time:jt
-                ~args:
-                  [ ("exonerated", Trace.Int (List.length resolution.Stewardship.exonerated)) ]
-                resolve_span;
-              Diagnosed resolution
-        in
-        (* Phase B: charge verdict windows, honoring exonerations from the
-           revision walk -- an exonerated suspect's Guilty verdict is
-           archived as Innocent so honest forwarders cannot accrue formal
-           accusations from drops they demonstrably did not cause. *)
-        let exonerated =
-          match diagnosis with
-          | Diagnosed resolution -> resolution.Stewardship.exonerated
-          | Insufficient_evidence _ -> []
-        in
-        List.iter
-          (fun charge ->
-            let was_exonerated =
-              match charge.verdict with
-              | Blame.Guilty -> List.mem charge.suspect exonerated
-              | Blame.Innocent -> false
-            in
-            let verdict = if was_exonerated then Blame.Innocent else charge.verdict in
-            let kind =
-              match verdict with Blame.Guilty -> Prov.Guilty | Blame.Innocent -> Prov.Innocent
-            in
-            let vnode =
-              verdict_node prov charge ~kind ~exonerated:was_exonerated ~drop_time
-                ~events:episode_events
-            in
-            record_judgment t charge ~verdict ~drop_time ~episode ~vnode)
-          (List.rev !charges);
-        (* The blame.* family splits diagnosis outcomes so degraded episodes
-           (insufficient evidence: nobody judged, nobody cleared) are never
-           conflated with correct acquittals (the network or an offline hop
-           took the blame after actual judgment). Collusion-accuracy curves
-           need exactly this distinction. *)
-        (match diagnosis with
-        | Diagnosed resolution -> begin
-            Metrics.incr metrics "episode.diagnosed";
-            match resolution.Stewardship.final with
-            | Some (Stewardship.Next_hop _) -> Metrics.incr metrics "blame.node_blamed"
-            | Some Stewardship.Network -> Metrics.incr metrics "blame.network_attributed"
-            | Some (Stewardship.Offline _) -> Metrics.incr metrics "blame.offline_suspect"
-            | None -> Metrics.incr metrics "blame.no_target"
-          end
-        | Insufficient_evidence _ ->
-            Metrics.incr metrics "episode.insufficient_evidence";
-            Metrics.incr metrics "blame.insufficient_evidence");
-        Trace.span_close trace ~time:jt
-          ~args:
-            [
-              ( "diagnosed",
-                Trace.Bool
-                  (match diagnosis with Diagnosed _ -> true | Insufficient_evidence _ -> false)
-              );
-            ]
-          episode;
-        finish
-          {
-            message_id;
-            delivered = false;
-            attempts;
-            route;
-            drop;
-            diagnosis = Some diagnosis;
-            no_commitment_from = !no_commitment;
-          })
+      msg.backoff <-
+        Trace.span_open t.obs.Obs.trace ~time:now ~cat:"protocol" ~parent:msg.span
+          ~args:[ ("attempt", Trace.Int msg.attempts); ("delay", Trace.Float delay) ]
+          "retransmit.backoff";
+      Engine.schedule t.engine ~delay (fun _ -> retransmit t msg)
+  | Some _ -> diagnose t msg ~drop_time:now walk
+
+and retransmit t msg =
+  Trace.span_close t.obs.Obs.trace ~time:(Engine.now t.engine) msg.backoff;
+  attempt t msg
+
+let send_message t ~from ~dest ~payload:_ ~on_outcome =
+  let metrics = t.obs.Obs.metrics and prov = t.obs.Obs.prov in
+  let now = Engine.now t.engine in
+  let id = fresh_message_id t ~from ~dest in
+  let computed = World.overlay_route t.world ~from ~dest in
+  let route, events =
+    match t.taps.tap_route ~time:now ~from ~dest computed with
+    | None -> (computed, [])
+    | Some rewritten ->
+        Metrics.incr metrics "adversary.route_rewrites";
+        if Prov.enabled prov then
+          (rewritten, [ Prov.tap_firing prov ~kind:Prov.Route_rewrite ~node:from ~time:now ])
+        else (rewritten, [])
   in
-  attempt 0
+  let hops = Array.of_list route in
+  Metrics.incr metrics "msg.sent";
+  let span =
+    Trace.span_open t.obs.Obs.trace ~time:now ~cat:"protocol"
+      ~args:
+        [
+          ("from", Trace.Int from);
+          ("id", Trace.String id);
+          ("route_hops", Trace.Int (Array.length hops));
+        ]
+      "message"
+  in
+  let paths =
+    Array.init (Array.length hops - 1) (fun i ->
+        World.ip_path t.world ~from_node:hops.(i) ~to_node:hops.(i + 1))
+  in
+  attempt t
+    { id; sender = from; dest; route; hops; paths; span; on_outcome; attempts = 0;
+      backoff = Trace.none; events }

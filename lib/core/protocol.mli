@@ -68,8 +68,9 @@ type taps = {
       (** called once per message with the overlay route the sender
           computed; [Some route'] substitutes it (eclipse-style joins wedge
           attackers in front of a victim). The rewritten route must keep
-          consecutive hops IP-reachable or the message dies as an overlay
-          drop at the unreachable hop. *)
+          consecutive hops IP-reachable: a hop with no IP path to its
+          successor forwards into nothing, and the message dies as
+          [Dropped_by_overlay] at that hop. *)
   tap_forward : time:float -> node:int -> sender:int -> next:int -> forward_decision option;
       (** called at every forwarding decision of [node] (never the
           sender); [Some Tap_drop] eats the message, [Some Tap_forward]
@@ -186,7 +187,9 @@ val send_message :
     that availability shows offline at judgment time yields an
     {!Stewardship.Offline} target and charges no verdict window — absence
     is not misbehaviour. [on_outcome] fires once the diagnosis completes
-    (or immediately after the ack returns). *)
+    (or immediately after the ack returns). [send_message] reads no byte
+    of [payload]: messages are simulated by their route, not their
+    contents. *)
 
 val observations : t -> Observation.t
 (** The runtime's observation store. The runtime prunes it behind

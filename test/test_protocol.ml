@@ -22,15 +22,13 @@ type session = {
   protocol : Protocol.t;
 }
 
-let make_session ?(behavior = fun _ -> Protocol.Honest) ?(seed = 5L) () =
+let make_session ?(behavior = fun _ -> Protocol.Honest) ?(seed = 5L) ?(bad_loss = 1.) ?taps () =
   let world = Lazy.force world_fixture in
   let engine = Engine.create () in
   let graph = world.World.generated.World.Generate.graph in
-  let link_state =
-    Link_state.create ~link_count:(Graph.link_count graph) ~good_loss:0. ~bad_loss:1.
-  in
+  let link_state = Link_state.create ~link_count:(Graph.link_count graph) ~good_loss:0. ~bad_loss in
   let protocol =
-    Protocol.create ~world ~engine ~link_state ~rng:(Prng.of_seed seed)
+    Protocol.create ~world ~engine ~link_state ~rng:(Prng.of_seed seed) ?taps
       Protocol.default_config ~behavior
   in
   { world; engine; link_state; protocol }
@@ -320,6 +318,76 @@ let test_sparse_advertiser_caught () =
     true
     (flags_for attacker > honest_max)
 
+let send_one session ~from ~dest =
+  let outcome_seen = ref None in
+  Protocol.send_message session.protocol ~from ~dest ~payload:"x"
+    ~on_outcome:(fun outcome -> outcome_seen := Some outcome);
+  Engine.run_until session.engine 1200.;
+  match !outcome_seen with None -> Alcotest.fail "no outcome" | Some outcome -> outcome
+
+let test_unreachable_spliced_hop () =
+  (* The tap_route contract: a rewritten route whose consecutive hops are
+     IP-unreachable kills the message as an overlay drop at the hop that
+     cannot reach its successor. Splice a node z that route hop x has no
+     IP path to right after x: x forwards, nothing arrives, z never
+     commits, and x's upstream judge, holding x's commitment and no
+     evidence against any egress path, blames x. *)
+  let session0 = make_session () in
+  let from, dest, route = route_with_intermediate session0 in
+  let world = session0.world in
+  let x = List.nth route 1 in
+  let unreachable v =
+    (not (List.mem v route)) && Option.is_none (World.ip_path world ~from_node:x ~to_node:v)
+  in
+  let z =
+    match List.find_opt unreachable (List.init (World.node_count world) Fun.id) with
+    | Some z -> z
+    | None -> Alcotest.fail "every node is reachable from x"
+  in
+  let spliced = List.concat_map (fun hop -> if hop = x then [ x; z ] else [ hop ]) route in
+  let taps =
+    { Protocol.no_taps with tap_route = (fun ~time:_ ~from:_ ~dest:_ _ -> Some spliced) }
+  in
+  let session = make_session ~taps () in
+  warm_up session;
+  let outcome = send_one session ~from ~dest in
+  check Alcotest.(list int) "the rewritten route is reported" spliced outcome.Protocol.route;
+  check Alcotest.bool "not delivered" false outcome.Protocol.delivered;
+  check Alcotest.int "all retransmits consumed" 3 outcome.Protocol.attempts;
+  check Alcotest.bool "overlay drop at x" true
+    (outcome.Protocol.drop = Some (Protocol.Dropped_by_overlay x));
+  check (Alcotest.option Alcotest.int) "z flagged without commitment" (Some z)
+    outcome.Protocol.no_commitment_from;
+  match outcome.Protocol.diagnosis with
+  | Some (Protocol.Diagnosed { Stewardship.final = Some (Stewardship.Next_hop blamed); _ }) ->
+      check Alcotest.int "x blamed" x blamed
+  | _ -> Alcotest.fail "expected a node-level diagnosis"
+
+let test_lost_ack_diagnosed () =
+  (* The ack retraces the forward IP paths in reverse. With the first link
+     of the last hop's path losing half its packets, the final attempt at
+     this seed reaches the destination and loses the ack on that link. *)
+  let session = make_session ~seed:1L ~bad_loss:0.5 () in
+  let from, dest, route = route_with_intermediate session in
+  let last_hop = List.length route - 2 in
+  let path =
+    Option.get
+      (World.ip_path session.world ~from_node:(List.nth route last_hop)
+         ~to_node:(List.nth route (last_hop + 1)))
+  in
+  let links = path.World.Routes.links in
+  Link_state.set_bad session.link_state links.(0);
+  warm_up session;
+  let outcome = send_one session ~from ~dest in
+  (match outcome.Protocol.drop with
+  | Some (Protocol.Ack_lost_on_link link) ->
+      check Alcotest.bool "lost on the last hop's path" true (Array.mem link links)
+  | _ -> Alcotest.fail "expected a lost ack");
+  check Alcotest.int "all retransmits consumed" 3 outcome.Protocol.attempts;
+  match outcome.Protocol.diagnosis with
+  | Some (Protocol.Diagnosed _) -> ()
+  | _ -> Alcotest.fail "expected a diagnosis"
+
 let test_pending_judgments_hold_horizon () =
   (* A control delay of 500 s (more than 2 Delta) stretches both of a
      message's retransmit backoffs and then holds its judgment back: a
@@ -393,5 +461,8 @@ let suites =
           test_sparse_advertiser_caught;
         Alcotest.test_case "pending judgments hold the horizon back" `Quick
           test_pending_judgments_hold_horizon;
+        Alcotest.test_case "unreachable spliced hop is an overlay drop" `Quick
+          test_unreachable_spliced_hop;
+        Alcotest.test_case "lost ack is diagnosed" `Quick test_lost_ack_diagnosed;
       ] );
   ]
