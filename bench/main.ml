@@ -63,33 +63,66 @@ let minc_fixture =
      let rounds = Probing.probe_rounds ~rng ~loss_of_link:(fun _ -> 0.02) ~tree ~count:100 () in
      (logical, Probing.acked_matrix rounds))
 
+(* A star of [links] links from router 0, every prober of the store
+   fixtures' tree: a round votes on a link by the byte of the link's
+   node. *)
+let star_tree links =
+  let b = Graph.Builder.create (links + 1) in
+  for leaf = 1 to links do
+    Graph.Builder.add_link b 0 leaf
+  done;
+  let g = Graph.build b in
+  let path target =
+    match Routes.shortest_path g ~source:0 ~target with
+    | Some p -> p
+    | None -> invalid_arg "a star is connected by construction"
+  in
+  Tree.of_paths ~root:0 ~paths:(Array.init links (fun i -> path (i + 1)))
+
+let store_probers = Array.init 50 Fun.id
+let vote_byte up = if up then Observation.up_vote else Observation.down_vote
+
+(* About 5k reports over two hours from 50 probers on 200 links: 125
+   rounds, each of a random prober at a random time, voting on each link
+   with probability 0.2, so each link gets 25 reports. *)
 let observation_fixture =
   lazy
-    (let store = Observation.create () in
+    (let tree = star_tree 200 in
+     let store = Observation.create (Array.map (fun _ -> tree) store_probers) in
+     let verdicts = Bytes.create (Tree.node_count tree) in
      let rng = Prng.of_seed 6L in
-     for _ = 1 to 5_000 do
+     for _ = 1 to 125 do
        let time = Prng.float rng 7200. in
        let prober = Prng.int rng 50 in
-       let link = Prng.int rng 200 in
-       Observation.record store ~time ~prober ~link ~up:(Prng.bool rng)
+       Bytes.fill verdicts 0 (Bytes.length verdicts) Observation.no_vote;
+       for link = 0 to 199 do
+         if Prng.bernoulli rng 0.2 then
+           Bytes.set verdicts (Tree.node_of_link tree link) (vote_byte (Prng.bool rng))
+       done;
+       Observation.record store ~prober ~time ~verdicts ~forged:[]
      done;
      store)
 
-(* Stores of probe reports arriving 8 a second over 10 links, each stamped
-   up to a minute behind its insertion, as a heavy burst's drop + Delta
-   stamp can be, and pruned as Protocol prunes its store: once per Delta,
-   behind the window of a judgment whose drop was Delta ago. The short
-   store sees 5k reports (10 minutes), the long one 100 times that
-   history. A 2 Delta window holds about 100 reports per link on either,
-   so the two queries cost the same unless a query comes to cost what the
-   run has recorded rather than what its window holds. *)
-let window_fixture records =
+(* Stores of probe reports arriving 8 a second over 10 links, as rounds of
+   50 probers that vote on all 10 links, each stamped up to a minute behind
+   its insertion, as a heavy burst's drop + Delta stamp can be, and pruned
+   as Protocol prunes its store: once per Delta, behind the window of a
+   judgment whose drop was Delta ago. The short store sees 5k reports (10
+   minutes), the long one 100 times that history. A 2 Delta window holds
+   about 100 reports per link on either, so the two queries cost the same
+   unless a query comes to cost what the run has recorded rather than what
+   its window holds. *)
+let window_fixture reports =
   lazy
-    (let store = Observation.create () in
+    (let links = 10 in
+     let tree = star_tree links in
+     let store = Observation.create (Array.map (fun _ -> tree) store_probers) in
+     let verdicts = Bytes.make (Tree.node_count tree) Observation.no_vote in
      let rng = Prng.of_seed 15L in
-     let spacing = 600. /. 5_000. and delta = Blame.paper_config.Blame.delta in
+     let spacing = float_of_int links *. 600. /. 5_000. and delta = Blame.paper_config.Blame.delta in
      let next_prune = ref delta in
-     for i = 1 to records do
+     let rounds = reports / links in
+     for i = 1 to rounds do
        let now = float_of_int i *. spacing in
        if now >= !next_prune then begin
          Observation.prune_before store (now -. (2. *. delta));
@@ -97,10 +130,12 @@ let window_fixture records =
        end;
        let time = now -. Prng.float rng 60. in
        let prober = Prng.int rng 50 in
-       let link = Prng.int rng 10 in
-       Observation.record store ~time ~prober ~link ~up:(Prng.bool rng)
+       for link = 0 to links - 1 do
+         Bytes.set verdicts (Tree.node_of_link tree link) (vote_byte (Prng.bool rng))
+       done;
+       Observation.record store ~prober ~time ~verdicts ~forged:[]
      done;
-     (store, float_of_int records *. spacing))
+     (store, float_of_int rounds *. spacing))
 
 let window_short_fixture = window_fixture 5_000
 let window_long_fixture = window_fixture 500_000
@@ -163,9 +198,7 @@ let blame_eq2_bench =
      let store = Lazy.force observation_fixture in
      for i = 1 to 10 do
        let selection =
-         Blame.select Blame.paper_config store
-           ~visible:(fun _ -> true)
-           ~exclude_prober:0 ~one_vote_per_prober:false ~links:[| 1; 2; 3; 4; 5 |]
+         Blame.select Blame.paper_config store ~probers:store_probers ~exclude_prober:0 ~one_vote_per_prober:false ~links:[| 1; 2; 3; 4; 5 |]
            ~drop_time:(600. *. float_of_int i)
        in
        ignore
@@ -173,6 +206,8 @@ let blame_eq2_bench =
             ~up:(fun obs -> obs.Observation.up)
             selection.Blame.counted)
      done)
+
+let window_links = Array.init 10 Fun.id
 
 (* The latest 2 Delta window on every link, as a judgment reads it. The
    guard below keeps the long store's query within 2x of the short one's:
@@ -183,9 +218,9 @@ let observation_window_bench name fixture =
     (Staged.stage @@ fun () ->
      let store, now = Lazy.force fixture in
      let lo = now -. (2. *. Blame.paper_config.Blame.delta) in
-     for link = 0 to 9 do
-       ignore (Observation.on_link store ~link ~lo ~hi:now ~keep:(fun _ -> true))
-     done)
+     ignore
+       (Observation.window store ~probers:store_probers ~exclude:(-1) ~links:window_links ~lo
+          ~hi:now))
 
 let observation_window_short_bench =
   observation_window_bench "tomography:observation-window-short" window_short_fixture

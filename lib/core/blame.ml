@@ -43,26 +43,24 @@ let latest_per_prober window =
       | None -> None)
     window
 
-let select config observations ~visible ~exclude_prober ~one_vote_per_prober ~links ~drop_time =
+let select config observations ~probers ~exclude_prober ~one_vote_per_prober ~links ~drop_time =
   check_config config;
   let lo = drop_time -. config.delta and hi = drop_time +. config.delta in
-  let excluded = ref 0 and deduped = ref 0 in
-  (* Visibility and exclusion are decided on the store's columns, so the
-     reports the judge does not count are never built. *)
-  let keep prober = visible prober && (prober <> exclude_prober || (incr excluded; false)) in
+  (* Only the judge's visible probers' rounds are read, and the excluded
+     prober's votes are counted, never built. *)
+  let window = Observation.window observations ~probers ~exclude:exclude_prober ~links ~lo ~hi in
+  let deduped = ref 0 in
   let counted =
-    Array.map
-      (fun link ->
-        let kept = Observation.on_link observations ~link ~lo ~hi ~keep in
-        if not one_vote_per_prober then kept
-        else begin
+    if not one_vote_per_prober then window.Observation.votes
+    else
+      Array.map
+        (fun kept ->
           let votes = latest_per_prober kept in
           deduped := !deduped + (List.length kept - List.length votes);
-          votes
-        end)
-      links
+          votes)
+        window.Observation.votes
   in
-  { counted; excluded = !excluded; deduped = !deduped }
+  { counted; excluded = window.Observation.excluded; deduped = !deduped }
 
 let bad_confidence config ~up groups =
   check_config config;

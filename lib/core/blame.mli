@@ -42,25 +42,25 @@ type selection = {
 val select :
   config ->
   Observation.t ->
-  visible:(int -> bool) ->
+  probers:int array ->
   exclude_prober:int ->
   one_vote_per_prober:bool ->
   links:int array ->
   drop_time:float ->
   selection
 (** The votes a judge counts for a drop at [drop_time] over [links]: each
-    link's observations in [drop_time - delta, drop_time + delta], in the
-    store's insertion order (not time order: heavy bursts stamp
-    drop + Delta when their judgment runs, which control delay can hold
-    back past later probe rounds), from probers the judge can see
-    ([visible]), minus those of [exclude_prober]. With
+    link's votes in [drop_time - delta, drop_time + delta] from the
+    probers the judge can see ([probers], distinct: itself and its routing
+    peers), minus those of [exclude_prober], in the store's insertion order
+    (not time order: heavy bursts stamp drop + Delta when their judgment
+    runs, which control delay can hold back past later probe rounds). With
     [one_vote_per_prober], each prober keeps only its latest vote on a
     link in that order, at its first-occurrence position: the
     ballot-stuffing defense, under which a prober that floods duplicate
-    reports into a window collapses back to a single voice. Linear in the
-    window's size.
+    reports into a window collapses back to a single voice. Costs the
+    window's rounds of those probers times the links.
     @raise Invalid_argument if the window starts behind the store's pruned
-    horizon ({!Observation.on_link}). *)
+    horizon ({!Observation.window}). *)
 
 val bad_confidence : config -> up:('v -> bool) -> 'v list array -> float
 (** Equation 3 over per-link vote groups, [up] reading a vote's polarity:

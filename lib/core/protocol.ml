@@ -6,6 +6,8 @@ module Routes = Concilium_topology.Routes
 module Observation = Concilium_tomography.Observation
 module Probing = Concilium_tomography.Probing
 module Logical_tree = Concilium_tomography.Logical_tree
+module Tree = Concilium_tomography.Tree
+module Minc = Concilium_tomography.Minc
 module Sha256 = Concilium_crypto.Sha256
 module Prng = Concilium_util.Prng
 module Obs = Concilium_obs.Collector
@@ -181,8 +183,9 @@ type t = {
   windows : (int * int, archived_verdict Verdict_window.t) Hashtbl.t;
   dht : Dht.t;
   control_bytes : int array;
-  (* Previous advertised per-peer path status, for snapshot diffs. *)
-  last_advertised : bool array option array;
+  (* Each node's previously advertised per-peer path status, for snapshot
+     diffs; empty until its first round. *)
+  last_advertised : bool array array;
   obs : Obs.t;
   (* Provenance index: recorded observations keyed back to their arena
      nodes, so a verdict's evidence edges can point at the votes it
@@ -193,6 +196,17 @@ type t = {
   mutable message_seq : int;
   (* Each node's probe inter-arrival multiplier. *)
   probe_backoff : float array;
+  (* One round's buffers, sized for the largest tree and reused by every
+     round and burst: link fates and the round's verdict bytes by tree
+     node, acks and offline peers by leaf, classes by logical node. *)
+  fates : Bytes.t;
+  verdicts : Bytes.t;
+  received : bool array;
+  acked : bool array;
+  offline : bool array;
+  classes : Probing.link_verdict array;
+  loss_of_link : int -> float;
+  leaf_behavior : int -> Probing.leaf_behavior;
 }
 
 let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> true)
@@ -211,6 +225,10 @@ let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> tru
     Prov.set_param obs.Obs.prov "delta" config.blame.Blame.delta;
     Prov.set_param obs.Obs.prov "guilt_threshold" config.blame.Blame.guilt_threshold
   end;
+  let largest size = Array.fold_left (fun acc x -> max acc (size x)) 0 in
+  let nodes = largest Tree.node_count world.World.trees in
+  let leaves = largest Tree.leaf_count world.World.trees in
+  let offline = Array.make leaves false in
   {
     world;
     engine;
@@ -222,17 +240,27 @@ let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> tru
     availability;
     control_latency;
     put_copies;
-    observations = Observation.create ();
+    observations = Observation.create world.World.trees;
     pending_judgments = Queue.create ();
     next_prune = Float.neg_infinity;
     windows = Hashtbl.create 256;
     dht = Dht.create ~pastry:world.World.pastry ~replication:dht_replication;
     control_bytes = Array.make (World.node_count world) 0;
-    last_advertised = Array.make (World.node_count world) None;
+    last_advertised = Array.make (World.node_count world) [||];
     obs;
     prov_probes = Hashtbl.create (if Prov.enabled obs.Obs.prov then 1024 else 1);
     message_seq = 0;
     probe_backoff = Array.make (World.node_count world) 1.;
+    fates = Bytes.create nodes;
+    verdicts = Bytes.create nodes;
+    received = Array.make leaves false;
+    acked = Array.make leaves false;
+    offline;
+    classes =
+      Array.make (largest Logical_tree.node_count world.World.logical) Probing.Indeterminate;
+    loss_of_link = (fun link -> Link_state.loss_rate link_state link);
+    leaf_behavior =
+      (fun leaf -> if offline.(leaf) then Probing.Suppress_acks 1.0 else Probing.Honest);
   }
 
 let observations t = t.observations
@@ -291,117 +319,142 @@ let prune_behind_horizon t =
       t.prov_probes
   end
 
-(* ---------- Probe observations ---------- *)
+(* ---------- Probe rounds ---------- *)
 
-(* Per leaf index of [tree]: whether the routing peer behind the leaf's
-   router is offline at [time]. Offline peers cannot acknowledge (churn
-   looks like total ack suppression from the prober's vantage), and the
-   paper's disambiguation rule (Section 3.2) — a few follow-up probes to
-   tell "truly offline" from "behind a lossy link" — confirms them, so
-   their chains carry no last-mile information. *)
-let offline_leaves t tree ~time =
-  let module Tree = Concilium_tomography.Tree in
-  Array.init (Tree.leaf_count tree) (fun i ->
-      match World.node_of_router t.world (Tree.router_of tree (Tree.leaf tree i)) with
-      | Some peer -> not (t.availability ~time peer)
-      | None -> false)
+(* Marks in [t.offline], per leaf index of [v]'s tree, whether the routing
+   peer behind the leaf's router is offline at [time]. Offline peers cannot
+   acknowledge (churn looks like total ack suppression from the prober's
+   vantage), and the paper's disambiguation rule (Section 3.2) — a few
+   follow-up probes to tell "truly offline" from "behind a lossy link" —
+   confirms them, so their chains carry no last-mile information. *)
+let mark_offline t v ~time =
+  let peers = t.world.World.leaf_peers.(v) in
+  for i = 0 to Array.length peers - 1 do
+    let peer = peers.(i) in
+    t.offline.(i) <- peer >= 0 && not (t.availability ~time peer)
+  done
 
-let leaf_behavior offline leaf_index =
-  if offline.(leaf_index) then Probing.Suppress_acks 1.0 else Probing.Honest
+(* Draw one round of [tree] into [t.acked]. *)
+let draw_round t tree =
+  Probing.draw ~rng:t.rng ~loss_of_link:t.loss_of_link ~tree ~behavior:t.leaf_behavior
+    ~fates:t.fates ~received:t.received ~acked:t.acked
 
-(* Prober [v]'s verdict [up] on a logical node, recorded at [time] for
-   every physical link of the node's chain, passed through the adversary's
-   observation tap. *)
-let record_chain t v ~logical ~time node up =
-  for i = 0 to Logical_tree.chain_length logical node - 1 do
-    let link = Logical_tree.chain_link logical node i in
+(* Prober [v]'s verdict [up] on a logical node, at [time], for every
+   physical link of the node's chain in order: passed through the
+   adversary's observation tap, set in the round's verdict bytes and, when
+   provenance records, given its probe node. *)
+let vote_chain t v ~logical ~time node up =
+  let starts = Logical_tree.chain_starts logical and links = Logical_tree.chain_links logical in
+  let nodes = Logical_tree.chain_nodes logical and recording = Prov.enabled t.obs.Obs.prov in
+  for i = starts.(node) to starts.(node + 1) - 1 do
+    let link = links.(i) in
     let reported = t.taps.tap_observation ~time ~prober:v ~link ~up in
     if reported <> up then Metrics.incr t.obs.Obs.metrics "adversary.lies";
-    Observation.record t.observations ~time ~prober:v ~link ~up:reported;
-    prov_record_probe t ~prober:v ~link ~time ~up:reported ~tapped:(reported <> up)
-      ~forged:false
+    Bytes.set t.verdicts nodes.(i) (if reported then Observation.up_vote else Observation.down_vote);
+    if recording then
+      prov_record_probe t ~prober:v ~link ~time ~up:reported ~tapped:(reported <> up)
+        ~forged:false
   done
+
+(* [Metrics.incr ~by] wraps its count in an option: only build it for a
+   recording registry. *)
+let add_metric t name count =
+  if Metrics.enabled t.obs.Obs.metrics then Metrics.incr t.obs.Obs.metrics ~by:count name
 
 (* ---------- Lightweight probing ---------- *)
 
+(* One lightweight round of [v]'s tree, recorded as one round of the store.
+   It allocates nothing of its own: the round lives in [t]'s buffers and
+   the store's ring. *)
 let run_probe_round t v =
   prune_behind_horizon t;
   let tree = t.world.World.trees.(v) in
   let logical = t.world.World.logical.(v) in
-  let loss_of_link link = Link_state.loss_rate t.link_state link in
   let now = Engine.now t.engine in
-  let offline = offline_leaves t tree ~time:now in
-  let round =
-    Probing.probe_round ~rng:t.rng ~loss_of_link ~tree ~behavior:(leaf_behavior offline) ()
-  in
-  let verdicts = Probing.classify_round logical round.Probing.acked in
-  for leaf = 0 to Array.length offline - 1 do
-    if offline.(leaf) then verdicts.(Logical_tree.leaf logical leaf) <- Probing.Indeterminate
+  let leaf_count = Tree.leaf_count tree in
+  mark_offline t v ~time:now;
+  draw_round t tree;
+  Probing.classify_into logical t.acked t.classes;
+  let leaves = Logical_tree.leaves logical in
+  for leaf = 0 to leaf_count - 1 do
+    if t.offline.(leaf) then t.classes.(leaves.(leaf)) <- Probing.Indeterminate
   done;
-  for node = 0 to Array.length verdicts - 1 do
-    match verdicts.(node) with
-    | Probing.Probed_up -> record_chain t v ~logical ~time:now node true
-    | Probing.Probed_down -> record_chain t v ~logical ~time:now node false
+  Bytes.fill t.verdicts 0 (Tree.node_count tree) Observation.no_vote;
+  for node = 1 to Logical_tree.node_count logical - 1 do
+    match t.classes.(node) with
+    | Probing.Probed_up -> vote_chain t v ~logical ~time:now node true
+    | Probing.Probed_down -> vote_chain t v ~logical ~time:now node false
     | Probing.Indeterminate -> ()
   done;
   (* Forged corroboration rides the same round: a compromised prober may
      stuff extra reports into the window. Free for the attacker — forged
      votes are fabricated locally, not probed, so no bandwidth is charged. *)
-  (match t.taps.tap_forged_reports ~time:now ~prober:v with
+  let forged = t.taps.tap_forged_reports ~time:now ~prober:v in
+  (match forged with
   | [] -> ()
-  | forged ->
-      Metrics.incr t.obs.Obs.metrics ~by:(List.length forged) "adversary.forged_reports";
+  | _ :: _ ->
+      add_metric t "adversary.forged_reports" (List.length forged);
       List.iter
         (fun (link, up) ->
-          Observation.record t.observations ~time:now ~prober:v ~link ~up;
           prov_record_probe t ~prober:v ~link ~time:now ~up ~tapped:false ~forged:true)
         forged);
+  Observation.record t.observations ~prober:v ~time:now ~verdicts:t.verdicts ~forged;
   (* Bandwidth accounting (Section 4.4): the probe stripe itself, plus the
      snapshot advertisement to every routing peer — the full table on first
      exchange, a diff of changed path summaries after. *)
-  let leaf_count = Array.length offline in
-  let peer_count = Array.length t.world.World.peers.(v) in
+  let previous = t.last_advertised.(v) in
   let advert_entries =
-    match t.last_advertised.(v) with
-    | None -> leaf_count
-    | Some previous ->
-        let changed = ref 0 in
-        Array.iteri
-          (fun i acked -> if acked <> previous.(i) then incr changed)
-          round.Probing.acked;
-        !changed
+    if Array.length previous <> leaf_count then begin
+      t.last_advertised.(v) <- Array.sub t.acked 0 leaf_count;
+      leaf_count
+    end
+    else begin
+      let changed = ref 0 in
+      for i = 0 to leaf_count - 1 do
+        if t.acked.(i) <> previous.(i) then begin
+          incr changed;
+          previous.(i) <- t.acked.(i)
+        end
+      done;
+      !changed
+    end
   in
-  t.last_advertised.(v) <- Some round.Probing.acked;
+  let peer_count = Array.length t.world.World.peers.(v) in
   let stripe_bytes = Bandwidth.probe_stripe_bytes ~leaves:leaf_count in
   let advert_bytes = peer_count * Bandwidth.advert_bytes ~entries:advert_entries in
   t.control_bytes.(v) <- t.control_bytes.(v) + stripe_bytes + advert_bytes;
-  Metrics.incr t.obs.Obs.metrics ~by:stripe_bytes "bytes.probe_stripe";
-  Metrics.incr t.obs.Obs.metrics ~by:advert_bytes "bytes.advert_diff";
+  add_metric t "bytes.probe_stripe" stripe_bytes;
+  add_metric t "bytes.advert_diff" advert_bytes;
   Metrics.incr t.obs.Obs.metrics "probe.light_rounds";
-  let any_ack = Array.exists Fun.id round.Probing.acked in
-  let round_span =
-    Trace.span_open t.obs.Obs.trace ~time:now ~cat:"probe"
-      ~args:[ ("prober", Trace.Int v) ]
-      "probe.round"
-  in
-  Trace.span_close t.obs.Obs.trace ~time:now
-    ~args:[ ("any_ack", Trace.Bool any_ack) ]
-    round_span;
+  let any_ack = ref false in
+  for i = 0 to leaf_count - 1 do
+    if t.acked.(i) then any_ack := true
+  done;
+  let trace = t.obs.Obs.trace in
+  (* The span's arguments are built only for a recording sink. *)
+  if Trace.enabled trace then begin
+    let round_span =
+      Trace.span_open trace ~time:now ~cat:"probe" ~args:[ ("prober", Trace.Int v) ] "probe.round"
+    in
+    Trace.span_close trace ~time:now ~args:[ ("any_ack", Trace.Bool !any_ack) ] round_span
+  end;
   (* A totally silent round (every ack timed out) drives the caller's
      probe backoff; any ack resets it. *)
-  any_ack
+  !any_ack
 
 (* Heavyweight tomography (Section 3.2): fired when application messages go
    unacknowledged. Many striped rounds, MINC inference, and per-link
    up/down observations at the inferred-loss threshold.
 
    The burst notionally spans [now, now + rounds * spacing): a judge that
-   crashes or churns out mid-burst loses the remaining rounds. Returns the
-   number of usable rounds; when that falls below min_heavyweight_rounds, no
-   observations are recorded at all — a starved estimate is worse than an
-   honest abstention. Observations are stamped at [stamp] (the blame-window
-   edge), so chaos-injected control delay cannot push the evidence outside
-   the window it was gathered for. *)
+   crashes or churns out mid-burst loses the remaining rounds. Each usable
+   round is folded into MINC's subtree-ack counts as it is drawn. Returns
+   the number of usable rounds; when that falls below
+   min_heavyweight_rounds, no observations are recorded at all — a starved
+   estimate is worse than an honest abstention. The verdicts are recorded
+   as one round stamped at [stamp] (the blame-window edge), so
+   chaos-injected control delay cannot push the evidence outside the
+   window it was gathered for. *)
 let heavyweight_round_spacing = 1.0
 
 let run_heavyweight_burst t v ~stamp ~parent =
@@ -414,42 +467,37 @@ let run_heavyweight_burst t v ~stamp ~parent =
       ~args:[ ("judge", Trace.Int v) ]
       "probe.heavy_burst"
   in
-  let loss_of_link link = Link_state.loss_rate t.link_state link in
-  let offline = offline_leaves t tree ~time:now in
-  let behavior = leaf_behavior offline in
-  let rounds = ref [] in
+  mark_offline t v ~time:now;
+  let counts = Minc.counts logical in
   for r = 0 to heavyweight_rounds - 1 do
     let round_time = now +. (float_of_int r *. heavyweight_round_spacing) in
-    if t.availability ~time:round_time v then
-      rounds := Probing.probe_round ~rng:t.rng ~loss_of_link ~tree ~behavior () :: !rounds
+    if t.availability ~time:round_time v then begin
+      draw_round t tree;
+      Minc.add_round counts t.acked
+    end
   done;
-  let usable = List.length !rounds in
-  let burst_bytes =
-    Bandwidth.heavy_burst_bytes ~rounds:usable ~leaves:(Array.length offline)
-  in
+  let usable = Minc.rounds counts in
+  let leaf_count = Tree.leaf_count tree in
+  let burst_bytes = Bandwidth.heavy_burst_bytes ~rounds:usable ~leaves:leaf_count in
   t.control_bytes.(v) <- t.control_bytes.(v) + burst_bytes;
-  Metrics.incr t.obs.Obs.metrics ~by:burst_bytes "bytes.heavy_probe";
+  add_metric t "bytes.heavy_probe" burst_bytes;
   Metrics.incr t.obs.Obs.metrics "probe.heavy_bursts";
   if usable >= min_heavyweight_rounds then begin
-    let rounds = Array.of_list (List.rev !rounds) in
-    let estimate =
-      Concilium_tomography.Minc.infer_from_rounds ~trace ~parent:burst_span ~time:now
-        logical rounds
-    in
+    let estimate = Minc.estimate ~trace ~parent:burst_span ~time:now counts in
     (* Offline leaves' chains carry no information: skip them. *)
     let skip = Array.make (Logical_tree.node_count logical) false in
-    for leaf = 0 to Array.length offline - 1 do
-      if offline.(leaf) then skip.(Logical_tree.leaf logical leaf) <- true
+    let leaves = Logical_tree.leaves logical in
+    for leaf = 0 to leaf_count - 1 do
+      if t.offline.(leaf) then skip.(leaves.(leaf)) <- true
     done;
+    Bytes.fill t.verdicts 0 (Tree.node_count tree) Observation.no_vote;
     for node = 1 to Logical_tree.node_count logical - 1 do
       (* Only chains the estimator actually saw data for. *)
-      if
-        (not skip.(node))
-        && estimate.Concilium_tomography.Minc.gamma.(Logical_tree.parent logical node) > 0.
-      then
-        record_chain t v ~logical ~time:stamp node
-          (Concilium_tomography.Minc.link_loss estimate node < heavyweight_loss_threshold)
-    done
+      if (not skip.(node)) && estimate.Minc.gamma.(Logical_tree.parent logical node) > 0. then
+        vote_chain t v ~logical ~time:stamp node
+          (Minc.link_loss estimate node < heavyweight_loss_threshold)
+    done;
+    Observation.record t.observations ~prober:v ~time:stamp ~verdicts:t.verdicts ~forged:[]
   end;
   Trace.span_close trace ~time:now
     ~args:[ ("usable_rounds", Trace.Int usable); ("required", Trace.Int min_heavyweight_rounds) ]
@@ -606,7 +654,7 @@ let window_for t ~judge ~suspect =
    observe the attack. *)
 let select_votes t ~judge ~suspect ~links ~drop_time =
   Blame.select t.config.blame t.observations
-    ~visible:(fun prober -> prober = judge || World.is_peer t.world judge prober)
+    ~probers:(Array.append [| judge |] t.world.World.sorted_peers.(judge))
     ~exclude_prober:(if t.config.exclude_suspect_probes then suspect else -1)
     ~one_vote_per_prober:t.config.one_vote_per_prober ~links ~drop_time
 

@@ -44,11 +44,11 @@ type t = {
   generated : Generate.world;
   pastry : Pastry.t;
   host_router : int array;
-  router_node : int array;  (* router -> node, -1 when the router hosts none *)
   peers : int array array;
   sorted_peers : int array array;
   peer_paths : Routes.path option array array;
   trees : Tree.t array;
+  leaf_peers : int array array;
   logical : Logical_tree.t array;
   pki : Pki.t;
   certificates : Pki.certificate array;
@@ -125,18 +125,25 @@ let build config =
           cursor.(link) <- cursor.(link) + 1)
         (Tree.physical_links tree))
     trees;
+  (* Router -> overlay node, -1 when the router hosts none. *)
   let router_node = Array.make (Graph.node_count graph) (-1) in
   Array.iteri (fun v router -> router_node.(router) <- v) host_router;
+  let leaf_peers =
+    Array.map
+      (fun tree ->
+        Array.init (Tree.leaf_count tree) (fun i -> router_node.(Tree.router_of tree (Tree.leaf tree i))))
+      trees
+  in
   {
     config;
     generated;
     pastry;
     host_router;
-    router_node;
     peers;
     sorted_peers;
     peer_paths;
     trees;
+    leaf_peers;
     logical;
     pki;
     certificates;
@@ -148,13 +155,6 @@ let build config =
 let node_count t = Array.length t.host_router
 let id_of t v = (Pastry.node t.pastry v).Pastry.id
 let public_key_of t v = t.certificates.(v).Pki.subject_key
-
-let node_of_router t router =
-  if router < 0 || router >= Array.length t.router_node then None
-  else begin
-    let v = t.router_node.(router) in
-    if v < 0 then None else Some v
-  end
 
 (* Not [Sorted.mem], whose predicate closure allocates on every call. *)
 let is_peer t v peer =

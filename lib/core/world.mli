@@ -36,13 +36,14 @@ type t = {
   generated : Generate.world;
   pastry : Pastry.t;
   host_router : int array;  (** overlay node index -> router id *)
-  router_node : int array;
-      (** inverse of [host_router]: router -> node, -1 when none *)
   peers : int array array;  (** overlay node -> its routing peers (overlay indices) *)
   sorted_peers : int array array;  (** [peers], each row sorted ascending ({!is_peer}) *)
   peer_paths : Routes.path option array array;
       (** [peer_paths.(v).(i)] is the IP route from v to [peers.(v).(i)] *)
   trees : Tree.t array;  (** T_H per overlay node *)
+  leaf_peers : int array array;
+      (** [leaf_peers.(v).(i)] is the overlay node at leaf [i] of v's tree
+          ({!Tree.leaf}), -1 when its router hosts none *)
   logical : Logical_tree.t array;
   pki : Pki.t;
   certificates : Pki.certificate array;
@@ -59,9 +60,6 @@ val build : config -> t
 val node_count : t -> int
 val id_of : t -> int -> Id.t
 val public_key_of : t -> int -> Pki.public_key
-
-val node_of_router : t -> int -> int option
-(** Overlay node attached to a router, if any. *)
 
 val is_peer : t -> int -> int -> bool
 (** [is_peer t v peer]: whether [peer] is one of [v]'s routing peers. A

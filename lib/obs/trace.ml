@@ -22,10 +22,15 @@ type t = {
   mutable length : int;
   mutable next_id : int;
   mutable tap : (string -> unit) option;
+  line : Buffer.t;  (* renders each streamed record, reused *)
 }
 
-let create () = { recording = true; records = []; length = 0; next_id = 1; tap = None }
-let noop = { recording = false; records = []; length = 0; next_id = 1; tap = None }
+let create () =
+  { recording = true; records = []; length = 0; next_id = 1; tap = None; line = Buffer.create 128 }
+
+let noop =
+  { recording = false; records = []; length = 0; next_id = 1; tap = None; line = Buffer.create 1 }
+
 let enabled t = t.recording
 
 let set_tap t f = if t.recording then t.tap <- Some f
@@ -35,10 +40,17 @@ let set_tap t f = if t.recording then t.tap <- Some f
    Shared by the batch [jsonl] export and the streaming tap, so a flight
    recorder's ring holds exactly the lines a full dump would contain. *)
 
+(* Printf's "%.6f" is this primitive on this format, byte for byte; calling
+   it directly skips Printf's format interpreter, which allocated most of a
+   streamed record's words. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_fixed buf f = Buffer.add_string buf (format_float "%.6f" f)
+
 let add_value buf value =
   match value with
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (Printf.sprintf "%.6f" f)
+  | Float f -> add_fixed buf f
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | String s -> Json.add_quoted buf s
 
@@ -56,30 +68,44 @@ let add_args buf args =
 let add_record_line buf record =
   match record with
   | Instant { time; name; cat; span; args } ->
-      Buffer.add_string buf (Printf.sprintf {|{"t": %.6f, "ph": "instant", "name": |} time);
+      Buffer.add_string buf {|{"t": |};
+      add_fixed buf time;
+      Buffer.add_string buf {|, "ph": "instant", "name": |};
       Json.add_quoted buf name;
       Buffer.add_string buf {|, "cat": |};
       Json.add_quoted buf cat;
-      if span <> none then Buffer.add_string buf (Printf.sprintf {|, "span": %d|} span);
+      if span <> none then begin
+        Buffer.add_string buf {|, "span": |};
+        Buffer.add_string buf (string_of_int span)
+      end;
       if args <> [] then begin
         Buffer.add_string buf {|, "args": |};
         add_args buf args
       end;
       Buffer.add_char buf '}'
   | Open { time; name; cat; id; parent; args } ->
-      Buffer.add_string buf
-        (Printf.sprintf {|{"t": %.6f, "ph": "open", "id": %d, "name": |} time id);
+      Buffer.add_string buf {|{"t": |};
+      add_fixed buf time;
+      Buffer.add_string buf {|, "ph": "open", "id": |};
+      Buffer.add_string buf (string_of_int id);
+      Buffer.add_string buf {|, "name": |};
       Json.add_quoted buf name;
       Buffer.add_string buf {|, "cat": |};
       Json.add_quoted buf cat;
-      if parent <> none then Buffer.add_string buf (Printf.sprintf {|, "parent": %d|} parent);
+      if parent <> none then begin
+        Buffer.add_string buf {|, "parent": |};
+        Buffer.add_string buf (string_of_int parent)
+      end;
       if args <> [] then begin
         Buffer.add_string buf {|, "args": |};
         add_args buf args
       end;
       Buffer.add_char buf '}'
   | Close { time; id; args } ->
-      Buffer.add_string buf (Printf.sprintf {|{"t": %.6f, "ph": "close", "id": %d|} time id);
+      Buffer.add_string buf {|{"t": |};
+      add_fixed buf time;
+      Buffer.add_string buf {|, "ph": "close", "id": |};
+      Buffer.add_string buf (string_of_int id);
       if args <> [] then begin
         Buffer.add_string buf {|, "args": |};
         add_args buf args
@@ -92,9 +118,9 @@ let push t record =
   match t.tap with
   | None -> ()
   | Some f ->
-      let buf = Buffer.create 96 in
-      add_record_line buf record;
-      f (Buffer.contents buf)
+      Buffer.clear t.line;
+      add_record_line t.line record;
+      f (Buffer.contents t.line)
 
 let instant t ~time ?(cat = "event") ?(span = none) ?(args = []) name =
   if t.recording then push t (Instant { time; name; cat; span; args })

@@ -26,9 +26,28 @@ val leaf_count : t -> int
 
 val chain : t -> int -> int array
 (** Physical link ids collapsed into the logical link above a node (root ->
-    empty). Ordered top-down. A fresh copy, unlike {!chain_link}. *)
+    empty). Ordered top-down. A fresh copy. *)
 
-val chain_length : t -> int -> int
+(** {2 Shared arrays}
 
-val chain_link : t -> int -> int -> int
-(** [chain_link t node i] is [(chain t node).(i)], without the copy. *)
+    The arrays behind the accessors above, the logical tree's own, not
+    copies: the per-node loops of a probe round (classification, MINC's
+    counts, the protocol's votes) read them in place, since under [-opaque]
+    a call per node would cost more than the node's work. Callers must not
+    write them. *)
+
+val parents : t -> int array
+(** {!parent} of every logical node. *)
+
+val leaves : t -> int array
+(** {!leaf} of every leaf index. *)
+
+val chain_starts : t -> int array
+
+val chain_nodes : t -> int array
+
+val chain_links : t -> int array
+(** Logical node [k]'s chain, top-down, is slots
+    [(chain_starts t).(k) <= i < (chain_starts t).(k + 1)] ([node_count t + 1]
+    starts): [(chain_links t).(i)] is a physical link and
+    [(chain_nodes t).(i)] the physical tree node below it. *)

@@ -35,18 +35,47 @@ let solve_node ~gamma_k ~child_gammas =
     end
   end
 
-let check_input logical ~acked =
-  let rounds = Array.length acked in
-  if rounds = 0 then invalid_arg "Minc.infer: no rounds";
-  let leaf_count = Logical_tree.leaf_count logical in
-  Array.iter
-    (fun vector ->
-      if Array.length vector <> leaf_count then
-        invalid_arg "Minc.infer: ack vector width mismatch")
-    acked
+(* Per-node subtree-ack counts over the rounds folded so far. [reached]
+   is one round's marks, reused. *)
+type counts = {
+  tree : Logical_tree.t;
+  hits : int array;
+  reached : bool array;
+  mutable rounds : int;
+}
 
-(* Shared tail: turn per-node subtree-ack counts into the MLE estimate. *)
-let estimate_of_hits logical ~rounds hits =
+let counts logical =
+  let count = Logical_tree.node_count logical in
+  { tree = logical; hits = Array.make count 0; reached = Array.make count false; rounds = 0 }
+
+let rounds counts = counts.rounds
+
+(* gamma_k counts rounds in which some leaf below k acked. One bottom-up
+   sweep per round marks each acked leaf's logical node and propagates the
+   mark to its parent: children carry larger indices than parents (see
+   Logical_tree.parent), so one reverse pass reaches every ancestor.
+   O(nodes) per round, where scanning each node's descendant leaves costs
+   O(nodes * leaves). *)
+let add_round counts acked =
+  let hits = counts.hits and reached = counts.reached in
+  let parents = Logical_tree.parents counts.tree and leaves = Logical_tree.leaves counts.tree in
+  let count = Array.length hits in
+  Array.fill reached 0 count false;
+  for leaf = 0 to Array.length leaves - 1 do
+    if acked.(leaf) then reached.(leaves.(leaf)) <- true
+  done;
+  for node = count - 1 downto 1 do
+    if reached.(node) then begin
+      hits.(node) <- hits.(node) + 1;
+      reached.(parents.(node)) <- true
+    end
+  done;
+  if reached.(0) then hits.(0) <- hits.(0) + 1;
+  counts.rounds <- counts.rounds + 1
+
+(* Turn per-node subtree-ack counts into the MLE estimate. *)
+let estimate_of_counts { tree = logical; hits; rounds; _ } =
+  if rounds = 0 then invalid_arg "Minc.infer: no rounds";
   let count = Logical_tree.node_count logical in
   let gamma = Array.map (fun h -> float_of_int h /. float_of_int rounds) hits in
   let path_success = Array.make count 1. in
@@ -70,34 +99,33 @@ let estimate_of_hits logical ~rounds hits =
   in
   { logical; rounds; gamma; path_success; link_success }
 
-(* gamma_k counts rounds in which some leaf below k acked. A single
-   bottom-up sweep per round marks each acked leaf's logical node and
-   propagates the mark to its parent: children carry larger indices than
-   parents (see Logical_tree.parent), so one reverse pass reaches every
-   ancestor. O(rounds * nodes), where scanning each node's descendant
-   leaves costs O(rounds * nodes * leaves). *)
+let estimate ?(trace = Concilium_obs.Trace.noop) ?parent ?(time = 0.) counts =
+  let module Trace = Concilium_obs.Trace in
+  let span =
+    Trace.span_open trace ~time ~cat:"tomography" ?parent
+      ~args:
+        [
+          ("rounds", Trace.Int counts.rounds);
+          ("nodes", Trace.Int (Logical_tree.node_count counts.tree));
+        ]
+      "minc.solve"
+  in
+  let estimate = estimate_of_counts counts in
+  Trace.span_close trace ~time
+    ~args:[ ("root_gamma", Trace.Float estimate.gamma.(0)) ]
+    span;
+  estimate
+
 let infer logical ~acked =
-  check_input logical ~acked;
-  let rounds = Array.length acked in
-  let count = Logical_tree.node_count logical in
-  let hits = Array.make count 0 in
-  let reached = Array.make count false in
+  let leaf_count = Logical_tree.leaf_count logical in
   Array.iter
     (fun vector ->
-      Array.fill reached 0 count false;
-      Array.iteri
-        (fun leaf_index acked ->
-          if acked then reached.(Logical_tree.leaf logical leaf_index) <- true)
-        vector;
-      for node = count - 1 downto 1 do
-        if reached.(node) then begin
-          hits.(node) <- hits.(node) + 1;
-          reached.(Logical_tree.parent logical node) <- true
-        end
-      done;
-      if reached.(0) then hits.(0) <- hits.(0) + 1)
+      if Array.length vector <> leaf_count then
+        invalid_arg "Minc.infer: ack vector width mismatch")
     acked;
-  estimate_of_hits logical ~rounds hits
+  let counts = counts logical in
+  Array.iter (add_round counts) acked;
+  estimate_of_counts counts
 
 let link_loss estimate node = 1. -. estimate.link_success.(node)
 
@@ -109,19 +137,4 @@ let suspect_physical_links estimate ~loss_threshold =
   done;
   List.sort_uniq Int.compare !out
 
-let infer_from_rounds ?(trace = Concilium_obs.Trace.noop) ?parent ?(time = 0.) logical rounds =
-  let module Trace = Concilium_obs.Trace in
-  let span =
-    Trace.span_open trace ~time ~cat:"tomography" ?parent
-      ~args:
-        [
-          ("rounds", Trace.Int (Array.length rounds));
-          ("nodes", Trace.Int (Logical_tree.node_count logical));
-        ]
-      "minc.solve"
-  in
-  let estimate = infer logical ~acked:(Probing.acked_matrix rounds) in
-  Trace.span_close trace ~time
-    ~args:[ ("root_gamma", Trace.Float estimate.gamma.(0)) ]
-    span;
-  estimate
+let infer_from_rounds logical rounds = infer logical ~acked:(Probing.acked_matrix rounds)

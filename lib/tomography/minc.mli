@@ -22,9 +22,36 @@ type estimate = {
   link_success : float array;  (** success of the logical link above each node; 1.0 at the root *)
 }
 
+type counts
+(** Per-node subtree-ack counts: for each logical node, the rounds in which
+    some leaf below it acked. A burst folds each round in as it is drawn,
+    so it keeps no rounds and no ack matrix. *)
+
+val counts : Logical_tree.t -> counts
+(** No rounds yet. *)
+
+val add_round : counts -> bool array -> unit
+(** Fold one round's acks (indexed by leaf; entries past the leaf count
+    are ignored) in one bottom-up sweep: O(nodes). *)
+
+val rounds : counts -> int
+
+val estimate :
+  ?trace:Concilium_obs.Trace.t ->
+  ?parent:Concilium_obs.Trace.span ->
+  ?time:float ->
+  counts ->
+  estimate
+(** The MLE over the rounds folded so far. When [trace] is a recording
+    sink the inference is wrapped in a ["minc.solve"] span (category
+    ["tomography"], args [rounds] and [nodes], closed with [root_gamma])
+    stamped at [time] (default 0), nested under [parent] if given; with
+    the default noop sink the wrapper costs one branch.
+    @raise Invalid_argument if no rounds were folded. *)
+
 val infer : Logical_tree.t -> acked:bool array array -> estimate
-(** [acked] is round-major: [acked.(r).(leaf_index)]. Computes gamma with a
-    single bottom-up ack-propagation sweep per round — O(rounds * nodes).
+(** [acked] is round-major: [acked.(r).(leaf_index)]. Folds each round
+    into {!counts} and estimates: O(rounds * nodes).
     @raise Invalid_argument if no rounds are given or a vector's width
     disagrees with the tree's leaf count. *)
 
@@ -36,15 +63,5 @@ val suspect_physical_links : estimate -> loss_threshold:float -> int list
     threshold — the links Concilium treats as "probed down". Sorted,
     deduplicated. *)
 
-val infer_from_rounds :
-  ?trace:Concilium_obs.Trace.t ->
-  ?parent:Concilium_obs.Trace.span ->
-  ?time:float ->
-  Logical_tree.t ->
-  Probing.round array ->
-  estimate
-(** Convenience: {!infer} over {!Probing.acked_matrix}. When [trace] is a
-    recording sink the inference is wrapped in a ["minc.solve"] span
-    (category ["tomography"]) stamped at [time] (default 0), nested under
-    [parent] if given; with the default noop sink the wrapper costs one
-    branch. *)
+val infer_from_rounds : Logical_tree.t -> Probing.round array -> estimate
+(** Convenience: {!infer} over {!Probing.acked_matrix}. *)

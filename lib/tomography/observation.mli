@@ -1,12 +1,16 @@
-(** Store of per-link probe observations contributed by peers.
+(** Store of the probe rounds peers contribute.
 
     Blame attribution (paper Section 3.4) consumes the set probes(l) of
     results covering link l initiated within a +/- Delta window around the
-    drop time; this store indexes observations by link and time to answer
-    exactly that query. Each link keeps its observations as columns in
-    insertion order, with a running maximum of their times, so a window
-    query binary-searches to the first slot that can fall inside it and
-    costs what the window holds rather than the link's whole history. *)
+    drop time. In the paper (Section 3.2) a prober publishes one snapshot
+    per probe of its tree, and the store keeps exactly that: one record per
+    round, holding the round's time and one byte per node of the prober's
+    tree for the verdict it reported on the node's parent link, with the
+    round's forged reports (links anywhere, repeats allowed) as a side
+    list. Each prober's rounds sit in a ring in insertion order, with a
+    running maximum of their times, so a window binary-searches each ring
+    to the first round that can fall inside it, and pruning trims one ring
+    per prober. *)
 
 type observation = {
   time : float;
@@ -17,28 +21,54 @@ type observation = {
 
 type t
 
-val create : unit -> t
+val create : Tree.t array -> t
+(** An empty store for probers [0 .. Array.length trees - 1]; prober [p]
+    probes [trees.(p)]. *)
 
-val record : t -> time:float -> prober:int -> link:int -> up:bool -> unit
-(** Append to [link]'s column. Link ids index an array: non-negative, and
-    best dense. Allocates nothing beyond amortised column growth. *)
+val no_vote : char
+val up_vote : char
+val down_vote : char
+(** The bytes of a round's verdicts: nothing reported on the node's parent
+    link, reported up, reported down. *)
+
+val record :
+  t -> prober:int -> time:float -> verdicts:Bytes.t -> forged:(int * bool) list -> unit
+(** Append one round of [prober] stamped [time]. [verdicts] holds a byte
+    per node of the prober's tree ({!no_vote}, {!up_vote} or
+    {!down_vote}); the store copies the first node-count bytes, so the
+    caller may reuse the buffer. [forged] are extra (link, up) reports,
+    which count after the tree's. Allocates nothing beyond amortised ring
+    growth. *)
 
 val count : t -> int
-(** Live observations: recorded and not yet pruned. *)
+(** Live votes (tree votes and forged reports) in rounds recorded and not
+    yet pruned. Counted when asked, by a scan of the live rounds, so that
+    recording a round only copies it. *)
 
-val on_link : t -> link:int -> lo:float -> hi:float -> keep:(int -> bool) -> observation list
-(** Observations of [link] with [lo <= time <= hi] whose prober [keep]
-    accepts, in insertion order. That is not time order: a heavyweight
-    burst stamps its observations at drop + Delta when the judgment runs,
-    and chaos-injected control delay can hold that judgment back past later
-    lightweight rounds. [keep] sees each in-window prober, in no promised
-    order, before anything is built: what it rejects allocates nothing.
+type window = {
+  votes : observation list array;
+      (** one entry per requested link: its votes, in insertion order *)
+  excluded : int;  (** votes of the excluded prober, not listed *)
+}
+
+val window :
+  t -> probers:int array -> exclude:int -> links:int array -> lo:float -> hi:float -> window
+(** The votes on each of [links] from rounds with [lo <= time <= hi] of the
+    given distinct [probers], minus those of [exclude], which are counted.
+    A link's votes come in insertion order: by round, in the order rounds
+    were recorded across every prober, and within a round the tree's vote
+    before the forged reports, in their order. That is not time order: a
+    heavyweight burst stamps its round at drop + Delta when the judgment
+    runs, and chaos-injected control delay can hold that judgment back past
+    later lightweight rounds. A link's node in a prober's tree is found by
+    {!Tree.node_of_link}; the cost is the window's rounds times the links,
+    not the link's whole history.
     @raise Invalid_argument if [lo] lies behind the pruned horizon (the
     largest [prune_before] argument so far): such a window may have lost
     votes, so it fails loudly rather than answering short. *)
 
 val prune_before : t -> float -> unit
-(** [prune_before t h] raises the pruned horizon to [h] and frees, on each
-    link, the prefix of observations whose running maximum time is below
-    [h]. Every window with [lo >= h] answers exactly as before. A horizon
-    at or below the current one does nothing. *)
+(** [prune_before t h] raises the pruned horizon to [h] and frees, in each
+    prober's ring, the rounds before the first whose running maximum time
+    reaches [h]. Every window with [lo >= h] answers exactly as before. A
+    horizon at or below the current one does nothing. *)

@@ -12,6 +12,10 @@ type t = {
      path_nodes.(path_starts.(i + 1) - 1). *)
   path_nodes : int array;
   path_starts : int array;
+  (* The tree's links ascending, and the node below each: a link's node is
+     one binary search of one array away. *)
+  links : int array;
+  link_nodes : int array;
 }
 
 (* Growable parallel arrays during construction. *)
@@ -92,7 +96,10 @@ let of_paths ~root ~paths =
         node := parents.(!node)
       done)
     leaves;
-  { root; routers; parents; parent_links; children; leaves; path_nodes; path_starts }
+  let link_nodes = Array.init (n - 1) (fun i -> i + 1) in
+  Array.sort (fun a b -> Int.compare parent_links.(a) parent_links.(b)) link_nodes;
+  let links = Array.map (fun node -> parent_links.(node)) link_nodes in
+  { root; routers; parents; parent_links; children; leaves; path_nodes; path_starts; links; link_nodes }
 
 let root t = t.root
 let node_count t = Array.length t.routers
@@ -102,14 +109,31 @@ let parent_link t node = t.parent_links.(node)
 let children t node = t.children.(node)
 let leaf_count t = Array.length t.leaves
 let leaf t i = t.leaves.(i)
-let path_start t i = t.path_starts.(i)
-let path_node t k = t.path_nodes.(k)
+let path_starts t = t.path_starts
+let path_nodes t = t.path_nodes
+let parent_links t = t.parent_links
 
-let physical_links t =
-  let out = ref [] in
-  for node = node_count t - 1 downto 1 do
-    out := t.parent_links.(node) :: !out
+let physical_links t = Array.copy t.links
+
+(* One merge of the two ascending arrays: each link's search starts where
+   the previous one stopped. *)
+let find_links t sorted nodes =
+  let links = t.links in
+  let n = Array.length links in
+  let j = ref 0 in
+  for i = 0 to Array.length sorted - 1 do
+    let link = sorted.(i) in
+    while !j < n && links.(!j) < link do
+      incr j
+    done;
+    nodes.(i) <- (if !j < n && links.(!j) = link then t.link_nodes.(!j) else -1)
+  done
+
+let node_of_link t link =
+  let links = t.links in
+  let lo = ref 0 and hi = ref (Array.length links) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if links.(mid) < link then lo := mid + 1 else hi := mid
   done;
-  let array = Array.of_list !out in
-  Array.sort Int.compare array;
-  array
+  if !lo < Array.length links && links.(!lo) = link then t.link_nodes.(!lo) else -1

@@ -35,14 +35,33 @@ val leaf : t -> int -> int
     that terminate a probe path (the routing peers), in the order their
     paths were supplied (duplicates removed). *)
 
-val path_start : t -> int -> int
-(** Leaf [i]'s root-to-leaf path is [path_node t k] for
-    [path_start t i <= k < path_start t (i + 1)]: its tree nodes top-down,
-    the root left out, each standing for the physical link above it
-    ({!parent_link}). [i] ranges over [0 .. leaf_count t]; the paths are
-    stored once, back to back, so walking one allocates nothing. *)
+val path_starts : t -> int array
 
-val path_node : t -> int -> int
+val path_nodes : t -> int array
+(** Every leaf's root-to-leaf path, stored once, back to back: leaf [i]'s
+    is [(path_nodes t).(k)] for
+    [(path_starts t).(i) <= k < (path_starts t).(i + 1)], its tree nodes
+    top-down, the root left out, each standing for the physical link above
+    it ({!parent_link}); [path_starts] has [leaf_count t + 1] entries. Both
+    are the tree's own arrays, not copies: the probe kernel walks them in
+    place, since under [-opaque] a call per node would cost more than the
+    node's work. Callers must not write them. *)
+
+val parent_links : t -> int array
+(** {!parent_link} of every node, the tree's own array, shared as
+    {!path_nodes} is. *)
 
 val physical_links : t -> int array
 (** Distinct physical link ids appearing in the tree, ascending. *)
+
+val node_of_link : t -> int -> int
+(** The tree node whose parent link is the given physical link, or -1 when
+    the link is not in the tree: a binary search over the nodes sorted by
+    parent link, built once with the tree. *)
+
+val find_links : t -> int array -> int array -> unit
+(** [find_links t sorted nodes] sets [nodes.(i)] to
+    [node_of_link t sorted.(i)] for each link of [sorted], which must be
+    ascending: one merge with the tree's ascending links, which costs less
+    than a binary search per link when a path's links are all looked up in
+    one tree. *)

@@ -1,9 +1,11 @@
 (* The two readings of a judge's blame window that [Blame.select] replaced,
-   kept as references for it: Equation 3 scanning the observation store
+   kept as references for it over the list store (test/observation_oracle.ml)
+   fed the same votes in insertion order: Equation 3 scanning the store
    with its own filter and vote dedup, and the protocol's evidence
    gathering scanning the same window again with a second filter and an
-   observation-level dedup. [Blame.select] must count exactly the votes
-   both counted, in the same order, with the same defense tallies. *)
+   observation-level dedup. [Blame.select] over the round store must count
+   exactly the votes both counted, in the same order, with the same
+   defense tallies. *)
 
 module Observation = Concilium_tomography.Observation
 module Blame = Concilium_core.Blame
@@ -36,7 +38,7 @@ let path_bad_confidence config ~observations ~links ~drop_time ~exclude_prober
             if obs.Observation.prober = exclude_prober || not (visible obs.Observation.prober)
             then None
             else Some (obs.Observation.prober, obs.Observation.up))
-          (Observation.on_link observations ~link ~lo ~hi ~keep:(fun _ -> true))
+          (Observation_oracle.on_link observations ~link ~lo ~hi)
       in
       let votes = if one_vote_per_prober then dedup_votes votes else votes in
       if votes = [] then best else max best (confidence_of_votes config votes))
@@ -77,7 +79,7 @@ let gather_evidence config ~observations ~visible ~suspect ~exclude_suspect_prob
            let visible =
              List.filter
                (fun obs -> visible obs.Observation.prober)
-               (Observation.on_link observations ~link ~lo ~hi ~keep:(fun _ -> true))
+               (Observation_oracle.on_link observations ~link ~lo ~hi)
            in
            let kept =
              List.filter

@@ -1,8 +1,9 @@
-(* The per-link list store that [Observation]'s columns replaced, kept as
-   the reference for them: every window query scans the link's whole
-   history, and pruning filters each observation on its own time. The
-   columnar store must answer every window at or above its pruned horizon
-   exactly as this one does, in the same order. *)
+(* A per-link list store, the reference for [Observation]'s rounds: every
+   window query scans the link's whole history, and pruning filters each
+   observation on its own time. Fed a round's votes in insertion order
+   (its tree votes, then its forged reports in order), the round store
+   must answer every window at or above its pruned horizon exactly as this
+   one does, in the same order. *)
 
 module Observation = Concilium_tomography.Observation
 

@@ -9,6 +9,8 @@ module Bandwidth = Concilium_core.Bandwidth
 module Validation = Concilium_core.Validation
 module World = Concilium_core.World
 module Observation = Concilium_tomography.Observation
+module Tree = Concilium_tomography.Tree
+module Graph = Concilium_topology.Graph
 module Snapshot = Concilium_tomography.Snapshot
 module Id = Concilium_overlay.Id
 module Leaf_set = Concilium_overlay.Leaf_set
@@ -36,16 +38,23 @@ let test_blame_no_votes () =
 
 let blame_config = Blame.paper_config
 
+(* Ten probers whose trees are a bare root: each report is a round whose
+   one vote is a forged report, so any link can carry it. *)
+let bare_tree = Tree.of_paths ~root:0 ~paths:[||]
+let all_probers = Array.init 10 Fun.id
+
 let store_with observations =
-  let store = Observation.create () in
+  let store = Observation.create (Array.make (Array.length all_probers) bare_tree) in
+  let verdicts = Bytes.make 1 Observation.no_vote in
   List.iter
-    (fun (time, prober, link, up) -> Observation.record store ~time ~prober ~link ~up)
+    (fun (time, prober, link, up) ->
+      Observation.record store ~prober ~time ~verdicts ~forged:[ (link, up) ])
     observations;
   store
 
-let select ?(visible = fun _ -> true) ?(one_vote_per_prober = false) ~exclude_prober ~links
+let select ?(probers = all_probers) ?(one_vote_per_prober = false) ~exclude_prober ~links
     ~drop_time store =
-  Blame.select blame_config store ~visible ~exclude_prober ~one_vote_per_prober ~links ~drop_time
+  Blame.select blame_config store ~probers ~exclude_prober ~one_vote_per_prober ~links ~drop_time
 
 let counted_up obs = obs.Observation.up
 
@@ -84,7 +93,7 @@ let test_blame_visibility_filter () =
   let blame =
     selection_blame
       (select store ~links:[| 1 |] ~drop_time:100. ~exclude_prober:(-1)
-         ~visible:(fun prober -> prober <> 5))
+         ~probers:(Array.of_list (List.filter (( <> ) 5) (Array.to_list all_probers))))
   in
   checkf 1e-9 "invisible prober ignored" 1. blame
 
@@ -168,21 +177,31 @@ let arbitrary_window =
   in
   QCheck.make ~print gen
 
+(* The list store fed the same reports, in the same order. *)
+let oracle_with observations =
+  let oracle = Observation_oracle.create () in
+  List.iter
+    (fun (time, prober, link, up) ->
+      Observation_oracle.record oracle { Observation.time; prober; link; up })
+    observations;
+  oracle
+
 let prop_select_matches_oracles =
   QCheck.Test.make ~name:"one selection counts what both oracle selections counted" ~count:500
     arbitrary_window (fun (reports, forest, suspect, links) ->
-      let store = store_with reports in
+      let store = store_with reports and oracle = oracle_with reports in
       let visible prober = prober = 0 || List.nth forest prober in
+      let probers = Array.of_list (List.filter visible (List.init 6 Fun.id)) in
       let drop_time = 100. in
       let bits = Int64.bits_of_float in
       List.for_all
         (fun (exclude_suspect_probes, one_vote_per_prober) ->
           let exclude_prober = if exclude_suspect_probes then suspect else -1 in
           let selection =
-            select store ~visible ~one_vote_per_prober ~exclude_prober ~links ~drop_time
+            select store ~probers ~one_vote_per_prober ~exclude_prober ~links ~drop_time
           in
           let evidence =
-            Blame_oracle.gather_evidence blame_config ~observations:store ~visible ~suspect
+            Blame_oracle.gather_evidence blame_config ~observations:oracle ~visible ~suspect
               ~exclude_suspect_probes ~one_vote_per_prober ~links ~drop_time
           in
           let counted =
@@ -191,11 +210,11 @@ let prop_select_matches_oracles =
               (Array.to_list selection.Blame.counted)
           in
           let oracle_confidence =
-            Blame_oracle.path_bad_confidence blame_config ~observations:store ~links ~drop_time
+            Blame_oracle.path_bad_confidence blame_config ~observations:oracle ~links ~drop_time
               ~exclude_prober ~visible ~one_vote_per_prober ()
           in
           let oracle_blame =
-            Blame_oracle.blame blame_config ~observations:store ~links ~drop_time
+            Blame_oracle.blame blame_config ~observations:oracle ~links ~drop_time
               ~exclude_prober ~visible ~one_vote_per_prober ()
           in
           counted = evidence.Blame_oracle.link_votes
@@ -851,6 +870,116 @@ let test_validation_flags_stale_stamp () =
 
 let world_fixture = lazy (World.build (World.tiny_config ~seed:123L))
 
+(* The round store against the list store on the tiny world's trees: a
+   random run of light rounds (random verdicts on the prober's tree nodes,
+   and sometimes forged reports, repeated on one link or on links outside
+   the prober's tree), heavy rounds stamped behind rounds already
+   recorded, prunes at random horizons and judgments by random judges of
+   random suspects over random links and windows. Every selection over the
+   rounds must count what the oracle selections count over the list store
+   fed the same votes in insertion order, and a window behind the horizon
+   must raise. *)
+let prop_round_store_answers_as_list_store =
+  QCheck.Test.make ~name:"the round store answers as the list store" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let world = Lazy.force world_fixture in
+      let rng = Prng.of_seed (Int64.of_int seed) in
+      let n = World.node_count world in
+      let link_count = Graph.link_count world.World.generated.World.Generate.graph in
+      let store = Observation.create world.World.trees and oracle = Observation_oracle.create () in
+      let delta = blame_config.Blame.delta in
+      let now = ref 0. and horizon = ref Float.neg_infinity in
+      let halves bound = float_of_int (Prng.int rng (2 * bound)) /. 2. in
+      (* A link of [v]'s tree, or now and then any link at all. *)
+      let some_link v =
+        let links = Tree.physical_links world.World.trees.(v) in
+        if Array.length links = 0 || Prng.int rng 4 = 0 then Prng.int rng link_count
+        else links.(Prng.int rng (Array.length links))
+      in
+      let round ~time v =
+        let tree = world.World.trees.(v) in
+        let verdicts = Bytes.make (Tree.node_count tree) Observation.no_vote in
+        let votes = ref [] in
+        for node = 1 to Tree.node_count tree - 1 do
+          if Prng.bool rng then begin
+            let up = Prng.bool rng in
+            Bytes.set verdicts node (if up then Observation.up_vote else Observation.down_vote);
+            votes := (Tree.parent_link tree node, up) :: !votes
+          end
+        done;
+        let forged =
+          if Prng.int rng 5 > 0 then []
+          else begin
+            let stuffed = some_link v in
+            List.init (1 + Prng.int rng 4) (fun _ ->
+                ((if Prng.bool rng then stuffed else some_link v), Prng.bool rng))
+          end
+        in
+        Observation.record store ~prober:v ~time ~verdicts ~forged;
+        List.iter
+          (fun (link, up) -> Observation_oracle.record oracle { Observation.time; prober = v; link; up })
+          (List.rev_append !votes forged)
+      in
+      let judgment () =
+        let judge = Prng.int rng n and suspect = Prng.int rng n in
+        let links = Array.init (1 + Prng.int rng 5) (fun _ -> some_link judge) in
+        let lo = (if Float.is_finite !horizon then !horizon else !now -. 300.) +. halves 200 in
+        let drop_time = lo +. delta in
+        let probers = Array.append [| judge |] world.World.sorted_peers.(judge) in
+        let visible prober = prober = judge || World.is_peer world judge prober in
+        List.for_all
+          (fun (exclude_suspect_probes, one_vote_per_prober) ->
+            let exclude_prober = if exclude_suspect_probes then suspect else -1 in
+            let selection =
+              Blame.select blame_config store ~probers ~exclude_prober ~one_vote_per_prober ~links
+                ~drop_time
+            in
+            let evidence =
+              Blame_oracle.gather_evidence blame_config ~observations:oracle ~visible ~suspect
+                ~exclude_suspect_probes ~one_vote_per_prober ~links ~drop_time
+            in
+            List.filter_map
+              (function [] -> None | obs :: _ as votes -> Some (obs.Observation.link, votes))
+              (Array.to_list selection.Blame.counted)
+            = evidence.Blame_oracle.link_votes
+            && selection.Blame.excluded = evidence.Blame_oracle.excluded
+            && selection.Blame.deduped = evidence.Blame_oracle.deduped)
+          [ (true, true); (true, false); (false, true); (false, false) ]
+        && ((not (Float.is_finite !horizon))
+           ||
+           match
+             Blame.select blame_config store ~probers ~exclude_prober:(-1)
+               ~one_vote_per_prober:false ~links ~drop_time:(!horizon -. 1. +. delta)
+           with
+           | _ -> false
+           | exception Invalid_argument _ -> true)
+      in
+      List.for_all
+        (fun _ ->
+          match Prng.int rng 20 with
+          | 0 | 1 | 2 ->
+              now := !now +. halves 30;
+              true
+          | 3 ->
+              (* A heavy burst's round, stamped at drop + Delta behind rounds
+                 already recorded. *)
+              round ~time:(!now -. halves 120) (Prng.int rng n);
+              true
+          | 4 ->
+              let candidate = !now -. halves 200 in
+              if candidate > !horizon then begin
+                horizon := candidate;
+                Observation.prune_before store candidate;
+                Observation_oracle.prune_before oracle candidate
+              end;
+              Observation.count store >= Observation_oracle.count oracle
+          | 5 | 6 -> judgment ()
+          | _ ->
+              round ~time:!now (Prng.int rng n);
+              true)
+        (List.init 300 Fun.id))
+
 let test_world_invariants () =
   let world = Lazy.force world_fixture in
   let n = World.node_count world in
@@ -1043,6 +1172,7 @@ let suites =
         Alcotest.test_case "verdict threshold" `Quick test_verdict_threshold;
         qtest prop_blame_in_unit_interval;
         qtest prop_select_matches_oracles;
+        qtest prop_round_store_answers_as_list_store;
       ] );
     ( "core.verdict_window",
       [

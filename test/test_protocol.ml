@@ -440,6 +440,38 @@ let test_pending_judgments_hold_horizon () =
     true
     (3 * late < held)
 
+(* A light round lives in the runtime's buffers and the store's rings, so
+   probing allocates about the same few words per engine step whatever the
+   tree: the engine's event record and its boxed time, the boxed probe
+   delay, and the rings' amortised growth at prunes. The small world probing
+   with no traffic measured 15.68 words per step; the bound leaves about 4
+   words of margin, so one small array or a few boxes per round, or
+   anything per vote, fails. The count is a function of the code and the
+   seed, not of the host. *)
+let test_light_probing_allocation () =
+  let world = World.build (World.small_config ~seed:1907L) in
+  let engine = Engine.create () in
+  let graph = world.World.generated.World.Generate.graph in
+  let link_state =
+    Link_state.create ~link_count:(Graph.link_count graph) ~good_loss:0.001 ~bad_loss:0.9
+  in
+  let protocol =
+    Protocol.create ~world ~engine ~link_state ~rng:(Prng.of_seed 3L) Protocol.default_config
+      ~behavior:(fun _ -> Protocol.Honest)
+  in
+  Protocol.start_probing protocol ~horizon:1e9;
+  let steps n =
+    for _ = 1 to n do
+      if not (Engine.step engine) then Alcotest.fail "probing stopped"
+    done
+  in
+  steps 20_000;
+  let before = Gc.minor_words () in
+  steps 50_000;
+  let per_step = (Gc.minor_words () -. before) /. 50_000. in
+  check Alcotest.bool (Printf.sprintf "%.2f minor words per step, bound 20" per_step) true
+    (per_step <= 20.)
+
 let suites =
   [
     ( "protocol.integration",
@@ -464,5 +496,7 @@ let suites =
         Alcotest.test_case "unreachable spliced hop is an overlay drop" `Quick
           test_unreachable_spliced_hop;
         Alcotest.test_case "lost ack is diagnosed" `Quick test_lost_ack_diagnosed;
+        Alcotest.test_case "light probing allocates a few words a step" `Quick
+          test_light_probing_allocation;
       ] );
   ]

@@ -47,9 +47,10 @@ let test_tree_structure () =
 
 (* Leaf i's stored path, as the physical links above its nodes. *)
 let leaf_path_links tree i =
+  let starts = Tree.path_starts tree in
   Array.init
-    (Tree.path_start tree (i + 1) - Tree.path_start tree i)
-    (fun k -> Tree.parent_link tree (Tree.path_node tree (Tree.path_start tree i + k)))
+    (starts.(i + 1) - starts.(i))
+    (fun k -> Tree.parent_link tree (Tree.path_nodes tree).(starts.(i) + k))
 
 let test_tree_paths_to_leaves () =
   let g, tree = fixture_tree () in
@@ -197,33 +198,74 @@ let test_minc_rejects_empty () =
 
 (* ---------- Observation ---------- *)
 
-let test_observation_window_queries () =
-  let store = Observation.create () in
+(* One round of [prober] over the fixture tree, into the store and, vote by
+   vote in insertion order, into the list oracle: [votes] are (link, up)
+   verdicts on tree links (at most one per link), [forged] extra reports
+   on any link. *)
+let record_round ?oracle store tree ~time ~prober ~votes ~forged =
+  let verdicts = Bytes.make (Tree.node_count tree) Observation.no_vote in
   List.iter
-    (fun (time, prober, link, up) -> Observation.record store ~time ~prober ~link ~up)
-    [ (10., 1, 5, true); (20., 2, 5, false); (30., 1, 5, true); (20., 1, 6, true) ];
+    (fun (link, up) ->
+      Bytes.set verdicts (Tree.node_of_link tree link)
+        (if up then Observation.up_vote else Observation.down_vote))
+    votes;
+  Observation.record store ~prober ~time ~verdicts ~forged;
+  Option.iter
+    (fun oracle ->
+      List.iter
+        (fun (link, up) -> Observation_oracle.record oracle { Observation.time; prober; link; up })
+        (votes @ forged))
+    oracle
+
+(* A store of six probers that all probe the fixture tree (links 0 to 5);
+   [report] records a round of one vote, a forged one when the link is
+   outside the tree. *)
+let fixture_store () =
+  let _, tree = fixture_tree () in
+  let store = Observation.create (Array.make 6 tree) in
+  let report (time, prober, link, up) =
+    if Tree.node_of_link tree link >= 0 then
+      record_round store tree ~time ~prober ~votes:[ (link, up) ] ~forged:[]
+    else record_round store tree ~time ~prober ~votes:[] ~forged:[ (link, up) ]
+  in
+  (store, report)
+
+let all_probers = Array.init 6 Fun.id
+
+let window_votes ?(exclude = -1) store ~link ~lo ~hi =
+  (Observation.window store ~probers:all_probers ~exclude ~links:[| link |] ~lo ~hi)
+    .Observation.votes.(0)
+
+let test_observation_window_queries () =
+  let store, report = fixture_store () in
+  List.iter report [ (10., 1, 5, true); (20., 2, 5, false); (30., 1, 5, true); (20., 1, 7, true) ];
   check Alcotest.int "count" 4 (Observation.count store);
-  let window = Observation.on_link store ~link:5 ~lo:15. ~hi:30. ~keep:(fun _ -> true) in
+  let window = window_votes store ~link:5 ~lo:15. ~hi:30. in
   check Alcotest.int "windowed" 2 (List.length window);
   check (Alcotest.float 1e-9) "insertion order" 20. (List.hd window).Observation.time;
-  check Alcotest.int "kept by prober" 1
-    (List.length (Observation.on_link store ~link:5 ~lo:15. ~hi:30. ~keep:(( <> ) 1)));
+  let without_1 =
+    Observation.window store ~probers:all_probers ~exclude:1 ~links:[| 5; 7 |] ~lo:15. ~hi:30.
+  in
+  check Alcotest.int "excluded prober's votes counted" 2 without_1.Observation.excluded;
+  check Alcotest.int "the rest kept" 1 (List.length without_1.Observation.votes.(0));
+  check Alcotest.int "unseen prober" 1
+    (List.length
+       (Observation.window store ~probers:[| 1 |] ~exclude:(-1) ~links:[| 5 |] ~lo:15. ~hi:30.)
+         .Observation.votes.(0));
+  (* Prober 1's round at 20 follows its round at 30, whose running maximum
+     keeps it; prober 2's ring is emptied. *)
   Observation.prune_before store 25.;
-  check Alcotest.int "pruned" 1 (Observation.count store)
+  check Alcotest.int "pruned" 2 (Observation.count store)
 
 let observation_times store ~link ~lo ~hi =
-  List.map
-    (fun obs -> obs.Observation.time)
-    (Observation.on_link store ~link ~lo ~hi ~keep:(fun _ -> true))
+  List.map (fun obs -> obs.Observation.time) (window_votes store ~link ~lo ~hi)
 
 let test_observation_late_stamps () =
   (* A heavy burst judged after later probe rounds stamps drop + Delta, so
      a window holds its votes in insertion order, not time order; pruning
      cuts only the prefix whose running maximum is behind the horizon. *)
-  let store = Observation.create () in
-  List.iter
-    (fun time -> Observation.record store ~time ~prober:1 ~link:2 ~up:true)
-    [ 10.; 100.; 50.; 120.; 60. ];
+  let store, report = fixture_store () in
+  List.iter (fun time -> report (time, 1, 2, true)) [ 10.; 100.; 50.; 120.; 60. ];
   check
     Alcotest.(list (float 0.))
     "insertion order" [ 100.; 50.; 60. ]
@@ -236,94 +278,129 @@ let test_observation_late_stamps () =
     (observation_times store ~link:2 ~lo:55. ~hi:110.)
 
 let test_observation_guard () =
-  let store = Observation.create () in
-  Observation.record store ~time:30. ~prober:1 ~link:5 ~up:true;
+  let store, report = fixture_store () in
+  report (30., 1, 5, true);
   Observation.prune_before store 25.;
-  let behind = Invalid_argument "Observation.on_link: window starts behind the pruned horizon" in
+  let behind = Invalid_argument "Observation.window: window starts behind the pruned horizon" in
   Alcotest.check_raises "window behind the horizon" behind (fun () ->
-      ignore
-        (Observation.on_link store ~link:5 ~lo:(Float.pred 25.) ~hi:30. ~keep:(fun _ -> true)));
+      ignore (window_votes store ~link:5 ~lo:(Float.pred 25.) ~hi:30.));
   check Alcotest.int "window at the horizon" 1
-    (List.length (Observation.on_link store ~link:5 ~lo:25. ~hi:30. ~keep:(fun _ -> true)));
+    (List.length (window_votes store ~link:5 ~lo:25. ~hi:30.));
   (* A lower horizon prunes nothing and does not reopen the pruned past. *)
   Observation.prune_before store 10.;
   Alcotest.check_raises "horizon never moves back" behind (fun () ->
-      ignore (Observation.on_link store ~link:5 ~lo:20. ~hi:30. ~keep:(fun _ -> true)))
+      ignore (window_votes store ~link:5 ~lo:20. ~hi:30.))
 
-(* Random interleavings of the protocol's store traffic: probe records
-   stamped now, records stamped behind now (a heavy burst's drop + Delta
-   under control delay), prunes at non-decreasing horizons and window
-   queries at or above the horizon. The columns must answer every query
-   exactly as the list oracle does, in the same order, and never hold
-   fewer live observations than it. *)
+(* Random interleavings of the protocol's store traffic on the fixture
+   tree: rounds stamped now, rounds stamped behind now (a heavy burst's
+   drop + Delta under control delay), each with random verdicts and
+   forged reports (repeats, and links outside the tree), prunes at
+   non-decreasing horizons and window queries at or above the horizon for
+   random prober sets. The rounds must answer every query exactly as the
+   list oracle does, in the same order, and never hold fewer live votes
+   than it. *)
 type store_op =
   | Advance of float
-  | Record of float * int * int * bool  (** lag behind now, prober, link, up *)
+  | Round of float * int * (int * bool) list * (int * bool) list
+      (** lag behind now, prober, tree votes, forged reports *)
   | Prune of float  (** horizon step *)
-  | Query of int * float * float  (** link, lo above the horizon, window width *)
+  | Query of int list * int * float * float
+      (** probers, excluded prober, lo above the horizon, window width *)
 
 let arbitrary_store_ops =
   let open QCheck.Gen in
   let halves n = map (fun k -> float_of_int k /. 2.) (int_bound n) in
+  (* At most one tree vote per link: a round's verdicts are one byte per
+     tree node. *)
+  let tree_votes =
+    map
+      (fun picks -> List.filter_map (fun (link, vote) -> Option.map (fun up -> (link, up)) vote) picks)
+      (flatten_l (List.init 6 (fun link -> map (fun vote -> (link, vote)) (opt ~ratio:0.4 bool))))
+  in
   let op =
     frequency
       [
         (3, map (fun step -> Advance step) (halves 20));
         ( 8,
           map
-            (fun (lag, prober, link, up) -> Record (lag, prober, link, up))
-            (quad (frequency [ (3, return 0.); (1, halves 400) ]) (int_bound 5) (int_bound 3) bool)
-        );
+            (fun ((lag, prober), (votes, forged)) -> Round (lag, prober, votes, forged))
+            (pair
+               (pair (frequency [ (3, return 0.); (1, halves 400) ]) (int_bound 5))
+               (pair tree_votes (list_size (int_bound 3) (pair (int_bound 7) bool)))) );
         (1, map (fun step -> Prune step) (halves 60));
         ( 2,
           map
-            (fun (link, offset, width) -> Query (link, offset, width))
-            (triple (int_bound 4) (halves 200) (halves 200)) );
+            (fun ((probers, exclude), (offset, width)) -> Query (probers, exclude, offset, width))
+            (pair
+               (pair (list_size (int_bound 6) (int_bound 5)) (int_range (-1) 5))
+               (pair (halves 200) (halves 200))) );
       ]
+  in
+  let votes_string votes =
+    String.concat "," (List.map (fun (link, up) -> Printf.sprintf "%d:%b" link up) votes)
   in
   let print ops =
     String.concat "; "
       (List.map
          (function
            | Advance step -> Printf.sprintf "advance %g" step
-           | Record (lag, prober, link, up) ->
-               Printf.sprintf "record lag=%g prober=%d link=%d up=%b" lag prober link up
+           | Round (lag, prober, votes, forged) ->
+               Printf.sprintf "round lag=%g prober=%d votes=[%s] forged=[%s]" lag prober
+                 (votes_string votes) (votes_string forged)
            | Prune step -> Printf.sprintf "prune +%g" step
-           | Query (link, offset, width) ->
-               Printf.sprintf "query link=%d lo=horizon+%g width=%g" link offset width)
+           | Query (probers, exclude, offset, width) ->
+               Printf.sprintf "query probers=[%s] exclude=%d lo=horizon+%g width=%g"
+                 (String.concat "," (List.map string_of_int probers))
+                 exclude offset width)
          ops)
   in
-  QCheck.make ~print (list_size (int_range 1 300) op)
+  QCheck.make ~print (list_size (int_range 1 200) op)
 
 let prop_observation_matches_oracle =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"columns answer every window as the list oracle" ~count:300
+    (QCheck.Test.make ~name:"rounds answer every window as the list oracle" ~count:300
        arbitrary_store_ops (fun ops ->
-         let store = Observation.create () and oracle = Observation_oracle.create () in
+         let _, tree = fixture_tree () in
+         let store = Observation.create (Array.make 6 tree) and oracle = Observation_oracle.create () in
          let now = ref 0. and horizon = ref 0. in
+         let links = Array.init 8 Fun.id in
          List.for_all
            (function
              | Advance step ->
                  now := !now +. step;
                  true
-             | Record (lag, prober, link, up) ->
-                 let time = !now -. lag in
-                 Observation.record store ~time ~prober ~link ~up;
-                 Observation_oracle.record oracle { Observation.time; prober; link; up };
+             | Round (lag, prober, votes, forged) ->
+                 record_round ~oracle store tree ~time:(!now -. lag) ~prober ~votes ~forged;
                  true
              | Prune step ->
                  horizon := !horizon +. step;
                  Observation.prune_before store !horizon;
                  Observation_oracle.prune_before oracle !horizon;
                  Observation.count store >= Observation_oracle.count oracle
-             | Query (link, offset, width) ->
+             | Query (probers, exclude, offset, width) ->
+                 let probers = Array.of_list (List.sort_uniq Int.compare probers) in
                  let lo = !horizon +. offset in
                  let hi = lo +. width in
-                 let window = Observation_oracle.on_link oracle ~link ~lo ~hi in
-                 let odd prober = prober mod 2 = 1 in
-                 Observation.on_link store ~link ~lo ~hi ~keep:(fun _ -> true) = window
-                 && Observation.on_link store ~link ~lo ~hi ~keep:odd
-                    = List.filter (fun obs -> odd obs.Observation.prober) window)
+                 let window = Observation.window store ~probers ~exclude ~links ~lo ~hi in
+                 let visible (obs : Observation.observation) = Array.mem obs.prober probers in
+                 let expected =
+                   Array.map
+                     (fun link -> List.filter visible (Observation_oracle.on_link oracle ~link ~lo ~hi))
+                     links
+                 in
+                 let excluded =
+                   Array.fold_left
+                     (fun acc votes ->
+                       acc
+                       + List.length
+                           (List.filter (fun (obs : Observation.observation) -> obs.prober = exclude) votes))
+                     0 expected
+                 in
+                 window.Observation.votes
+                 = Array.map
+                     (List.filter (fun (obs : Observation.observation) -> obs.prober <> exclude))
+                     expected
+                 && window.Observation.excluded = excluded)
            ops))
 
 (* ---------- Snapshot ---------- *)
@@ -448,41 +525,38 @@ let prop_minc_matches_reference =
          in
          (Minc.infer logical ~acked).Minc.gamma = Minc_oracle.gamma logical ~acked))
 
+(* A random probe setup from [rng]: a tree whose leaves may lie on other
+   leaves' paths (any router but the root may be a peer, interior ones
+   included, in random order and with repeats), per-link loss rates that
+   include 0 and 1, and random ack suppression. *)
+let random_probe_setup rng =
+  let n = 2 + Prng.int rng 40 in
+  let b = Graph.Builder.create n in
+  for i = 1 to n - 1 do
+    Graph.Builder.add_link b (Prng.int rng i) i
+  done;
+  let g = Graph.build b in
+  let targets = Array.init (1 + Prng.int rng (2 * n)) (fun _ -> 1 + Prng.int rng (n - 1)) in
+  let path target = Option.get (Routes.shortest_path g ~source:0 ~target) in
+  let tree = Tree.of_paths ~root:0 ~paths:(Array.map path targets) in
+  let rate () = match Prng.int rng 3 with 0 -> 0. | 1 -> 1. | _ -> Prng.uniform rng in
+  let losses = Array.init (Graph.link_count g) (fun _ -> rate ()) in
+  let suppress =
+    Array.init (Tree.leaf_count tree) (fun _ ->
+        if Prng.bool rng then Probing.Suppress_acks (rate ()) else Probing.Honest)
+  in
+  (tree, Logical_tree.of_tree tree, (fun link -> losses.(link)), fun i -> suppress.(i))
+
 (* Property: the flat-path kernel and the table-of-fates oracle
    (test/probing_oracle.ml) return the same rounds and verdicts and leave
-   the generator in the same state, on random trees whose leaves may lie
-   on other leaves' paths, with per-link loss rates that include 0 and 1,
-   and with random ack suppression. *)
+   the generator in the same state, on random probe setups. *)
 let prop_probe_kernel_matches_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"probe kernel matches the table oracle" ~count:300
        QCheck.(int_range 0 1_000_000)
        (fun seed ->
          let rng = Prng.of_seed (Int64.of_int seed) in
-         let n = 2 + Prng.int rng 40 in
-         let b = Graph.Builder.create n in
-         for i = 1 to n - 1 do
-           Graph.Builder.add_link b (Prng.int rng i) i
-         done;
-         let g = Graph.build b in
-         (* Any router but the root may be a peer, interior ones included,
-            in random order and with repeats. *)
-         let targets =
-           Array.init (1 + Prng.int rng (2 * n)) (fun _ -> 1 + Prng.int rng (n - 1))
-         in
-         let path target = Option.get (Routes.shortest_path g ~source:0 ~target) in
-         let tree = Tree.of_paths ~root:0 ~paths:(Array.map path targets) in
-         let logical = Logical_tree.of_tree tree in
-         let rate () =
-           match Prng.int rng 3 with 0 -> 0. | 1 -> 1. | _ -> Prng.uniform rng
-         in
-         let losses = Array.init (Graph.link_count g) (fun _ -> rate ()) in
-         let suppress =
-           Array.init (Tree.leaf_count tree) (fun _ ->
-               if Prng.bool rng then Probing.Suppress_acks (rate ()) else Probing.Honest)
-         in
-         let behavior i = suppress.(i) in
-         let loss_of_link link = losses.(link) in
+         let tree, logical, loss_of_link, behavior = random_probe_setup rng in
          let random_acked = Array.init (Tree.leaf_count tree) (fun _ -> Prng.bool rng) in
          let probe_seed = Prng.int64 rng in
          let kernel_rng = Prng.of_seed probe_seed and oracle_rng = Prng.of_seed probe_seed in
@@ -501,6 +575,73 @@ let prop_probe_kernel_matches_oracle =
                 && same_verdicts round.Probing.acked)
               [ 1; 2; 3; 4 ]
          && Int64.equal (Prng.int64 kernel_rng) (Prng.int64 oracle_rng)))
+
+(* Property: the kernel drawing into buffers it shares across rounds, as
+   the protocol's rounds and bursts do (longer than the tree needs and
+   holding the previous round), matches the oracle round after round on
+   acks and verdicts, leaves the entries past the tree alone and leaves
+   the generator where the oracle leaves it. *)
+let prop_buffer_kernel_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"buffer kernel matches the table oracle" ~count:300
+       QCheck.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Prng.of_seed (Int64.of_int seed) in
+         let tree, logical, loss_of_link, behavior = random_probe_setup rng in
+         let leaves = Tree.leaf_count tree and count = Logical_tree.node_count logical in
+         let spare = 1 + Prng.int rng 5 in
+         let fates = Bytes.make (Tree.node_count tree + spare) '\007' in
+         let received = Array.init (leaves + spare) (fun _ -> Prng.bool rng) in
+         let acked = Array.init (leaves + spare) (fun _ -> Prng.bool rng) in
+         let verdicts = Array.make (count + spare) Probing.Probed_down in
+         let tail a from = Array.sub a from (Array.length a - from) in
+         let received_tail = tail received leaves and acked_tail = tail acked leaves in
+         let probe_seed = Prng.int64 rng in
+         let kernel_rng = Prng.of_seed probe_seed and oracle_rng = Prng.of_seed probe_seed in
+         List.for_all
+           (fun _ ->
+             Probing.draw ~rng:kernel_rng ~loss_of_link ~tree ~behavior ~fates ~received ~acked;
+             let expected = Probing_oracle.probe_round ~rng:oracle_rng ~loss_of_link ~tree ~behavior in
+             Probing.classify_into logical acked verdicts;
+             Array.sub received 0 leaves = expected.Probing.received
+             && Array.sub acked 0 leaves = expected.Probing.acked
+             && Array.sub verdicts 0 count
+                = Probing_oracle.classify_round logical expected.Probing.acked
+             && tail received leaves = received_tail
+             && tail acked leaves = acked_tail
+             && tail verdicts count = Array.make spare Probing.Probed_down
+             && Bytes.sub_string fates (Tree.node_count tree) spare = String.make spare '\007')
+           [ 1; 2; 3; 4; 5; 6 ]
+         && Int64.equal (Prng.int64 kernel_rng) (Prng.int64 oracle_rng)))
+
+(* Property: folding each round into MINC's counts as the kernel draws it,
+   as a heavy burst does, gives an estimate bit-equal to [Minc.infer] over
+   the ack matrix of the same rounds, and its subtree-ack rates are the
+   quadratic oracle's (test/minc_oracle.ml). *)
+let prop_minc_folded_counts_match_infer =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"folded counts estimate as infer" ~count:100
+       QCheck.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Prng.of_seed (Int64.of_int seed) in
+         let tree, logical, loss_of_link, behavior = random_probe_setup rng in
+         let leaves = Tree.leaf_count tree in
+         let fates = Bytes.create (Tree.node_count tree) in
+         let received = Array.make leaves false and acked = Array.make leaves false in
+         let counts = Minc.counts logical in
+         let matrix =
+           Array.init (1 + Prng.int rng 60) (fun _ ->
+               Probing.draw ~rng ~loss_of_link ~tree ~behavior ~fates ~received ~acked;
+               Minc.add_round counts acked;
+               Array.copy acked)
+         in
+         let folded = Minc.estimate counts and inferred = Minc.infer logical ~acked:matrix in
+         let bits a = Array.map Int64.bits_of_float a in
+         Minc.rounds counts = Array.length matrix
+         && bits folded.Minc.gamma = bits inferred.Minc.gamma
+         && bits folded.Minc.path_success = bits inferred.Minc.path_success
+         && bits folded.Minc.link_success = bits inferred.Minc.link_success
+         && bits folded.Minc.gamma = bits (Minc_oracle.gamma logical ~acked:matrix)))
 
 let suites =
   [
@@ -523,11 +664,13 @@ let suites =
         Alcotest.test_case "ack suppression" `Quick test_suppressing_leaf;
         Alcotest.test_case "lightweight classification" `Quick test_classify_round;
         prop_probe_kernel_matches_oracle;
+        prop_buffer_kernel_matches_oracle;
       ] );
     ( "tomography.minc",
       [
         prop_minc_recovers_random_losses;
         prop_minc_matches_reference;
+        prop_minc_folded_counts_match_infer;
         Alcotest.test_case "lossless tree" `Quick test_minc_lossless;
         Alcotest.test_case "recovers a lossy interior link" `Quick test_minc_recovers_lossy_link;
         Alcotest.test_case "suspect link extraction" `Quick test_minc_suspect_links;
